@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hoshell import action_coefficients, modulation_quadrature, modulation_spa
+from hoshell import action_coefficients, modulation
 
 
 def main() -> None:
@@ -30,11 +30,10 @@ def main() -> None:
             path = args.out_dir / f"modulation_D{dim}_alpha{alpha}.csv"
             with open(path, "w", newline="\n") as fh:
                 fh.write("sigma_over_hbar,abs_quad,abs_spa\n")
-                for x in xs:
-                    quad = abs(modulation_quadrature(poly, float(x), dim, 1).value)
-                    spa = 1.0 if x == 0.0 else abs(
-                        modulation_spa(poly, float(x), dim, 1).value)
-                    fh.write(f"{x:.17g},{quad:.17g},{spa:.17g}\n")
+                quad = np.abs(modulation(poly, xs, dim, 1, "quadrature")[:, 0])
+                spa = np.abs(modulation(poly, xs, dim, 1, "spa")[:, 0])
+                for x, q, a in zip(xs, quad, spa):
+                    fh.write(f"{x:.17g},{q:.17g},{a:.17g}\n")
             print(f"wrote {path}")
 
 

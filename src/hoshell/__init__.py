@@ -54,6 +54,7 @@ from .errors import (
 )
 from .modfactor import (
     ModulationFactor,
+    modulation,
     modulation_closed_form,
     modulation_elementary,
     modulation_quadrature,

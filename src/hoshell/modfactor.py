@@ -8,6 +8,10 @@ where P(l) = sum_j a_j l^(2j) is the scaled action polynomial: direct
 panel-split Gauss-Legendre quadrature, a hypergeometric closed form for
 two-coefficient polynomials, and the end-point stationary-phase asymptotics.
 All formulas are written in terms of the dimensionless x = k sigma / hbar.
+
+`modulation` is the array entry point: M_1 ... M_kmax for an array of
+sigma / hbar, with the quadrature batched over rows and harmonics.  The
+scalar functions are its per-point views.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .specfun import QuadratureRule, erf_sqrt_i, gauss_legendre, kummer_1f1, leg
 __all__ = [
     "ModulationFactor",
     "StationaryPointAudit",
+    "modulation",
     "modulation_closed_form",
     "modulation_elementary",
     "modulation_quadrature",
@@ -38,6 +43,7 @@ Method = Literal["quadrature", "closed_form", "spa"]
 DEFAULT_ORDER = 200
 _NODES_PER_CYCLE = 10.0
 _QUAD_TOL = 1e-8
+_CHUNK_ENTRIES = 1 << 13  # (row, node) entries per quadrature work buffer
 
 
 @dataclass(frozen=True)
@@ -58,43 +64,91 @@ def _check_dk(dim: int, k: int) -> None:
         raise DomainError("repetition index k must be nonzero")
 
 
-def _quad_value(poly: ActionPolynomial, x: float, dim: int,
-                rule: QuadratureRule, panels: int) -> complex:
+def _weighted_nodes(poly: ActionPolynomial, dim: int, rule: QuadratureRule,
+                    panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(l) at the panel nodes and the weights (D-1) w l^(D-2), as complex so
+    the harmonic sums are one BLAS matrix-vector product each."""
     nodes, weights = rule.on_panels(0.0, 1.0, panels)
-    phase = -x * poly.scaled_value(nodes)
-    integrand = nodes ** (dim - 2) * np.exp(1j * phase)
-    return (dim - 1) * complex(np.sum(weights * integrand))
+    return poly.scaled_value(nodes), ((dim - 1) * weights * nodes ** (dim - 2)).astype(complex)
+
+
+def _harmonic_sums(s: np.ndarray, values: np.ndarray, weights: np.ndarray,
+                   k_max: int, phase: np.ndarray, base: np.ndarray,
+                   power: np.ndarray) -> np.ndarray:
+    """sum_n weights[n] exp(-i k s[i] values[n]) for k = 1..k_max.
+
+    The exponential is evaluated once per (row, node); harmonic k is its k-th
+    power by repeated multiplication.  `phase`, `base` and `power` are flat
+    work buffers of at least len(s) * len(values) entries.
+    """
+    shape = (len(s), len(values))
+    size = shape[0] * shape[1]
+    phase = phase[:size].reshape(shape)
+    base = base[:size].reshape(shape)
+    power = power[:size].reshape(shape)
+    np.multiply.outer(-s, values, out=phase)
+    np.cos(phase, out=base.real)
+    np.sin(phase, out=base.imag)
+    power[...] = base
+    sums = np.empty((shape[0], k_max), dtype=complex)
+    sums[:, 0] = power @ weights
+    for k in range(1, k_max):
+        power *= base
+        sums[:, k] = power @ weights
+    return sums
+
+
+def _quadrature(poly: ActionPolynomial, s: np.ndarray, dim: int, k_max: int,
+                rule: QuadratureRule) -> np.ndarray:
+    out = np.ones((len(s), k_max), dtype=complex)
+    # Total phase swing across [0, 1]; dense sampling is robust for combined
+    # polynomials whose scaled profile need not be monotone.
+    probe = poly.scaled_value(np.linspace(0.0, 1.0, 513))
+    swing = np.abs(k_max * s) * (float(np.max(probe)) - float(np.min(probe)))
+    cycles = swing / (2.0 * math.pi)
+    panels = np.maximum(1, np.ceil(cycles * _NODES_PER_CYCLE / rule.order)).astype(int)
+    active = s != 0.0
+    counts = np.unique(panels[active])
+    if not counts.size:
+        return out
+    most_nodes = 2 * int(counts[-1]) * rule.order
+    size = min(len(s) * most_nodes, max(_CHUNK_ENTRIES, most_nodes))
+    buffers = (np.empty(size), np.empty(size, dtype=complex), np.empty(size, dtype=complex))
+    for count in counts:
+        rows = np.flatnonzero(active & (panels == count))
+        coarse_grid = _weighted_nodes(poly, dim, rule, int(count))
+        fine_grid = _weighted_nodes(poly, dim, rule, 2 * int(count))
+        chunk = max(1, _CHUNK_ENTRIES // len(fine_grid[0]))
+        for start in range(0, len(rows), chunk):
+            sel = rows[start:start + chunk]
+            coarse = _harmonic_sums(s[sel], *coarse_grid, k_max, *buffers)
+            fine = _harmonic_sums(s[sel], *fine_grid, k_max, *buffers)
+            err = np.abs(fine - coarse)
+            limit = _QUAD_TOL * np.maximum(1.0, np.abs(fine))
+            if np.any(err > limit):
+                i, k = np.unravel_index(np.argmax(err / limit), err.shape)
+                raise AccuracyError(
+                    f"modulation quadrature error estimate {err[i, k]:.3e} exceeds "
+                    f"{_QUAD_TOL:.0e}; raise the rule order or panel count "
+                    f"(order={rule.order}, panels={count}, x={(k + 1) * s[sel][i]:.6g})"
+                )
+            out[sel] = fine
+    return out
 
 
 def modulation_quadrature(poly: ActionPolynomial, sigma_over_hbar: float,
                           dim: int, k: int,
                           rule: QuadratureRule | None = None) -> ModulationFactor:
-    """M_k by Gauss-Legendre quadrature of the one-dimensional integral.
+    """M_k by Gauss-Legendre quadrature of the one-dimensional integral: the
+    one-point view of `modulation` at x = k sigma / hbar.
 
     The interval is split into equal panels so that each panel sees at most
     order / 10 phase cycles; the returned value uses doubled panels and the
     difference between the two resolutions serves as the error estimate.
     """
     _check_dk(dim, k)
-    if rule is None:
-        rule = gauss_legendre(DEFAULT_ORDER)
-    x = k * sigma_over_hbar
-    # Total phase swing across [0, 1]; dense sampling is robust for combined
-    # polynomials whose scaled profile need not be monotone.
-    probe = poly.scaled_value(np.linspace(0.0, 1.0, 513))
-    swing = abs(x) * (float(np.max(probe)) - float(np.min(probe)))
-    cycles = swing / (2.0 * math.pi)
-    panels = max(1, math.ceil(cycles * _NODES_PER_CYCLE / rule.order))
-    coarse = _quad_value(poly, x, dim, rule, panels)
-    fine = _quad_value(poly, x, dim, rule, 2 * panels)
-    err = abs(fine - coarse)
-    if err > _QUAD_TOL * max(1.0, abs(fine)):
-        raise AccuracyError(
-            f"modulation quadrature error estimate {err:.3e} exceeds "
-            f"{_QUAD_TOL:.0e}; raise the rule order or panel count "
-            f"(order={rule.order}, panels={panels}, x={x:.6g})"
-        )
-    return ModulationFactor(k=k, value=fine, method="quadrature",
+    value = modulation(poly, k * sigma_over_hbar, dim, 1, "quadrature", rule)[0, 0]
+    return ModulationFactor(k=k, value=complex(value), method="quadrature",
                             sigma_over_hbar=sigma_over_hbar)
 
 
@@ -204,6 +258,42 @@ def modulation_spa(poly: ActionPolynomial, sigma_over_hbar: float,
     value = (dim - 1) * cmath.exp(-1j * x * a0) * (upper + lower)
     return ModulationFactor(k=k, value=value, method="spa",
                             sigma_over_hbar=sigma_over_hbar)
+
+
+def modulation(poly: ActionPolynomial, sigma_over_hbar, dim: int, k_max: int,
+               method: Method, rule: QuadratureRule | None = None) -> np.ndarray:
+    """M_1 ... M_kmax for every entry of a 1-D array of sigma / hbar.
+
+    Returns a complex array of shape (len(sigma_over_hbar), k_max); rows with
+    sigma = 0 are exactly 1 for every method.  "quadrature" sizes the panels
+    of each row for its highest harmonic, evaluates exp(-i sigma P / hbar)
+    once per (row, node) and reaches harmonic k by repeated multiplication;
+    the coarse/fine error estimate is checked for every (row, k).
+    "closed_form" and "spa" evaluate their scalar kernels per (row, k).
+    `rule` applies to the quadrature only.
+    """
+    if dim < 2:
+        raise DomainError(f"spatial dimension must be >= 2, got {dim}")
+    if k_max < 1:
+        raise DomainError(f"k_max must be >= 1, got {k_max}")
+    s = np.atleast_1d(np.asarray(sigma_over_hbar, dtype=float))
+    if s.ndim != 1:
+        raise DomainError(f"sigma / hbar must be a scalar or 1-D array, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise DomainError("sigma / hbar must be finite")
+    if method == "quadrature":
+        return _quadrature(poly, s, dim, k_max, rule or gauss_legendre(DEFAULT_ORDER))
+    if method == "closed_form":
+        scalar = modulation_closed_form
+    elif method == "spa":
+        scalar = modulation_spa
+    else:
+        raise UnsupportedMethodError(f"unknown modulation method {method!r}")
+    out = np.ones((len(s), k_max), dtype=complex)
+    for i in np.flatnonzero(s):
+        for k in range(1, k_max + 1):
+            out[i, k - 1] = scalar(poly, float(s[i]), dim, k).value
+    return out
 
 
 @dataclass(frozen=True)

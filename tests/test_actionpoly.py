@@ -232,6 +232,17 @@ class TestPolynomialDeltaS:
             assert -sigma * poly.scaled_value(lt) == pytest.approx(
                 delta_s(action_coefficients(2), want_sigma, lt), rel=1e-13)
 
+    @pytest.mark.parametrize("alpha", [2, 3, 4, 10])
+    def test_single_order_polynomial_is_energy_independent(self, alpha):
+        # pert_dos batches every energy of a single-order system into one
+        # modulation call keyed on this polynomial.
+        params = SystemParams.single(3, -1.25e-3, alpha)
+        want = action_coefficients(alpha).float_coeffs
+        for energy in np.linspace(1.0, 70.0, 97):
+            poly, _ = polynomial_delta_s(params, float(energy))
+            assert poly.alpha == alpha
+            assert np.array_equal(poly.float_coeffs, want)
+
     def test_linearity_in_strength(self):
         whole = SystemParams.single(3, 0.08, 2)
         split = SystemParams(dim=3, terms=((0.04, 2), (0.04, 2)))

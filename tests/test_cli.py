@@ -76,6 +76,30 @@ def test_modfactor_methods_agree():
         assert vals[6] == pytest.approx(vals[9], abs=1e-10)  # SPA exact here
 
 
+@pytest.mark.parametrize("flag,value,rest", [
+    ("--epsilon", "-1.25e-3", ("dos", "--e-range", "10:12:21", "--k-max", "4",
+                               "--method", "closed")),
+    ("--sigma-over-hbar-range", "-2e1:0:5", ("modfactor", "--D", "3", "--alpha", "2")),
+])
+def test_negative_scientific_values(flag, value, rest):
+    spaced = run_cli(*rest, flag, value)
+    joined = run_cli(*rest, f"{flag}={value}")
+    assert spaced.returncode == joined.returncode == 0, spaced.stderr + joined.stderr
+    assert spaced.stdout == joined.stdout
+
+
+def test_modfactor_exactly_one_at_zero_strength():
+    cp = run_cli("modfactor", "--D", "4", "--alpha", "2", "--k", "3",
+                 "--sigma-over-hbar-range", "0:1:2", "--method", "all")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.splitlines()[1] == "0,1,0,1,1,0,1,1,0,1"
+
+
+def test_modfactor_rejects_zero_repetition():
+    assert run_cli("modfactor", "--D", "3", "--alpha", "2", "--k", "0",
+                   "--sigma-over-hbar-range", "0:1:2").returncode == 2
+
+
 def test_dos_smoke():
     cp = run_cli("dos", "--D", "3", "--alpha", "2", "--epsilon", "1.25e-3",
                  "--e-range", "10:12:21", "--k-max", "4", "--method", "closed")
@@ -146,8 +170,21 @@ def test_compare_json_report():
     assert cp.returncode == 0, cp.stderr
     report = json.loads(cp.stdout)
     assert set(report) == {"rms_difference", "pearson", "pert_envelope_nodes",
-                           "ebk_envelope_nodes", "node_offsets"}
+                           "ebk_envelope_nodes", "node_offsets",
+                           "unmatched_pert_nodes", "unmatched_ebk_nodes"}
     assert any(abs(n - 40.0) < 1.0 for n in report["pert_envelope_nodes"])
+    paired = len(report["node_offsets"])
+    assert paired + len(report["unmatched_pert_nodes"]) == len(report["pert_envelope_nodes"])
+    assert paired + len(report["unmatched_ebk_nodes"]) == len(report["ebk_envelope_nodes"])
+
+
+def test_node_pairing_by_nearest_neighbour():
+    from hoshell.cli import _pair_nodes
+
+    # By list position 10 would pair with 41.5 and 40 with 70.
+    assert _pair_nodes([10.0, 40.0], [41.5, 70.0]) == ([1.5], [10.0], [70.0])
+    assert _pair_nodes([40.0, 60.0], [58.0, 41.0]) == ([1.0, -2.0], [], [])
+    assert _pair_nodes([39.99], []) == ([], [39.99], [])
 
 
 def test_output_dir_override(tmp_path: Path, monkeypatch):

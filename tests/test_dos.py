@@ -147,6 +147,27 @@ class TestPertDos:
         pref = energy ** 3 / 6.0
         assert curve.oscillating[0] == pytest.approx(pref * total.real, rel=1e-10)
 
+    @pytest.mark.parametrize("method", ["quadrature", "closed_form"])
+    def test_mixed_orders_match_scalar_reference(self, method):
+        # Orders 2 and 3 give a different normalised polynomial at every
+        # energy; compare with the per-(E, k) scalar sum of the trace formula.
+        from hoshell.actionpoly import polynomial_delta_s
+        from hoshell.modfactor import modulation_closed_form, modulation_quadrature
+
+        scalar = {"quadrature": modulation_quadrature,
+                  "closed_form": modulation_closed_form}[method]
+        params = SystemParams(dim=3, terms=((1e-3, 2), (2e-5, 3)))
+        grid = np.linspace(8.0, 30.0, 9)
+        curve = pert_dos(params, grid, k_max=6, width=0.1, method=method)
+        for energy, smooth, got in zip(grid, curve.smooth, curve.oscillating):
+            poly, sigma = polynomial_delta_s(params, float(energy))
+            total = 0.0
+            for k in range(1, 7):
+                mod = scalar(poly, sigma, 3, k).value
+                damp = math.exp(-((0.1 * k * math.pi) ** 2))
+                total += (-1.0) ** k * damp * (mod * np.exp(2j * math.pi * k * energy)).real
+            assert abs(got - 2.0 * smooth * total) <= 1e-10 * smooth
+
 
 class TestSupershell:
     def test_node_formulas(self):

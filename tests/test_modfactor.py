@@ -7,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoshell.actionpoly import SystemParams, action_coefficients, polynomial_delta_s
-from hoshell.errors import DomainError, UnsupportedMethodError
+from hoshell.errors import AccuracyError, DomainError, UnsupportedMethodError
 from hoshell.modfactor import (
+    _CHUNK_ENTRIES,
+    DEFAULT_ORDER,
+    modulation,
     modulation_closed_form,
     modulation_elementary,
     modulation_quadrature,
     modulation_spa,
     spa_stationary_point_audit,
 )
-from hoshell.specfun import kummer_1f1
+from hoshell.specfun import gauss_legendre, kummer_1f1
 
 
 class TestQuadrature:
@@ -60,6 +63,56 @@ class TestQuadrature:
         quad = modulation_quadrature(poly, sigma, 3, 1).value
         closed = modulation_closed_form(poly, sigma, 3, 1).value
         assert abs(quad - closed) <= 1e-9 * abs(closed)
+
+
+class TestArrayKernel:
+    @pytest.mark.parametrize("k_max", [1, 10])
+    @pytest.mark.parametrize("alpha", [2, 3, 4, 10])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_harmonic_recurrence_matches_scalar(self, dim, alpha, k_max):
+        poly = action_coefficients(alpha)
+        sigmas = np.array([-23.0, -4.5, -0.3])
+        got = modulation(poly, sigmas, dim, k_max, "quadrature")
+        assert got.shape == (3, k_max)
+        for i, sigma in enumerate(sigmas):
+            for k in range(1, k_max + 1):
+                want = modulation_quadrature(poly, k * sigma, dim, 1).value
+                assert abs(got[i, k - 1] - want) <= 1e-12
+
+    def test_rows_beyond_one_chunk(self):
+        # Small sigma gives one panel, so 2 * DEFAULT_ORDER fine nodes per row.
+        per_chunk = _CHUNK_ENTRIES // (2 * DEFAULT_ORDER)
+        sigmas = np.linspace(0.1, 0.9, 2 * per_chunk + 7)
+        poly = action_coefficients(3)
+        got = modulation(poly, sigmas, 4, 3, "quadrature")
+        for i, sigma in enumerate(sigmas):
+            for k in (1, 2, 3):
+                want = modulation_quadrature(poly, sigma, 4, k).value
+                assert abs(got[i, k - 1] - want) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["quadrature", "closed_form", "spa"])
+    def test_exactly_one_at_zero_strength(self, method):
+        got = modulation(action_coefficients(2), [0.0, 3.0, 0.0], 3, 4, method)
+        assert np.all(got[[0, 2]] == 1.0)
+        assert np.all(got[1] != 1.0)
+
+    def test_coarse_rule_raises_through_array_path(self):
+        with pytest.raises(AccuracyError, match=r"order=6, panels=1, x=5\b"):
+            modulation(action_coefficients(2), [0.5, 12.0, 30.0], 3, 10,
+                       "quadrature", gauss_legendre(6))
+
+    def test_rejects_bad_arguments(self):
+        poly = action_coefficients(2)
+        with pytest.raises(DomainError):
+            modulation(poly, [1.0], 1, 3, "quadrature")
+        with pytest.raises(DomainError):
+            modulation(poly, [1.0], 3, 0, "quadrature")
+        with pytest.raises(DomainError):
+            modulation(poly, [1.0, math.nan], 3, 2, "quadrature")
+        with pytest.raises(DomainError):
+            modulation(poly, [[1.0, 2.0]], 3, 2, "quadrature")
+        with pytest.raises(UnsupportedMethodError):
+            modulation(poly, [1.0], 3, 2, "simpson")
 
 
 class TestClosedForm:
