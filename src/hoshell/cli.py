@@ -32,10 +32,11 @@ from .actionpoly import (
     verify_legendre_form,
 )
 from .dos import envelope_nodes, pert_dos, supershell_nodes
-from .ebk import ebk_dos, enumerate_levels
+from .ebk import angular_degeneracy, ebk_dos, enumerate_levels, radial_action
 from .errors import (
     AccuracyError,
     DomainError,
+    NoBoundStateError,
     TruncationWarning,
     UnsupportedMethodError,
 )
@@ -97,6 +98,15 @@ def _write_rows(args, header: list[str], rows) -> None:
         print(",".join(header), file=stream)
         for row in rows:
             print(",".join(row), file=stream)
+    finally:
+        if close:
+            stream.close()
+
+
+def _write_text(path: str | None, text: str) -> None:
+    stream, close = _open_out(path)
+    try:
+        stream.write(text)
     finally:
         if close:
             stream.close()
@@ -180,11 +190,6 @@ def _cmd_supershell(args) -> int:
     return 0
 
 
-def _levels_csv_rows(levels, scale):
-    for lev in levels:
-        yield [str(lev.n_r), str(lev.l), _fmt(lev.energy / scale), str(lev.degeneracy)]
-
-
 _LEVEL_HEADER = ["n_r", "l", "E_over_hbar_omega", "degeneracy"]
 
 
@@ -196,13 +201,13 @@ def _cmd_ebk(args) -> int:
         levels = enumerate_levels(params, e_max=args.e_max * scale,
                                   n_r_max=args.nr_max, l_max=args.l_max)
     levels.sort(key=lambda lev: (lev.energy, lev.l))
+    text = "".join(
+        [",".join(_LEVEL_HEADER) + "\n"]
+        + [f"{lev.n_r},{lev.l},{_fmt(lev.energy / scale)},{lev.degeneracy}\n"
+           for lev in levels])
     if args.levels_out:
-        stream, _ = _open_out(args.levels_out)
-        with stream:
-            print(",".join(_LEVEL_HEADER), file=stream)
-            for row in _levels_csv_rows(levels, scale):
-                print(",".join(row), file=stream)
-    _write_rows(args, _LEVEL_HEADER, _levels_csv_rows(levels, scale))
+        _write_text(args.levels_out, text)
+    _write_text(args.out, text)
     return 0
 
 
@@ -218,7 +223,32 @@ def _read_levels_csv(path: str, params: SystemParams):
             n_r, l, e, deg = line.strip().split(",")
             levels.append(EbkLevel(n_r=int(n_r), l=int(l),
                                    energy=float(e) * scale, degeneracy=int(deg)))
+    _check_level_cache(params, levels, path)
     return levels
+
+
+def _check_level_cache(params: SystemParams, levels, path: str) -> None:
+    """A cache must hold levels of this system: each degeneracy matches its l
+    in this dimension, and each energy quantizes this trap's radial action to
+    1e-9 of its target (checked in one pass over all levels)."""
+    for lev in levels:
+        if lev.n_r < 0 or lev.degeneracy != angular_degeneracy(params.dim, lev.l):
+            raise DomainError(f"{path}: level (n_r={lev.n_r}, l={lev.l}) with "
+                              f"degeneracy {lev.degeneracy} is not a D={params.dim} level")
+    n_r, l, e = (np.array([getattr(lev, k) for lev in levels], dtype=float)
+                 for k in ("n_r", "l", "energy"))
+    target = 2.0 * math.pi * params.hbar * (n_r + 0.5)
+    try:
+        action = radial_action(params, e, params.hbar * (l + 0.5 * (params.dim - 2)))
+    except NoBoundStateError as exc:
+        raise DomainError(f"{path}: a cached level lies outside this system's well: "
+                          f"{exc}") from exc
+    bad = np.flatnonzero(~(np.abs(action - target) <= 1e-9 * target))
+    if bad.size:
+        lev = levels[bad[0]]
+        raise DomainError(f"{path}: level (n_r={lev.n_r}, l={lev.l}) at E={lev.energy} "
+                          f"is not quantized in this system ({bad.size} of "
+                          f"{len(levels)} levels do not match)")
 
 
 def _cmd_ebk_dos(args) -> int:

@@ -5,7 +5,8 @@ Thomas-Fermi density of states with its turning-point solve.
 Radial integrals work in u = r^2, where the momentum polynomial
 Q(u) = 2 E u - omega^2 u^2 - 2 eps u^(alpha+1) - L^2 has simple roots at the
 turning points; mapping u = u_mid + du sin(theta) absorbs both square-root
-end points and restores spectral quadrature convergence.
+end points.  Kernels take arrays of rows (E, L^2), each inside the window of
+its effective potential: above the well bottom, below any barrier top.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .actionpoly import SystemParams, absorb_harmonic_terms
 from .errors import AccuracyError, DomainError, NoBoundStateError, TruncationWarning
@@ -34,6 +36,10 @@ __all__ = [
 ]
 
 _ACTION_ORDER = 120
+# Rows per quadrature block: bounds every (rows x nodes) temporary.
+_ROW_CHUNK = 256
+_MAX_STEPS = 200
+_ULP = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -62,338 +68,334 @@ def angular_degeneracy(dim: int, l: int) -> int:
     return math.comb(l + dim - 2, dim - 2) + math.comb(l + dim - 3, dim - 2)
 
 
-def _single_term(params: SystemParams) -> tuple[float, int]:
+class _Trap(NamedTuple):
+    """A system resolved once: harmonic terms absorbed, one monomial left."""
+
+    hbar: float
+    omega: float
+    dim: int
+    eps: float
+    alpha: int
+
+    def l_eff(self, l):
+        return self.hbar * (l + 0.5 * (self.dim - 2))
+
+    def target(self, n_r):
+        return 2.0 * math.pi * self.hbar * (n_r + 0.5)
+
+
+def _resolve(params: SystemParams) -> _Trap:
     params = absorb_harmonic_terms(params)
-    if len(params.terms) == 0:
-        return 0.0, 2
-    if len(params.terms) != 1:
+    if len(params.terms) > 1:
         raise DomainError("reference pipeline handles a single monomial term")
-    return params.terms[0].epsilon, params.terms[0].alpha
+    eps, alpha = params.terms[0] if params.terms else (0.0, 2)
+    return _Trap(params.hbar, params.omega, params.dim, eps, alpha)
 
 
-def _momentum_poly(params: SystemParams, energy: float, l_eff: float):
-    """Q(u) = 2 E u - omega^2 u^2 - 2 eps u^(alpha+1) - L^2 and its derivative."""
-    eps, alpha = _single_term(params)
-    w2 = absorb_harmonic_terms(params).omega ** 2
+def _safe_newton(func, lo, hi, x, rising):
+    """Elementwise root of func(u) -> (value, slope) on brackets [lo, hi], where
+    `rising` rows are negative below the root (rtsafe, Numerical Recipes 9.4):
+    steps leaving the bracket bisect; done at a correction or bracket of ulps."""
+    lo, hi, x = (np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi, x))
+    for _ in range(_MAX_STEPS):
+        val, slope = func(x)
+        below = (val < 0) == rising
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - val / slope
+        tol = 4.0 * _ULP * np.abs(x)
+        done = (np.abs(newton - x) <= tol) | (hi - lo <= tol) | (val == 0)
+        if done.all():
+            return x
+        x = np.where(done, x, np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi)))
+    raise AccuracyError("turning-point solve did not converge")
+
+
+class _Window(NamedTuple):
+    """Well bottom and barrier top (inf for eps >= 0) per row; nan if open."""
+
+    u_well: np.ndarray
+    e_well: np.ndarray
+    u_top: np.ndarray
+    e_top: np.ndarray
+
+    def take(self, rows) -> "_Window":
+        return _Window(*(a[rows] for a in self))
+
+
+def _window(trap: _Trap, l2) -> _Window:
+    """Stationary points of V_eff(u) = w^2 u / 2 + eps u^alpha + L^2 / (2 u):
+    roots of g(u) = w^2 u^2 + 2 alpha eps u^(alpha+1) - L^2, at energies
+    E = w^2 u + (alpha+1) eps u^alpha.  For eps < 0 the well bottom and the
+    barrier top straddle the hump of g, which must rise above zero."""
+    w2, eps, a = trap.omega ** 2, trap.eps, trap.alpha
+    l2 = np.asarray(l2, dtype=float)
+
+    def g(u):
+        return (w2 * u * u + 2.0 * a * eps * u ** (a + 1) - l2,
+                2.0 * w2 * u + 2.0 * a * (a + 1) * eps * u ** a)
+
+    def energy(u):
+        return w2 * u + (a + 1) * eps * u ** a
+
+    u_harm = np.sqrt(l2 / w2)
+    # For eps >= 0, g is convex and rising with g(u_harm) >= 0.
+    u_hump = u_harm if eps >= 0 else (w2 / (a * (a + 1) * -eps)) ** (1.0 / (a - 1))
+    u_well = _safe_newton(g, 0.0, u_hump, np.minimum(u_harm, u_hump), True)
+    if eps >= 0:
+        inf = np.full(l2.shape, np.inf)
+        return _Window(u_well, energy(u_well), inf, inf)
+    # g(u_zero) = -L^2 <= 0 past the hump
+    u_zero = np.full(l2.shape, (w2 / (2.0 * a * -eps)) ** (1.0 / (a - 1)))
+    u_top = _safe_newton(g, u_hump, u_zero, u_zero, False)
+    open_ = ~(w2 * u_hump ** 2 * (a - 1) / (a + 1) > l2)
+    u_well[open_] = u_top[open_] = np.nan
+    return _Window(u_well, energy(u_well), u_top, energy(u_top))
+
+
+def _turning_points(trap: _Trap, e, l2, win: _Window):
+    """Roots u_in below the well bottom and u_out between it and the barrier
+    top, in one pass.  For eps >= 0, Q is concave and below its harmonic part,
+    so Newton from the harmonic roots moves monotonically onto the true ones."""
+    w2, eps, a = trap.omega ** 2, trap.eps, trap.alpha
+    e, l2, u_well, u_top = np.broadcast_arrays(
+        np.asarray(e, dtype=float), np.asarray(l2, dtype=float), win.u_well, win.u_top)
+    u_plus = (e + np.sqrt(np.maximum(e * e - w2 * l2, 0.0))) / w2
+    u_minus = l2 / (w2 * u_plus)
+    lo_in = u_minus if eps >= 0 else np.zeros_like(e)
+    hi_out = (u_top if eps < 0 else u_plus if eps == 0
+              else np.minimum(u_plus, (e / eps) ** (1.0 / a)))
+    # Start from the harmonic roots, clipped into the brackets; the first n
+    # rows are the inner roots, where Q rises.
+    n = e.size
+    e, l2 = np.tile(e, 2), np.tile(l2, 2)
+    lo, hi, x = (np.concatenate(p) for p in (
+        (lo_in, u_well), (u_well, hi_out),
+        (np.minimum(u_minus, u_well), np.clip(u_plus, u_well, hi_out))))
 
     def q(u):
-        return 2.0 * energy * u - w2 * u * u - 2.0 * eps * u ** (alpha + 1) - l_eff ** 2
+        return (2.0 * e * u - w2 * u * u - 2.0 * eps * u ** (a + 1) - l2,
+                2.0 * e - 2.0 * w2 * u - 2.0 * eps * (a + 1) * u ** a)
 
-    def dq(u):
-        return 2.0 * energy - 2.0 * w2 * u - 2.0 * eps * (alpha + 1) * u ** alpha
-
-    return q, dq, eps, alpha
+    roots = _safe_newton(q, lo, hi, x, np.arange(2 * n) < n)
+    return roots[:n], roots[n:]
 
 
-def _turning_interval(params: SystemParams, energy: float, l_eff: float
-                      ) -> tuple[float, float]:
-    """Turning points (u_in, u_out) of the bounded radial well in u = r^2.
+def _checked(sums, columns, tol: float, what: str) -> np.ndarray:
+    """The 240-node results (k, rows) of sums(*columns, order), by row blocks;
+    the first must agree with the 120-node rule to tol relative on every row."""
+    out = []
+    for start in range(0, columns[0].size, _ROW_CHUNK):
+        block = [c[start:start + _ROW_CHUNK] for c in columns]
+        coarse, fine = sums(*block, _ACTION_ORDER)[0], np.array(sums(*block, 2 * _ACTION_ORDER))
+        err = np.abs(fine[0] - coarse)
+        if np.any(err > tol * np.maximum(np.abs(fine[0]), 1e-300)):
+            raise AccuracyError(f"{what} quadrature error {err.max():.3e} "
+                                f"exceeds {tol:g} relative")
+        out.append(fine)
+    return np.concatenate(out, axis=1) if out else np.empty((2, 0))
 
-    Raises NoBoundStateError with `reason` set to "below_well" (energy under
-    the effective well minimum) or "above_barrier" (eps < 0 with the well
-    open to infinity at this energy).
-    """
-    if energy <= 0:
-        raise DomainError(f"energy must be > 0, got {energy}")
-    q, dq, eps, alpha = _momentum_poly(params, energy, l_eff)
-    w2 = absorb_harmonic_terms(params).omega ** 2
-    u_harm = (energy + math.sqrt(max(energy ** 2 - w2 * l_eff ** 2, 0.0))) / w2
-    if eps >= 0:
-        # Q is strictly concave: a unique interior maximum splits the roots.
-        hi = u_harm if eps > 0 else u_harm * (1 + 1e-12) + 1e-300
-        u_peak = brentq(dq, 0.0, hi, xtol=1e-300, rtol=8.9e-16) if dq(hi) < 0 else hi
-        if q(u_peak) <= 0:
-            err = NoBoundStateError(
-                f"energy {energy} lies below the effective well minimum"
-            )
-            err.reason = "below_well"
-            raise err
-        u_out = brentq(q, u_peak, hi * (1 + 1e-9) + 1e-12, xtol=1e-300, rtol=8.9e-16)
-    else:
-        # Inverted tail: the well is closed only below the barrier.
-        u_star = (w2 / (abs(eps) * (alpha + 1) * alpha)) ** (1.0 / (alpha - 1)) \
-            if alpha > 1 else math.inf
-        if not math.isfinite(u_star) or dq(u_star) >= 0:
-            err = NoBoundStateError(
-                f"energy {energy} lies above the barrier (no closed well)"
-            )
-            err.reason = "above_barrier"
-            raise err
-        u_peak = brentq(dq, 0.0, u_star, xtol=1e-300, rtol=8.9e-16)
-        u_valley = u_star
-        while dq(u_valley) < 0:
-            u_valley *= 2.0
-            if u_valley > 1e30:
-                err = NoBoundStateError("no barrier found")
-                err.reason = "above_barrier"
-                raise err
-        u_valley = brentq(dq, u_star, u_valley, xtol=1e-300, rtol=8.9e-16)
-        if q(u_peak) <= 0:
-            err = NoBoundStateError(
-                f"energy {energy} lies below the effective well minimum"
-            )
-            err.reason = "below_well"
-            raise err
-        if q(u_valley) >= 0:
-            err = NoBoundStateError(
-                f"energy {energy} lies above the potential barrier"
-            )
-            err.reason = "above_barrier"
-            raise err
-        u_out = brentq(q, u_peak, u_valley, xtol=1e-300, rtol=8.9e-16)
-    if l_eff == 0.0:
-        u_in = 0.0
-    else:
-        if q(0.0) >= 0:
-            raise AccuracyError("inner turning point bracketing failed")
-        u_in = brentq(q, 0.0, u_peak, xtol=1e-300, rtol=8.9e-16)
-    return u_in, u_out
+
+@lru_cache(maxsize=None)
+def _angle_nodes(order: int):
+    # Half-angle forms of 1 +- sin(theta) keep full relative precision at the
+    # end points, where the plain expressions cancel catastrophically.
+    theta, w = gauss_legendre(order).on_interval(-0.5 * math.pi, 0.5 * math.pi)
+    half_angle = 0.25 * math.pi - 0.5 * theta
+    return w, np.cos(theta), 2.0 * np.cos(half_angle) ** 2, 2.0 * np.sin(half_angle) ** 2
+
+
+def _action_sums(trap: _Trap, e, l2, u_in, u_out, order: int):
+    """S_r = integral sqrt(Q(u))/u du and T_r = dS_r/dE = integral
+    du/sqrt(Q(u)) over [u_in, u_out] on one rule in the mapped angle."""
+    w2, eps, a = trap.omega ** 2, trap.eps, trap.alpha
+    w, cos, plus, minus = _angle_nodes(order)
+    s, t = np.empty(e.size), np.empty(e.size)
+    origin, rest = u_in == 0.0, u_in != 0.0
+    # The integrand collapses to sqrt(mid (1-sin) (Q(u)/u)): smooth and
+    # cancellation-free despite the 1/u measure.
+    mid = 0.5 * u_out[origin, None]
+    u = mid * plus
+    q_over_u = 2.0 * e[origin, None] - w2 * u - 2.0 * eps * u ** a
+    f = np.sqrt(np.maximum(mid * minus * q_over_u, 0.0))
+    parts = [(origin, f, f, q_over_u)]
+    # Work in v = log u: the 1/u measure is absorbed, so wells with
+    # u_in << u_out (small angular momentum, high energy) stay resolved.
+    v_in = np.log(u_in[rest, None])
+    v_half = 0.5 * (np.log(u_out[rest, None]) - v_in)
+    u = np.exp(v_in + v_half * plus)
+    q = 2.0 * e[rest, None] * u - w2 * u * u - 2.0 * eps * u ** (a + 1) - l2[rest, None]
+    f = v_half * cos * np.sqrt(np.maximum(q, 0.0))
+    parts.append((rest, f, f * u, q))
+    # T_r's integrand is S_r's times u / Q.  Sums run pairwise along each row
+    # (not a BLAS product), so a row's value ignores the rows beside it.
+    for rows, f, fu, q in parts:
+        s[rows] = np.sum(f * w, axis=1)
+        t[rows] = np.sum(np.divide(fu, q, out=np.zeros_like(f), where=q > 0) * w, axis=1)
+    return s, t
+
+
+def _radial_action_rows(trap: _Trap, e, l2, win: _Window):
+    """The action kernel: (S_r, T_r) for rows (E, L^2) inside their window.
+    S_r is checked to 1e-10 relative per row; T_r only steers Newton."""
+    u_in, u_out = _turning_points(trap, e, l2, win)
+    return _checked(partial(_action_sums, trap), (e, l2, u_in, u_out), 1e-10,
+                    "radial action")
+
+
+def _separatrix_action(trap: _Trap, l2, win: _Window) -> np.ndarray:
+    """S_r(E_top) per row, inf for eps >= 0 and nan for an open well; the
+    integrand is linear at the double root u_top, so smooth in the angle."""
+    s = np.full(np.shape(l2), np.inf if trap.eps >= 0 else np.nan)
+    if trap.eps < 0:
+        rows = np.flatnonzero(~np.isnan(win.e_well))
+        top = win.take(rows)
+        s[rows] = _radial_action_rows(trap, top.e_top, l2[rows], top)[0]
+    return s
+
+
+def _window_holding(trap: _Trap, e, l2) -> _Window:
+    """The windows of rows (E, L^2), each of which must hold its energy."""
+    if not np.all(e > 0):
+        raise DomainError(f"energy must be > 0, got {np.min(e)}")
+    win = _window(trap, l2)
+    if np.any(np.isnan(win.e_well) | (e >= win.e_top)):
+        raise NoBoundStateError(f"energy {np.max(e)} lies above the barrier")
+    if np.any(e <= win.e_well):
+        raise NoBoundStateError(f"energy {np.min(e)} lies below the well minimum")
+    return win
+
+
+def _outer_radius(trap: _Trap, e: np.ndarray) -> np.ndarray:
+    """Outer turning radius of the l = 0 motion, |V(r_max) - E| <= 1e-12 E."""
+    l2 = np.zeros(e.size)
+    r_max = np.sqrt(_turning_points(trap, e, l2, _window_holding(trap, e, l2))[1])
+    resid = np.abs(0.5 * trap.omega ** 2 * r_max ** 2
+                   + trap.eps * r_max ** (2 * trap.alpha) - e)
+    if np.any(resid > 1e-12 * e):
+        raise AccuracyError(f"turning point residual {np.max(resid):.3e} exceeds 1e-12 * E")
+    return r_max
 
 
 def outer_turning_point(params: SystemParams, energy: float) -> TurningPoint:
     """Outer classical turning point of V(r) = omega^2 r^2 / 2 + eps r^(2 alpha)
     at the given energy (the l = 0 radial problem)."""
-    _, u_out = _turning_interval(params, energy, 0.0)
-    r_max = math.sqrt(u_out)
-    eps, alpha = _single_term(params)
-    params_eff = absorb_harmonic_terms(params)
-    v = 0.5 * params_eff.omega ** 2 * r_max ** 2 + eps * r_max ** (2 * alpha)
-    if abs(v - energy) > 1e-12 * energy:
-        raise AccuracyError(
-            f"turning point residual {abs(v - energy):.3e} exceeds 1e-12 * E"
-        )
-    return TurningPoint(r_max=r_max, inner=0.0)
+    r_max = _outer_radius(_resolve(params), np.array([float(energy)]))
+    return TurningPoint(r_max=float(r_max[0]), inner=0.0)
 
 
-def radial_action(params: SystemParams, energy: float, l_eff: float) -> float:
+def radial_action(params: SystemParams, energy, l_eff):
     """Radial action 2 * integral of sqrt(2E - omega^2 r^2 - 2 eps r^(2a) - L^2/r^2) dr
     between the turning points, with both square-root end points mapped away.
 
     Equal to integral of sqrt(Q(u))/u du over [u_in, u_out]; the order-doubled
-    quadrature difference must stay below 1e-10 relative.
+    quadrature difference must stay below 1e-10 relative.  Arrays of E and
+    L_eff go through the kernel in one pass.
     """
-    u_in, u_out = _turning_interval(params, energy, l_eff)
-    q, _, eps, alpha = _momentum_poly(params, energy, l_eff)
-    omega2 = absorb_harmonic_terms(params).omega ** 2
-
-    # Half-angle forms of 1 +- sin(theta) keep full relative precision at the
-    # end points, where the plain expressions cancel catastrophically.
-    def _endpoint_factors(theta):
-        half_angle = 0.25 * math.pi - 0.5 * theta
-        return 2.0 * np.cos(half_angle) ** 2, 2.0 * np.sin(half_angle) ** 2
-
-    if u_in == 0.0:
-        mid = 0.5 * u_out
-        # The integrand collapses to sqrt(mid (1-sin) (Q(u)/u)): smooth and
-        # cancellation-free despite the 1/u measure.
-
-        def evaluate(order: int) -> float:
-            rule = gauss_legendre(order)
-            theta, w = rule.on_interval(-0.5 * math.pi, 0.5 * math.pi)
-            plus, minus = _endpoint_factors(theta)
-            u = mid * plus
-            q_over_u = 2.0 * energy - omega2 * u - 2.0 * eps * u ** alpha
-            integrand = np.sqrt(np.maximum(mid * minus * q_over_u, 0.0))
-            return float(np.sum(w * integrand))
-    else:
-        # Work in v = log u: the 1/u measure is absorbed, so wells with
-        # u_in << u_out (small angular momentum, high energy) stay resolved.
-        v_in, v_out = math.log(u_in), math.log(u_out)
-        v_half = 0.5 * (v_out - v_in)
-
-        def evaluate(order: int) -> float:
-            rule = gauss_legendre(order)
-            theta, w = rule.on_interval(-0.5 * math.pi, 0.5 * math.pi)
-            plus, _ = _endpoint_factors(theta)
-            u = np.exp(v_in + v_half * plus)
-            integrand = v_half * np.cos(theta) * np.sqrt(np.maximum(q(u), 0.0))
-            return float(np.sum(w * integrand))
-
-    coarse = evaluate(_ACTION_ORDER)
-    fine = evaluate(2 * _ACTION_ORDER)
-    if abs(fine - coarse) > 1e-10 * max(abs(fine), 1e-300):
-        raise AccuracyError(
-            f"radial action quadrature error {abs(fine - coarse):.3e} "
-            f"exceeds 1e-10 relative"
-        )
-    return fine
+    e, l_eff = np.broadcast_arrays(np.asarray(energy, dtype=float),
+                                   np.asarray(l_eff, dtype=float))
+    trap = _resolve(params)
+    e, l2 = e.ravel(), l_eff.ravel() ** 2
+    s = _radial_action_rows(trap, e, l2, _window_holding(trap, e, l2))[0]
+    return float(s[0]) if l_eff.ndim == 0 else s.reshape(l_eff.shape)
 
 
-def _ebk_target(params: SystemParams, n_r: int) -> float:
-    return 2.0 * math.pi * params.hbar * (n_r + 0.5)
+def _quantize(trap: _Trap, l2, win: _Window, target: float, guess):
+    """(E, T_r(E)) with S_r(E, L) = target for rows whose level exists, by
+    Newton in E inside [E_well, E_top) that bisects when a step leaves the
+    bracket.  Accepts |S_r - target| <= 1e-12 target, or the 1e-11 contract
+    once the bracket has collapsed."""
+    lo, hi = win.e_well.copy(), win.e_top.copy()
+    # Out of the window, start mid-window or (eps >= 0) a harmonic step up.
+    e = np.where((guess > lo) & (guess < hi), guess,
+                 np.where(np.isfinite(hi), 0.5 * (lo + hi),
+                          lo + target * trap.omega / math.pi))
+    energy, period = np.empty(l2.size), np.empty(l2.size)
+    rows = np.arange(l2.size)
+    for _ in range(_MAX_STEPS):
+        s, t = _radial_action_rows(trap, e, l2[rows], win.take(rows))
+        resid = s - target
+        lo[rows] = np.where(resid < 0, e, lo[rows])
+        hi[rows] = np.where(resid < 0, hi[rows], e)
+        stalled = hi[rows] - lo[rows] <= 4.0 * _ULP * e
+        ok = np.abs(resid) <= np.where(stalled, 1e-11, 1e-12) * target
+        energy[rows[ok]], period[rows[ok]] = e[ok], t[ok]
+        if ok.all():
+            return energy, period
+        rows, e, newton = rows[~ok], e[~ok], (e - resid / t)[~ok]
+        inside = (newton > lo[rows]) & (newton < hi[rows])
+        e = np.where(inside, newton, 0.5 * (lo[rows] + hi[rows]))
+    raise AccuracyError(f"quantization residual {np.max(np.abs(resid)):.3e} exceeds "
+                        f"1e-11 * target for {rows.size} levels")
 
 
 def ebk_energy(params: SystemParams, n_r: int, l: int) -> EbkLevel:
     """Torus-quantized level: solve S_r(E) = 2 pi hbar (n_r + 1/2) with the
-    half-integer angular shift L_eff = hbar (l + (D-2)/2).
-
-    The quantization function is probed with awareness of the classically
-    forbidden zones: energies below the effective well minimum count as
-    "too low" when bracketing, and for eps < 0 a root pushed against the
-    barrier means the level does not exist.
+    half-integer angular shift L_eff = hbar (l + (D-2)/2) from the unperturbed
+    energy.  It exists when S_r at the barrier top (if any) exceeds the target.
     """
     if n_r < 0 or l < 0:
         raise DomainError(f"quantum numbers must be >= 0, got ({n_r}, {l})")
-    params = absorb_harmonic_terms(params)
-    hbar, omega, dim = params.hbar, params.omega, params.dim
-    l_eff = hbar * (l + 0.5 * (dim - 2))
-    target = _ebk_target(params, n_r)
-    e0 = hbar * omega * (2 * n_r + l + dim / 2.0)
-
-    def probe(e: float) -> tuple[str, float]:
-        try:
-            return "ok", radial_action(params, e, l_eff) - target
-        except NoBoundStateError as exc:
-            return getattr(exc, "reason", "above_barrier"), math.nan
-
-    no_level = NoBoundStateError(f"level (n_r={n_r}, l={l}) has no bound solution")
-
-    def refine_edge(e_bad: float, e_ok: float, want_negative: bool) -> float:
-        # Bisect toward a forbidden boundary until the action is defined with
-        # the requested sign.  Collapsing onto the barrier while the defined
-        # values stay under target means the well holds no such level.
-        for _ in range(200):
-            if abs(e_bad - e_ok) < 1e-14 * max(abs(e_bad), abs(e_ok), 1.0):
-                if want_negative:
-                    raise AccuracyError(
-                        f"bracketing stalled for level (n_r={n_r}, l={l})"
-                    )
-                raise no_level
-            mid = 0.5 * (e_bad + e_ok)
-            status, val = probe(mid)
-            if status != "ok":
-                e_bad = mid
-            elif (val < 0) == want_negative:
-                return mid
-            else:
-                e_ok = mid
-        raise AccuracyError(f"bracketing stalled for level (n_r={n_r}, l={l})")
-
-    def find_defined(e_lo: float, e_hi: float) -> float | None:
-        # Dyadic scan for any energy where the well is classically open.
-        for depth in range(1, 9):
-            n = 2 ** depth
-            for i in range(1, n, 2):
-                e = e_lo + (e_hi - e_lo) * i / n
-                if probe(e)[0] == "ok":
-                    return e
-        return None
-
-    def bracket_from_inside(e_in: float, f_in: float) -> tuple[float, float]:
-        # Expand from a classically open energy toward the missing side.
-        lo = hi = None
-        if f_in == 0.0:
-            return e_in, e_in
-        if f_in > 0:
-            hi = e_in
-            step = 0.1 * hbar * omega
-            while lo is None:
-                cand = max(hi - step, 1e-300)
-                status, val = probe(cand)
-                if status == "ok" and val < 0:
-                    lo = cand
-                elif status != "ok":
-                    lo = refine_edge(cand, hi, want_negative=True)
-                else:
-                    hi = cand
-                    step *= 2.0
-            return lo, hi
-        lo = e_in
-        cand, step = e_in, 0.1 * hbar * omega + 0.01 * abs(l_eff) * omega
-        for _ in range(200):
-            cand = cand + step
-            step *= 2.0
-            status, val = probe(cand)
-            if status == "ok":
-                if val > 0:
-                    return lo, cand
-                lo = cand
-            elif status == "above_barrier":
-                # The barrier caps the spectrum: any root must sit below.
-                return lo, refine_edge(cand, lo, want_negative=False)
-        raise AccuracyError(f"failed to bracket level (n_r={n_r}, l={l})")
-
-    status0, f0 = probe(e0)
-    if status0 == "ok":
-        lo, hi = bracket_from_inside(e0, f0)
-    else:
-        # The unperturbed guess sits in a forbidden zone; scan toward the
-        # well along the side the perturbation allows, then expand from inside.
-        direction = 1.0 if status0 == "below_well" else -1.0
-        bad, cand = e0, e0
-        step = 0.1 * hbar * omega + 0.01 * abs(l_eff) * omega
-        inside = None
-        for _ in range(200):
-            cand = cand + direction * step
-            step *= 2.0
-            if cand <= 0:
-                cand = 0.5 * (bad if bad > 0 else e0)
-            status, val = probe(cand)
-            if status == "ok":
-                inside = (cand, val)
-                break
-            if status == status0:
-                bad = cand
-            else:
-                # Overshot across the whole open window.
-                inside_e = find_defined(min(bad, cand), max(bad, cand))
-                if inside_e is None:
-                    raise no_level
-                inside = (inside_e, probe(inside_e)[1])
-                break
-        if inside is None:
-            raise no_level
-        lo, hi = bracket_from_inside(*inside)
-
-    if lo != hi:
-        energy = brentq(lambda e: radial_action(params, e, l_eff) - target,
-                        lo, hi, xtol=1e-15 * max(e0, 1.0), rtol=8.9e-16)
-    else:
-        energy = lo
-    resid = abs(radial_action(params, energy, l_eff) - target)
-    if resid > 1e-11 * target:
-        raise AccuracyError(
-            f"quantization residual {resid:.3e} exceeds 1e-11 * target"
-        )
-    return EbkLevel(n_r=n_r, l=l, energy=energy,
-                    degeneracy=angular_degeneracy(dim, l))
+    trap = _resolve(params)
+    l2 = np.array([trap.l_eff(l) ** 2])
+    win = _window(trap, l2)
+    if not _separatrix_action(trap, l2, win)[0] > trap.target(n_r):
+        raise NoBoundStateError(f"level (n_r={n_r}, l={l}) has no bound solution")
+    e0 = np.array([trap.hbar * trap.omega * (2 * n_r + l + trap.dim / 2.0)])
+    energy, _ = _quantize(trap, l2, win, trap.target(n_r), e0)
+    return EbkLevel(n_r=n_r, l=l, energy=float(energy[0]),
+                    degeneracy=angular_degeneracy(trap.dim, l))
 
 
 def enumerate_levels(params: SystemParams, e_max: float,
                      n_r_max: int = 200, l_max: int = 400) -> list[EbkLevel]:
-    """All torus-quantized levels with E <= e_max.
+    """All torus-quantized levels with E <= e_max, ordered by l, then n_r.
 
     Walks l outward, and n_r upward within each l, until the energy exceeds
     e_max; warns with a weight bound if the caps cut the enumeration short.
     Levels above a barrier (eps < 0) are skipped and reported in the warning.
+    All active l of one n_r are solved at once, from n_r - 1 plus 2 pi hbar / T_r.
     """
-    levels: list[EbkLevel] = []
-    truncated: list[str] = []
-    for l in range(l_max + 1):
-        first = None
-        for n_r in range(n_r_max + 1):
-            try:
-                level = ebk_energy(params, n_r, l)
-            except NoBoundStateError:
-                truncated.append(f"(n_r={n_r}, l={l}) above barrier")
-                break
-            if n_r == 0:
-                first = level
-            if level.energy > e_max:
-                break
-            levels.append(level)
-        else:
-            truncated.append(f"n_r cap {n_r_max} reached at l={l}")
-        if first is not None and first.energy > e_max:
+    trap = _resolve(params)
+    l2 = trap.l_eff(np.arange(l_max + 1)) ** 2
+    win = _window(trap, l2)
+    s_top = _separatrix_action(trap, l2, win)
+    found, top = [], np.full(l2.size, -1)
+    # n_r = 0 for every l whose well bottom lies below e_max.
+    rows = np.flatnonzero(win.e_well <= e_max)
+    guess = trap.hbar * trap.omega * (rows + trap.dim / 2.0)
+    l_end = l2.size
+    for n_r in range(n_r_max + 1):
+        target = trap.target(n_r)
+        exists = s_top[rows] > target
+        rows = rows[exists]
+        e_rows, t_rows = _quantize(trap, l2[rows], win.take(rows), target, guess[exists])
+        if n_r == 0:
+            # The first l whose lowest level exists above e_max ends the walk.
+            above = (s_top > target) & (win.e_well > e_max)
+            above[rows] = e_rows > e_max
+            l_end = int(np.argmax(above)) if above.any() else l2.size
+        kept = (e_rows <= e_max) & (rows < l_end)
+        rows, e_rows, t_rows = rows[kept], e_rows[kept], t_rows[kept]
+        top[rows] = n_r
+        found += [(int(l), n_r, float(e)) for l, e in zip(rows, e_rows)]
+        if not rows.size:
             break
-    else:
+        guess = e_rows + 2.0 * math.pi * trap.hbar / t_rows
+    # Why the walk in n_r stopped, per l: the cap, the barrier, or e_max.
+    truncated = []
+    for l, n_next in enumerate(top[:l_end] + 1):
+        if n_next > n_r_max:
+            truncated.append(f"n_r cap {n_r_max} reached at l={l}")
+        elif not s_top[l] > trap.target(n_next):
+            truncated.append(f"(n_r={n_next}, l={l}) above barrier")
+    if l_end == l2.size:
         truncated.append(f"l cap {l_max} reached")
     if truncated:
-        warnings.warn(
-            "level enumeration truncated: " + "; ".join(truncated[:5]),
-            TruncationWarning,
-        )
-    return levels
+        warnings.warn("level enumeration truncated: " + "; ".join(truncated[:5]),
+                      TruncationWarning)
+    return [EbkLevel(n_r=n_r, l=l, energy=e, degeneracy=angular_degeneracy(trap.dim, l))
+            for l, n_r, e in sorted(found)]
 
 
 def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
@@ -417,36 +419,33 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
     for level in sorted(levels, key=lambda lev: (lev.energy, lev.l, lev.n_r)):
         g += level.degeneracy * np.exp(-((energies - level.energy) / width) ** 2)
     g /= width * math.sqrt(math.pi)
-    smooth = np.array([tf_smooth(params, float(e)) for e in energies])
-    return g, smooth, levels
+    return g, tf_smooth(params, energies), levels
 
 
-def tf_smooth(params: SystemParams, energy: float) -> float:
+def _tf_sums(trap: _Trap, e, r_max, order: int):
+    psi, w = gauss_legendre(order).on_interval(0.0, 0.5 * math.pi)
+    r = r_max[:, None] * np.sin(psi)
+    body = e[:, None] - 0.5 * trap.omega ** 2 * r ** 2 - trap.eps * r ** (2 * trap.alpha)
+    integrand = (np.maximum(body, 0.0) ** (0.5 * trap.dim - 1.0)
+                 * r ** (trap.dim - 1) * (r_max[:, None] * np.cos(psi)))
+    return (np.sum(integrand * w, axis=1),)
+
+
+def tf_smooth(params: SystemParams, energy):
     """Smooth phase-space DOS:
 
         (2 pi hbar^2)^(-D/2) * (2 pi^(D/2) / Gamma(D/2)^2)
             * integral_0^rmax [E - V(r)]^(D/2-1) r^(D-1) dr,
 
     with the substitution r = rmax sin(psi) flattening the end point for odd D.
+    Takes a float or an array; each element has its own 1e-12 E turning-point
+    residual and 1e-11 coarse/fine check.
     """
-    params_eff = absorb_harmonic_terms(params)
-    dim, omega = params_eff.dim, params_eff.omega
-    eps, alpha = _single_term(params)
-    r_max = outer_turning_point(params, energy).r_max
-
-    def evaluate(order: int) -> float:
-        rule = gauss_legendre(order)
-        psi, w = rule.on_interval(0.0, 0.5 * math.pi)
-        r = r_max * np.sin(psi)
-        body = energy - 0.5 * omega ** 2 * r ** 2 - eps * r ** (2 * alpha)
-        integrand = (np.maximum(body, 0.0) ** (0.5 * dim - 1.0)
-                     * r ** (dim - 1) * r_max * np.cos(psi))
-        return float(np.sum(w * integrand))
-
-    coarse = evaluate(_ACTION_ORDER)
-    fine = evaluate(2 * _ACTION_ORDER)
-    if abs(fine - coarse) > 1e-11 * max(abs(fine), 1e-300):
-        raise AccuracyError("smooth DOS quadrature did not converge")
-    pref = ((2.0 * math.pi * params_eff.hbar ** 2) ** (-0.5 * dim)
-            * 2.0 * math.pi ** (0.5 * dim) / math.gamma(0.5 * dim) ** 2)
-    return pref * fine
+    trap = _resolve(params)
+    energies = np.asarray(energy, dtype=float)
+    e = energies.ravel()
+    out = _checked(partial(_tf_sums, trap), (e, _outer_radius(trap, e)), 1e-11,
+                   "smooth DOS")[0]
+    out *= ((2.0 * math.pi * trap.hbar ** 2) ** (-0.5 * trap.dim)
+            * 2.0 * math.pi ** (0.5 * trap.dim) / math.gamma(0.5 * trap.dim) ** 2)
+    return float(out[0]) if energies.ndim == 0 else out.reshape(energies.shape)

@@ -216,3 +216,45 @@ def test_byte_identical_reruns(args):
     second = run_cli(*args)
     assert first.returncode == second.returncode == 0, first.stderr + second.stderr
     assert first.stdout == second.stdout
+
+
+def test_cli_import_skips_scipy_optimize():
+    code = "import sys, hoshell.cli; print('scipy.optimize' in sys.modules)"
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "False"
+
+
+def test_ebk_writes_identical_out_and_cache(tmp_path: Path):
+    out, cache = tmp_path / "out.csv", tmp_path / "levels.csv"
+    cp = run_cli("ebk", "--D", "2", "--alpha", "2", "--epsilon=-2e-3", "--e-max", "12",
+                 "--out", str(out), "--levels-out", str(cache))
+    assert cp.returncode == 0, cp.stderr
+    assert out.read_bytes() == cache.read_bytes()
+    assert out.read_text().count("\n") > 20
+
+
+@pytest.fixture(scope="module")
+def d3_cache(tmp_path_factory) -> Path:
+    cache = tmp_path_factory.mktemp("cache") / "d3.csv"
+    cp = run_cli("ebk", "--D", "3", "--alpha", "2", "--epsilon", "1.25e-3",
+                 "--e-max", "12", "--levels-out", str(cache))
+    assert cp.returncode == 0, cp.stderr
+    return cache
+
+
+@pytest.mark.parametrize("dim,eps", [("4", "0.02"), ("3", "2.5e-3")])
+def test_foreign_level_cache_rejected(d3_cache: Path, dim, eps):
+    # Another dimension changes the degeneracies; another strength leaves
+    # them but breaks the quantization condition.
+    cp = run_cli("ebk-dos", "--D", dim, "--alpha", "2", "--epsilon", eps,
+                 "--e-range", "2:8:13", "--width", "0.3", "--levels-in", str(d3_cache))
+    assert cp.returncode == 2, cp.stdout
+    assert "d3.csv" in cp.stderr
+
+
+def test_matching_level_cache_accepted(d3_cache: Path):
+    cp = run_cli("ebk-dos", "--D", "3", "--alpha", "2", "--epsilon", "1.25e-3",
+                 "--e-range", "2:8:13", "--width", "0.3", "--levels-in", str(d3_cache))
+    assert cp.returncode == 0, cp.stderr
+    assert len(cp.stdout.splitlines()) == 14

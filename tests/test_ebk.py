@@ -266,3 +266,164 @@ class TestCrossPipeline:
         strong, weak = results[1.25e-3], results[3.125e-4]
         assert weak[0] > strong[0] > 0.0   # correlation improves
         assert 0.0 < weak[1] < strong[1]   # relative node offset shrinks
+
+
+def _oracle_action(params, energy, l_eff):
+    """2 * integral p_r dr by adaptive quadrature in r, with turning points
+    from bracketing root solves on a sampled p_r^2 (independent of the
+    package's u = r^2 kernel)."""
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    (eps, alpha), = params.terms
+    w2 = params.omega ** 2
+
+    def p2(r):
+        return 2.0 * energy - w2 * r * r - 2.0 * eps * r ** (2 * alpha) - l_eff ** 2 / (r * r)
+
+    r = np.linspace(1e-6, 3.0 * math.sqrt(2.0 * energy / w2), 20001)
+    positive = p2(r) > 0
+    first = int(np.argmax(positive))
+    last = first + int(np.argmax(~positive[first:]))
+    r_in = 0.0 if first == 0 else brentq(p2, r[first - 1], r[first], xtol=1e-15)
+    r_out = brentq(p2, r[last - 1], r[last], xtol=1e-15)
+    val, _ = quad(lambda x: math.sqrt(max(p2(x), 0.0)), r_in, r_out,
+                  epsabs=0.0, epsrel=1e-13, limit=400)
+    return 2.0 * val
+
+
+class TestArrayKernel:
+    @pytest.mark.parametrize("dim,eps,alpha,e_max", [
+        (2, 2e-3, 2, 25.0),
+        (3, -1.25e-3, 2, 60.0),   # past the barrier at E = 50
+        (4, 1e-4, 3, 20.0),
+        (3, -5e-5, 3, 30.0),
+        (2, -3e-3, 2, 30.0),
+    ])
+    def test_levels_against_quadrature_in_r(self, dim, eps, alpha, e_max):
+        params = SystemParams.single(dim, eps, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            levels = enumerate_levels(params, e_max)
+        picks = [levels[i] for i in np.linspace(0, len(levels) - 1, 7).astype(int)]
+        picks.append(max(levels, key=lambda lev: lev.energy))
+        for lev in picks:
+            target = 2.0 * math.pi * (lev.n_r + 0.5)
+            got = _oracle_action(params, lev.energy, lev.l + 0.5 * (dim - 2))
+            assert abs(got - target) <= 1e-9 * target, (lev, got, target)
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+    def test_level_just_below_separatrix(self, delta):
+        # D = 2, l = 0 has L_eff = 0 for any hbar; with V = r^2/2 - g r^4 the
+        # separatrix action is sqrt(2)/(6 g) at E_top = 1/(16 g).  Choosing
+        # hbar puts level n = 5 a fraction delta of a quantum below it.
+        g, n = 1e-3, 5
+        hbar = math.sqrt(2.0) / (6.0 * g) / (2.0 * math.pi * (n + 0.5 + delta))
+        params = SystemParams.single(2, -g, 2, hbar=hbar)
+        e_top = 1.0 / (16.0 * g)
+        level = ebk_energy(params, n, 0)
+        assert ebk_energy(params, n - 1, 0).energy < level.energy < e_top
+        target = 2.0 * math.pi * hbar * (n + 0.5)
+        assert abs(radial_action(params, level.energy, 0.0) - target) <= 1e-11 * target
+        with pytest.raises(NoBoundStateError):
+            ebk_energy(params, n + 1, 0)
+        with pytest.raises(NoBoundStateError):
+            radial_action(params, e_top * (1.0 + 1e-9), 0.0)
+        with pytest.warns(TruncationWarning, match=r"\(n_r=6, l=0\) above barrier"):
+            levels = enumerate_levels(params, e_top, l_max=0)
+        assert [lev.n_r for lev in levels] == list(range(n + 1))
+
+    def test_zero_angular_momentum_row(self):
+        # D = 2, l = 0: the inner turning point is the origin.
+        params = SystemParams.single(2, 0.0, 2)
+        assert radial_action(params, 3.7, 0.0) == pytest.approx(math.pi * 3.7, rel=1e-13)
+        pert = SystemParams.single(2, 4e-3, 2)
+        level = ebk_energy(pert, 3, 0)
+        assert _oracle_action(pert, level.energy, 0.0) == pytest.approx(
+            2.0 * math.pi * 3.5, rel=1e-9)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_unperturbed_levels_are_exact(self, dim):
+        # The Newton solve starts at hbar omega (n + D/2), which the harmonic
+        # action meets to within the acceptance threshold.
+        params = SystemParams.single(dim, 0.0, 2)
+        for n_r in range(0, 12, 3):
+            for l in range(0, 12, 4):
+                assert ebk_energy(params, n_r, l).energy == 2 * n_r + l + dim / 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            levels = enumerate_levels(params, 30.0)
+        for lev in levels:
+            want = 2 * lev.n_r + lev.l + dim / 2.0
+            assert abs(lev.energy - want) <= 1e-12 * want
+
+    def test_hbar_and_omega_scaling(self):
+        # r -> r sqrt(hbar/omega) maps (omega, hbar, eps) onto (1, 1,
+        # eps hbar^(alpha-1) / omega^(alpha+1)) with energies in hbar omega.
+        omega, hbar, eps, alpha = 1.7, 0.6, 2e-3, 3
+        params = SystemParams.single(3, eps, alpha, omega=omega, hbar=hbar)
+        unit = SystemParams.single(3, eps * hbar ** (alpha - 1) / omega ** (alpha + 1), alpha)
+        for n_r, l in ((0, 0), (4, 2), (1, 9)):
+            got = ebk_energy(params, n_r, l).energy / (hbar * omega)
+            assert got == pytest.approx(ebk_energy(unit, n_r, l).energy, rel=1e-12)
+
+    def test_absorbed_harmonic_term(self):
+        # An alpha = 1 term only shifts the frequency: omega'^2 = omega^2 + 2 eps1.
+        mixed = SystemParams(dim=3, terms=((0.3, 1), (1e-3, 2)))
+        folded = SystemParams.single(3, 1e-3, 2, omega=math.sqrt(1.6))
+        assert ebk_energy(mixed, 2, 3) == ebk_energy(folded, 2, 3)
+        assert ebk_energy(SystemParams.single(3, 0.3, 1), 2, 3).energy == pytest.approx(
+            math.sqrt(1.6) * 8.5, rel=1e-13)
+        with pytest.raises(DomainError):
+            ebk_energy(SystemParams(dim=3, terms=((1e-3, 2), (1e-4, 3))), 0, 0)
+
+    def test_array_tf_smooth_matches_points(self):
+        params = SystemParams.single(3, -1.2e-3, 2)
+        grid = np.linspace(0.05, 40.0, 517)   # not a multiple of the row block
+        values = tf_smooth(params, grid)
+        assert values.shape == grid.shape
+        points = np.array([tf_smooth(params, float(e)) for e in grid])
+        assert isinstance(tf_smooth(params, 3.0), float)
+        np.testing.assert_allclose(values, points, rtol=1e-14, atol=0.0)
+
+    def test_kernel_rows_per_level(self, monkeypatch):
+        import hoshell.ebk as ebk
+
+        rows = []
+        kernel = ebk._radial_action_rows
+
+        def counting(trap, e, *args):
+            rows.append(np.size(e))
+            return kernel(trap, e, *args)
+
+        monkeypatch.setattr(ebk, "_radial_action_rows", counting)
+        levels = ebk.enumerate_levels(SystemParams.single(3, 3e-4, 2), 60.0)
+        assert sum(rows) <= 4 * len(levels)
+
+
+class TestTruncationParity:
+    # Warning texts and level sets as produced by the bracket-search
+    # implementation this kernel replaced.
+    def test_radial_cap(self):
+        with pytest.warns(TruncationWarning) as rec:
+            enumerate_levels(SystemParams.single(3, 1e-3, 2), 12.0, n_r_max=2, l_max=40)
+        assert str(rec[0].message) == (
+            "level enumeration truncated: n_r cap 2 reached at l=0; "
+            "n_r cap 2 reached at l=1; n_r cap 2 reached at l=2; "
+            "n_r cap 2 reached at l=3; n_r cap 2 reached at l=4")
+
+    def test_angular_cap(self):
+        with pytest.warns(TruncationWarning) as rec:
+            levels = enumerate_levels(SystemParams.single(3, 1e-3, 2), 30.0, l_max=6)
+        assert str(rec[0].message) == "level enumeration truncated: l cap 6 reached"
+        assert len(levels) == 89
+
+    def test_past_the_barrier(self):
+        with pytest.warns(TruncationWarning) as rec:
+            levels = enumerate_levels(SystemParams.single(2, -2e-2, 2), 20.0, l_max=30)
+        assert str(rec[0].message) == (
+            "level enumeration truncated: (n_r=2, l=0) above barrier; "
+            "(n_r=1, l=1) above barrier; (n_r=1, l=2) above barrier; "
+            "(n_r=1, l=3) above barrier; (n_r=0, l=4) above barrier")
+        assert [(lev.n_r, lev.l) for lev in levels] == [
+            (0, 0), (1, 0), (0, 1), (0, 2), (0, 3)]
