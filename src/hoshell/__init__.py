@@ -56,7 +56,6 @@ from .modfactor import (
     ModulationFactor,
     modulation,
     modulation_closed_form,
-    modulation_elementary,
     modulation_quadrature,
     modulation_spa,
     spa_stationary_point_audit,

@@ -6,6 +6,8 @@ in hbar = omega = m = 1 units unless --omega/--hbar are given; energy axes
 are always emitted as E over hbar*omega.
 
 Exit codes: 0 success, 2 domain error, 3 accuracy error, 64 usage error.
+A level enumeration that stops at a cap or a barrier still exits 0 and
+prints its TruncationWarning, with the reasons, to stderr.
 The environment variable HOSHELL_OUTDIR, when set, prefixes relative output
 paths.
 """
@@ -13,12 +15,12 @@ paths.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import re
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,6 @@ from .errors import (
     AccuracyError,
     DomainError,
     NoBoundStateError,
-    TruncationWarning,
     UnsupportedMethodError,
 )
 from .modfactor import modulation
@@ -92,24 +93,19 @@ def _open_out(path: str | None):
     return open(out, "w", newline="\n"), True
 
 
-def _write_rows(args, header: list[str], rows) -> None:
-    stream, close = _open_out(args.out)
-    try:
-        print(",".join(header), file=stream)
-        for row in rows:
-            print(",".join(row), file=stream)
-    finally:
-        if close:
-            stream.close()
-
-
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, lines) -> None:
+    """Write the strings of `lines` in order, one at a time, so a long CSV
+    never exists as one string."""
     stream, close = _open_out(path)
     try:
-        stream.write(text)
+        stream.writelines(lines)
     finally:
         if close:
             stream.close()
+
+
+def _write_rows(args, header: list[str], rows) -> None:
+    _write_text(args.out, (",".join(row) + "\n" for row in itertools.chain([header], rows)))
 
 
 def _system_params(args, dim=None) -> SystemParams:
@@ -196,18 +192,16 @@ _LEVEL_HEADER = ["n_r", "l", "E_over_hbar_omega", "degeneracy"]
 def _cmd_ebk(args) -> int:
     params = _system_params(args)
     scale = args.hbar * args.omega
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        levels = enumerate_levels(params, e_max=args.e_max * scale,
-                                  n_r_max=args.nr_max, l_max=args.l_max)
+    levels = enumerate_levels(params, e_max=args.e_max * scale,
+                              n_r_max=args.nr_max, l_max=args.l_max)
     levels.sort(key=lambda lev: (lev.energy, lev.l))
     text = "".join(
         [",".join(_LEVEL_HEADER) + "\n"]
         + [f"{lev.n_r},{lev.l},{_fmt(lev.energy / scale)},{lev.degeneracy}\n"
            for lev in levels])
     if args.levels_out:
-        _write_text(args.levels_out, text)
-    _write_text(args.out, text)
+        _write_text(args.levels_out, [text])
+    _write_text(args.out, [text])
     return 0
 
 
@@ -311,13 +305,7 @@ def _cmd_oracle(args) -> int:
         report["conservation"] = _oracle_conservation(rng)
     ok = all(section["pass"] for key, section in report.items() if key != "seed")
     report["pass"] = ok
-    stream, close = _open_out(args.out)
-    try:
-        json.dump(report, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    finally:
-        if close:
-            stream.close()
+    _write_text(args.out, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
     return 0 if ok else 1
 
 
@@ -349,10 +337,8 @@ def _cmd_compare(args) -> int:
     energies = shell * scale
     curve = pert_dos(params, energies, k_max=args.k_max, width=args.width * scale,
                      method=_METHOD[args.method])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        g, smooth, _ = ebk_dos(params, energies, width=args.width * scale,
-                               n_r_max=args.nr_max, l_max=args.l_max)
+    g, smooth, _ = ebk_dos(params, energies, width=args.width * scale,
+                           n_r_max=args.nr_max, l_max=args.l_max)
     dg_ebk = g - smooth
     rms = float(np.sqrt(np.mean((curve.oscillating - dg_ebk) ** 2)))
     pearson = float(np.corrcoef(curve.oscillating, dg_ebk)[0, 1])
@@ -368,13 +354,7 @@ def _cmd_compare(args) -> int:
         "unmatched_pert_nodes": unmatched_pert,
         "unmatched_ebk_nodes": unmatched_ebk,
     }
-    stream, close = _open_out(args.out)
-    try:
-        json.dump(report, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    finally:
-        if close:
-            stream.close()
+    _write_text(args.out, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
     return 0
 
 

@@ -405,19 +405,28 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
     """Gaussian-smoothed torus-quantized DOS and its smooth reference.
 
     Returns (g_ebk, g_smooth, levels); the oscillating part is their
-    difference.  Levels are enumerated out to 5 widths past the grid end so
-    no Gaussian weight is lost, unless a precomputed list is supplied.
+    difference.  The grid must be strictly increasing.  Levels are enumerated
+    out to 5 widths past the grid end so no Gaussian weight is lost, unless a
+    precomputed list is supplied.
     """
     energies = np.asarray(energies, dtype=float)
     if width <= 0:
         raise DomainError(f"smoothing width must be > 0, got {width}")
+    if np.any(np.diff(energies) <= 0):
+        raise DomainError("energy grid must be strictly increasing")
     e_cut = energies[-1] + 5.0 * width
     if levels is None:
         levels = enumerate_levels(params, e_cut, n_r_max=n_r_max, l_max=l_max)
     g = np.zeros_like(energies)
-    # fixed accumulation order keeps the sum independent of enumeration order
-    for level in sorted(levels, key=lambda lev: (lev.energy, lev.l, lev.n_r)):
-        g += level.degeneracy * np.exp(-((energies - level.energy) / width) ** 2)
+    # fixed accumulation order keeps the sum independent of enumeration order;
+    # past 27.5 widths exp(-x^2) is exactly 0.0 (x^2 > 745.14), so each level
+    # is added on its grid slice only and g is the same as the full-grid sum
+    ordered = sorted(levels, key=lambda lev: (lev.energy, lev.l, lev.n_r))
+    centres = np.array([lev.energy for lev in ordered])
+    lo = np.searchsorted(energies, centres - 27.5 * width)
+    hi = np.searchsorted(energies, centres + 27.5 * width, side="right")
+    for level, a, b in zip(ordered, lo, hi):
+        g[a:b] += level.degeneracy * np.exp(-((energies[a:b] - level.energy) / width) ** 2)
     g /= width * math.sqrt(math.pi)
     return g, tf_smooth(params, energies), levels
 

@@ -10,13 +10,16 @@ two-coefficient polynomials, and the end-point stationary-phase asymptotics.
 All formulas are written in terms of the dimensionless x = k sigma / hbar.
 
 `modulation` is the array entry point: M_1 ... M_kmax for an array of
-sigma / hbar, with the quadrature batched over rows and harmonics.  The
-scalar functions are its per-point views.
+sigma / hbar.  Every method is one array kernel: the quadrature is batched
+over rows and harmonics, and the closed form and the SPA are array
+expressions over the (row, k) grid x = k sigma / hbar.  For the quartic and
+sextic cases the closed form is exactly the two end-point terms of the
+circular (l = 1) and diameter (l = 0) orbits: exponentials for odd D, an erf
+for even D.  The scalar functions are its per-point views.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -25,14 +28,18 @@ import numpy as np
 
 from .actionpoly import ActionPolynomial
 from .errors import AccuracyError, DomainError, PropertyViolationError, UnsupportedMethodError
-from .specfun import QuadratureRule, erf_sqrt_i, gauss_legendre, kummer_1f1, legendre_p_derivative
+from .specfun import QuadratureRule, gauss_legendre, kummer_1f1_axis, legendre_p_derivative
+
+# The closed form reaches 1F1 through `kummer_1f1_axis`; the scalar view stays
+# importable from this module because the benchmark's tracer
+# (perfbench/tracer.py) patches it here.
+from .specfun import kummer_1f1  # noqa: F401
 
 __all__ = [
     "ModulationFactor",
     "StationaryPointAudit",
     "modulation",
     "modulation_closed_form",
-    "modulation_elementary",
     "modulation_quadrature",
     "modulation_spa",
     "spa_stationary_point_audit",
@@ -44,6 +51,10 @@ DEFAULT_ORDER = 200
 _NODES_PER_CYCLE = 10.0
 _QUAD_TOL = 1e-8
 _CHUNK_ENTRIES = 1 << 13  # (row, node) entries per quadrature work buffer
+# (row, k) entries per closed-form / SPA block: each complex temporary stays
+# at 32 kB.  Whole-grid temporaries (20,010 entries for 2001 energies and
+# k_max = 10) raised the peak RSS of a `dos --method closed` run by ~4 MB.
+_GRID_CHUNK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -164,6 +175,11 @@ def _two_coefficients(poly: ActionPolynomial) -> tuple[float, float]:
     return a0, a1
 
 
+def _closed_form(poly: ActionPolynomial, x: np.ndarray, dim: int) -> np.ndarray:
+    a0, a1 = _two_coefficients(poly)
+    return np.exp(-1j * x * (a0 + a1)) * kummer_1f1_axis((dim + 1) / 2.0, x * a1)
+
+
 def modulation_closed_form(poly: ActionPolynomial, sigma_over_hbar: float,
                            dim: int, k: int) -> ModulationFactor:
     """Hypergeometric closed form, valid for two-coefficient action polynomials:
@@ -172,60 +188,33 @@ def modulation_closed_form(poly: ActionPolynomial, sigma_over_hbar: float,
 
     with z = i x a1 and x = k sigma / hbar.  Evaluated through the contiguous
     contraction exp(-i x a0) exp(-z) 1F1(1; (D+1)/2; z), which is the same
-    function but free of the bracket's large-|z| cancellation.
+    function but free of the bracket's large-|z| cancellation.  The one-point
+    view of the kernel behind `modulation`.
     """
     _check_dk(dim, k)
-    a0, a1 = _two_coefficients(poly)
-    x = k * sigma_over_hbar
-    z = 1j * x * a1
-    value = cmath.exp(-1j * x * a0 - z) * kummer_1f1((dim + 1) / 2.0, z)
-    return ModulationFactor(k=k, value=value, method="closed_form",
+    value = _closed_form(poly, np.array([k * sigma_over_hbar]), dim)[0]
+    return ModulationFactor(k=k, value=complex(value), method="closed_form",
                             sigma_over_hbar=sigma_over_hbar)
 
 
-def _erf_ratio(w: float) -> complex:
-    """erf(sqrt(i w)) / sqrt(i w) with the principal branch, any real w != 0."""
-    e = erf_sqrt_i(abs(w))
-    root = cmath.sqrt(1j * abs(w))
-    if w < 0:
-        return (e / root).conjugate()
-    return e / root
-
-
-def modulation_elementary(poly: ActionPolynomial, sigma_over_hbar: float,
-                          dim: int, k: int) -> ModulationFactor:
-    """Dimension-specific elementary/erf forms for D = 2..7 (two-coefficient
-    polynomials); equivalent to the hypergeometric closed form."""
-    _check_dk(dim, k)
-    a0, a1 = _two_coefficients(poly)
-    x = k * sigma_over_hbar
-    w = x * a1  # k sigma a1 / hbar
-    if w == 0.0:
-        value = cmath.exp(-1j * x * a0)
-        return ModulationFactor(k=k, value=value, method="closed_form",
-                                sigma_over_hbar=sigma_over_hbar)
-    eout = cmath.exp(-1j * x * (a0 + a1))  # circular end point
-    ein = cmath.exp(-1j * x * a0)          # diameter end point
-    if dim == 2:
-        value = 0.5 * math.sqrt(math.pi) * _erf_ratio(w) * ein
-    elif dim == 3:
-        value = 1j / w * (eout - ein)
-    elif dim == 4:
-        value = 0.75j / w * (2.0 * eout - math.sqrt(math.pi) * _erf_ratio(w) * ein)
-    elif dim == 5:
-        value = 2.0 / w ** 2 * ((1j * w + 1.0) * eout - ein)
-    elif dim == 6:
-        value = (0.625 / w ** 2
-                 * ((4j * w + 6.0) * eout - 3.0 * math.sqrt(math.pi) * _erf_ratio(w) * ein))
-    elif dim == 7:
-        value = 3.0 / w ** 3 * ((1j * w * w + 2.0 * w - 2j) * eout + 2j * ein)
-    else:
-        raise UnsupportedMethodError(
-            f"no tabulated elementary form for D={dim}; use the hypergeometric "
-            f"closed form or quadrature"
-        )
-    return ModulationFactor(k=k, value=value, method="closed_form",
-                            sigma_over_hbar=sigma_over_hbar)
+def _spa(poly: ActionPolynomial, x: np.ndarray, dim: int) -> np.ndarray:
+    coeffs = poly.float_coeffs
+    if len(coeffs) < 2:
+        raise UnsupportedMethodError("SPA needs a non-constant action polynomial")
+    a0 = float(coeffs[0])
+    a1 = float(coeffs[1])
+    if np.any(x * a1 == 0.0):
+        raise DomainError("SPA needs sigma * a1 * k != 0")
+    tail = float(np.sum(coeffs[1:]))
+    slope = float(np.sum(2.0 * np.arange(1, len(coeffs)) * coeffs[1:]))
+    if slope == 0.0:
+        raise DomainError("degenerate upper end point: sum_j 2j a_j vanishes")
+    upper = 1j * np.exp(-1j * x * tail) / (x * slope)
+    s = 0.5 * (dim - 1)
+    w = x * a1
+    lower = (0.5 * math.gamma(s) * np.abs(w) ** (-s)
+             * np.exp(-1j * np.sign(w) * s * math.pi / 2.0))
+    return (dim - 1) * np.exp(-1j * x * a0) * (upper + lower)
 
 
 def modulation_spa(poly: ActionPolynomial, sigma_over_hbar: float,
@@ -235,29 +224,17 @@ def modulation_spa(poly: ActionPolynomial, sigma_over_hbar: float,
     The circular end point l=1 contributes i exp(-i x sum_{j>=1} a_j)/(x B)
     with B = sum_{j>=1} 2j a_j; the diameter end point l=0 contributes the
     Fresnel-type moment Gamma((D-1)/2)/2 |x a1|^(-s) exp(-i sign(x a1) s pi/2)
-    with s = (D-1)/2, the principal branch of (1/(x a1))^s.
+    with s = (D-1)/2, the principal branch of (1/(x a1))^s.  The one-point
+    view of the kernel behind `modulation`; unlike `modulation`, which gives
+    exactly 1 there, sigma = 0 is a DomainError.
     """
     _check_dk(dim, k)
-    coeffs = poly.float_coeffs
-    if len(coeffs) < 2:
-        raise UnsupportedMethodError("SPA needs a non-constant action polynomial")
-    a0 = float(coeffs[0])
-    a1 = float(coeffs[1])
-    x = k * sigma_over_hbar
-    if x * a1 == 0.0:
-        raise DomainError("SPA needs sigma * a1 * k != 0")
-    tail = float(np.sum(coeffs[1:]))
-    slope = float(np.sum(2.0 * np.arange(1, len(coeffs)) * coeffs[1:]))
-    if slope == 0.0:
-        raise DomainError("degenerate upper end point: sum_j 2j a_j vanishes")
-    upper = 1j * cmath.exp(-1j * x * tail) / (x * slope)
-    s = 0.5 * (dim - 1)
-    w = x * a1
-    lower = (0.5 * math.gamma(s) * abs(w) ** (-s)
-             * cmath.exp(-1j * math.copysign(1.0, w) * s * math.pi / 2.0))
-    value = (dim - 1) * cmath.exp(-1j * x * a0) * (upper + lower)
-    return ModulationFactor(k=k, value=value, method="spa",
+    value = _spa(poly, np.array([k * sigma_over_hbar]), dim)[0]
+    return ModulationFactor(k=k, value=complex(value), method="spa",
                             sigma_over_hbar=sigma_over_hbar)
+
+
+_KERNELS = {"closed_form": _closed_form, "spa": _spa}
 
 
 def modulation(poly: ActionPolynomial, sigma_over_hbar, dim: int, k_max: int,
@@ -269,8 +246,9 @@ def modulation(poly: ActionPolynomial, sigma_over_hbar, dim: int, k_max: int,
     of each row for its highest harmonic, evaluates exp(-i sigma P / hbar)
     once per (row, node) and reaches harmonic k by repeated multiplication;
     the coarse/fine error estimate is checked for every (row, k).
-    "closed_form" and "spa" evaluate their scalar kernels per (row, k).
-    `rule` applies to the quadrature only.
+    "closed_form" and "spa" evaluate their formulas as array expressions
+    over the (row, k) grid x = k sigma / hbar, in blocks of rows.  `rule`
+    applies to the quadrature only.
     """
     if dim < 2:
         raise DomainError(f"spatial dimension must be >= 2, got {dim}")
@@ -283,16 +261,14 @@ def modulation(poly: ActionPolynomial, sigma_over_hbar, dim: int, k_max: int,
         raise DomainError("sigma / hbar must be finite")
     if method == "quadrature":
         return _quadrature(poly, s, dim, k_max, rule or gauss_legendre(DEFAULT_ORDER))
-    if method == "closed_form":
-        scalar = modulation_closed_form
-    elif method == "spa":
-        scalar = modulation_spa
-    else:
+    if method not in _KERNELS:
         raise UnsupportedMethodError(f"unknown modulation method {method!r}")
     out = np.ones((len(s), k_max), dtype=complex)
-    for i in np.flatnonzero(s):
-        for k in range(1, k_max + 1):
-            out[i, k - 1] = scalar(poly, float(s[i]), dim, k).value
+    rows = np.flatnonzero(s)
+    step = max(1, _GRID_CHUNK // k_max)
+    for start in range(0, len(rows), step):
+        sel = rows[start:start + step]
+        out[sel] = _KERNELS[method](poly, np.outer(s[sel], np.arange(1, k_max + 1)), dim)
     return out
 
 

@@ -1,13 +1,12 @@
 """Numerical kernels: factorial families, Legendre polynomials, the confluent
-hypergeometric function 1F1(1; b; z), erf along the sqrt(i) ray, and
-Gauss-Legendre quadrature rules.
+hypergeometric function 1F1(1; b; i y) on the imaginary axis for b = (D+1)/2,
+erf along the sqrt(i) ray, and Gauss-Legendre quadrature rules.
 
 Everything here is pure and reentrant; quadrature rules are immutable.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +23,7 @@ __all__ = [
     "erf_sqrt_i",
     "gauss_legendre",
     "kummer_1f1",
+    "kummer_1f1_axis",
     "legendre_coefficients",
     "legendre_p",
     "legendre_p_derivative",
@@ -95,166 +95,110 @@ def legendre_coefficients(alpha: int) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Confluent hypergeometric function 1F1(1; b; z)
+# Confluent hypergeometric function 1F1(1; b; i y)
 # ---------------------------------------------------------------------------
 
 _SERIES_CAP = 100_000
-_CF_CAP = 20_000
 
 
-def _series_1f1(b: float, z: complex) -> complex:
+def _series_1f1(b: float, z: np.ndarray) -> np.ndarray:
     # 1F1(1;b;z) = sum_n z^n / (b)_n; term-ratio stop: three consecutive
-    # terms below 1e-16 * |sum|.
-    term = complex(1.0)
-    total = complex(1.0)
+    # terms below 1e-16 * |sum| at every point.
+    term = np.ones_like(z)
+    total = np.ones_like(z)
     small = 0
     for n in range(_SERIES_CAP):
         term *= z / (b + n)
         total += term
-        if abs(term) < 1e-16 * abs(total):
+        if np.all(np.abs(term) < 1e-16 * np.abs(total)):
             small += 1
             if small >= 3:
                 return total
         else:
             small = 0
-    raise AccuracyError(
-        f"1F1 series did not settle after {_SERIES_CAP} terms "
-        f"(b={b}, z={z}, |term|={abs(term):.3e}, |sum|={abs(total):.3e})"
-    )
+    raise AccuracyError(f"1F1 series did not settle after {_SERIES_CAP} terms (b={b})")
 
 
-def _asymptotic_1f1(b: float, z: complex) -> complex:
-    # 1F1(1;b;z) = Gamma(b) e^z z^(1-b) + (b-1) sum_k (2-b)_k (-z)^(-k-1).
-    # The algebraic series terminates for integer b (then this is exact);
-    # otherwise truncate at the smallest term.
-    lead = cmath.exp(z + (1.0 - b) * cmath.log(z) + math.lgamma(b))
-    inv = -1.0 / z
-    term = inv
-    tail = term
-    prev = abs(term)
-    for k in range(int(2 * abs(z)) + 20):
-        term *= (2.0 - b + k) * inv
-        mag = abs(term)
-        if mag == 0.0:
-            break
-        if mag > prev:  # divergent tail reached; stop at smallest term
-            break
-        tail += term
-        prev = mag
-    return lead + (b - 1.0) * tail
+def _integer_b_1f1(b: int, z: np.ndarray) -> np.ndarray:
+    # (b-1)! z^(1-b) (e^z - sum_{j<=b-2} z^j / j!): exact, since the
+    # asymptotic series terminates for integer b.
+    partial = np.zeros_like(z)
+    term = np.ones_like(z)
+    for j in range(b - 1):
+        partial += term
+        term = term * z / (j + 1)
+    return (np.exp(z) - partial) / term
 
 
-def _gamma_upper_cf(s: float, z: complex) -> complex:
-    # Modified Lentz continued fraction for Gamma(s, z), |arg z| < pi.
-    tiny = 1e-300
-    b0 = z + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b0 if b0 != 0 else 1.0 / tiny
-    h = d
-    for i in range(1, _CF_CAP):
-        an = -i * (i - s)
-        b0 += 2.0
-        d = an * d + b0
-        if d == 0:
-            d = tiny
-        c = b0 + an / c
-        if c == 0:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return cmath.exp(-z + s * cmath.log(z)) * h
-    raise AccuracyError(
-        f"continued fraction for Gamma({s}, {z}) did not converge "
-        f"in {_CF_CAP} iterations"
-    )
-
-
-def _half_integer_on_axis_1f1(b: float, z: complex) -> complex:
-    # Upward recursion gamma(s+1,z) = s gamma(s,z) - z^s e^(-z), seeded at
-    # gamma(1/2,z) = sqrt(pi) erf(sqrt(z)); stable for |z| above s because the
-    # fresh z^s e^(-z) term dominates each step.
-    if abs(z.real) <= 1e-13 * abs(z):
-        y = z.imag
-        e = erf_sqrt_i(abs(y))
-        if y < 0:
-            e = e.conjugate()
-    else:
-        e = math.erf(math.sqrt(z.real))
-    g = math.sqrt(math.pi) * e
+def _half_integer_b_1f1(b: float, y: np.ndarray) -> np.ndarray:
+    # 1F1(1;b;z) = s e^z z^-s gamma(s, z) with s = b - 1.  Upward recursion
+    # gamma(s+1,z) = s gamma(s,z) - z^s e^(-z), seeded at gamma(1/2,z) =
+    # sqrt(pi) erf(sqrt(z)); stable for |z| above s because the fresh
+    # z^s e^(-z) term dominates each step.
+    z = 1j * y
+    log_z = np.log(np.abs(y)) + 1j * np.copysign(0.5 * math.pi, y)
+    e = erf_sqrt_i(np.abs(y))
+    g = math.sqrt(math.pi) * np.where(y < 0, e.conjugate(), e)
+    emz = np.exp(-z)
     s = 0.5
-    emz = cmath.exp(-z)
-    while s < b - 1.0 - 1e-9:
-        g = s * g - cmath.exp(s * cmath.log(z)) * emz
+    while s < b - 1.0:
+        g = s * g - np.exp(s * log_z) * emz
         s += 1.0
-    return s * cmath.exp(z - s * cmath.log(z)) * g
+    return s * np.exp(z - s * log_z) * g
+
+
+def kummer_1f1_axis(b: float, y) -> np.ndarray:
+    """1F1(1; b; i y) for a real array y, b >= 1 with 2b an integer.
+
+    This is the only domain the package reaches: b = (D+1)/2 on the
+    imaginary axis.  The Taylor series serves |y| <= max(10, b/2), where it
+    is roundoff-safe.  Beyond it, integer b (odd D) uses the terminating
+    asymptotic form and half-integer b (even D) the erf-seeded
+    incomplete-gamma recursion.
+    """
+    if not (b >= 1.0 and float(2 * b).is_integer()):
+        raise DomainError(f"1F1(1;b;iy) needs b >= 1 with 2b an integer, got b={b}")
+    b = float(b)
+    y = np.asarray(y, dtype=float)
+    out = np.empty(y.shape, dtype=complex)
+    near = np.abs(y) <= max(10.0, 0.5 * b)
+    out[near] = _series_1f1(b, 1j * y[near])
+    far = ~near
+    if b.is_integer():
+        out[far] = _integer_b_1f1(int(b), 1j * y[far])
+    else:
+        out[far] = _half_integer_b_1f1(b, y[far])
+    return out
 
 
 def kummer_1f1(b: float, z: complex) -> complex:
-    """1F1(1; b; z), the confluent hypergeometric series sum_n z^n / (b)_n.
+    """1F1(1; b; z), the confluent hypergeometric series sum_n z^n / (b)_n, at
+    one point of the imaginary axis: the scalar view of `kummer_1f1_axis`.
 
-    The Taylor series with a term-ratio stopping rule is used where it is
-    roundoff-safe (|z| <= 10 or decay-dominated).  Larger arguments dispatch
-    on structure: integer b uses the terminating asymptotic form (exact),
-    half-integer b on the real or imaginary axis uses an erf-seeded
-    incomplete-gamma recursion, |z| >= 35 uses the optimally truncated
-    asymptotic series, and the remainder falls back to a Lentz continued
-    fraction for Gamma(b-1, z) (Kummer-transformed series deep in the left
-    half-plane, where it is stable).
+    Raises DomainError for z off the imaginary axis or 2b not an integer;
+    z = 0 gives exactly 1 for every b > 0.
     """
-    if b <= 0:
-        raise DomainError(f"1F1(1;b;z) needs b > 0, got b={b}")
     z = complex(z)
-    if z == 0:
+    if z.real != 0.0:
+        raise DomainError(f"1F1(1;b;z) is evaluated on the imaginary axis only, got z={z}")
+    if z == 0 and b > 0:
         return complex(1.0)
-    if abs(b - 1.0) < 1e-14:
-        return cmath.exp(z)
-    az = abs(z)
-    if az <= 10.0 or az <= 0.5 * b:
-        return _series_1f1(b, z)
-    if abs(b - round(b)) < 1e-12:
-        return _asymptotic_1f1(round(b), z)
-    if az >= 35.0:
-        return _asymptotic_1f1(b, z)
-    on_axis = abs(z.real) <= 1e-13 * az or (abs(z.imag) <= 1e-13 * az and z.real > 0)
-    if abs(2 * b - round(2 * b)) < 1e-12 and on_axis:
-        return _half_integer_on_axis_1f1(b, z)
-    if z.real <= -0.8 * az:
-        # Kummer transform: e^z 1F1(b-1; b; -z); -z sits near the positive
-        # real axis so the series has no destructive cancellation.
-        w = -z
-        term = complex(1.0)
-        total = complex(1.0)
-        small = 0
-        for n in range(_SERIES_CAP):
-            term *= (b - 1.0 + n) * w / ((b + n) * (n + 1.0))
-            total += term
-            if abs(term) < 1e-16 * abs(total):
-                small += 1
-                if small >= 3:
-                    return cmath.exp(z) * total
-            else:
-                small = 0
-        raise AccuracyError(f"transformed 1F1 series stalled (b={b}, z={z})")
-    s = b - 1.0
-    # 1F1(1;b;z) = z^-s e^z Gamma(s+1) - s * CF, with Gamma(s,z) = e^-z z^s CF.
-    lead = cmath.exp(z - s * cmath.log(z) + math.lgamma(s + 1.0))
-    return lead - s * cmath.exp(z - s * cmath.log(z)) * _gamma_upper_cf(s, z)
+    return complex(kummer_1f1_axis(b, z.imag))
 
 
-def erf_sqrt_i(x: float) -> complex:
-    """erf(sqrt(i x)) for x >= 0, principal square root.
+def erf_sqrt_i(x):
+    """erf(sqrt(i x)) for x >= 0, principal square root; a float gives a
+    complex, an array a complex array.
 
     Through the Fresnel integrals: erf(sqrt(ix)) = (1+i)(C(v) - i S(v)) with
     v = sqrt(2x/pi), obtained by integrating along the pi/4 ray.
     """
-    if x < 0:
-        raise DomainError(f"erf_sqrt_i needs x >= 0, got {x}")
-    if x == 0:
-        return complex(0.0)
-    s, c = fresnel(math.sqrt(2.0 * x / math.pi))
-    return complex(c + s, c - s)
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise DomainError(f"erf_sqrt_i needs x >= 0, got {float(np.min(x))}")
+    s, c = fresnel(np.sqrt(2.0 * x / math.pi))
+    out = (c + s) + 1j * (c - s)
+    return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,16 @@ def test_ebk_writes_identical_out_and_cache(tmp_path: Path):
     assert out.read_text().count("\n") > 20
 
 
+def test_ebk_truncation_reason_reaches_stderr(tmp_path: Path):
+    # Past the barrier the enumeration stops early; the reason must be shown.
+    out, cache = tmp_path / "out.csv", tmp_path / "levels.csv"
+    cp = run_cli("ebk", "--D", "3", "--alpha", "2", "--epsilon=-1.25e-3", "--e-max", "60",
+                 "--out", str(out), "--levels-out", str(cache))
+    assert cp.returncode == 0, cp.stderr
+    assert "(n_r=30, l=0) above barrier" in cp.stderr
+    assert out.read_bytes() == cache.read_bytes()
+
+
 @pytest.fixture(scope="module")
 def d3_cache(tmp_path_factory) -> Path:
     cache = tmp_path_factory.mktemp("cache") / "d3.csv"

@@ -240,6 +240,24 @@ class TestEbkDos:
         g2, s2, _ = ebk_dos(params, grid, width=0.15, levels=levels)
         assert np.array_equal(g1, g2) and np.array_equal(s1, s2)
 
+    @pytest.mark.parametrize("width", [0.05, 0.7])
+    def test_grid_slices_match_full_grid_sum(self, width):
+        # Below the ground state (E = 1.5) g falls through the subnormal
+        # range to 0.0 at 27.3 widths, where a narrower slice would show.
+        params = SystemParams.single(3, 1.25e-3, 2)
+        grid = np.linspace(0.01, 30.0, 3001)
+        g, _, levels = ebk_dos(params, grid, width=width)
+        full = np.zeros_like(grid)
+        for lev in sorted(levels, key=lambda lev: (lev.energy, lev.l, lev.n_r)):
+            full += lev.degeneracy * np.exp(-((grid - lev.energy) / width) ** 2)
+        assert np.array_equal(g, full / (width * math.sqrt(math.pi)))
+
+    def test_rejects_grid_not_increasing(self):
+        params = SystemParams.single(3, 1.25e-3, 2)
+        for grid in ([30.0, 1.0], [1.0, 2.0, 2.0]):
+            with pytest.raises(DomainError, match="strictly increasing"):
+                ebk_dos(params, grid, 0.1)
+
 
 class TestCrossPipeline:
     def test_weak_perturbation_convergence(self):

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from hoshell.actionpoly import SystemParams, action_coefficients, polynomial_delta_s
 from hoshell.errors import AccuracyError, DomainError, UnsupportedMethodError
 from hoshell.modfactor import (
     _CHUNK_ENTRIES,
+    _GRID_CHUNK,
     DEFAULT_ORDER,
     modulation,
     modulation_closed_form,
-    modulation_elementary,
     modulation_quadrature,
     modulation_spa,
     spa_stationary_point_audit,
@@ -65,19 +66,29 @@ class TestQuadrature:
         assert abs(quad - closed) <= 1e-9 * abs(closed)
 
 
+_SCALAR = {"quadrature": modulation_quadrature, "closed_form": modulation_closed_form,
+           "spa": modulation_spa}
+# The quadrature cases keep their original ids (dim-alpha-k_max).
+_RECURRENCE_CASES = [
+    pytest.param(method, dim, alpha, k_max,
+                 id=("" if method == "quadrature" else f"{method}-") + f"{dim}-{alpha}-{k_max}")
+    for method, alphas in (("quadrature", (2, 3, 4, 10)), ("closed_form", (2, 3)),
+                           ("spa", (2, 3, 4, 10)))
+    for dim in (2, 3, 4, 5) for alpha in alphas for k_max in (10, 1)
+]
+
+
 class TestArrayKernel:
-    @pytest.mark.parametrize("k_max", [1, 10])
-    @pytest.mark.parametrize("alpha", [2, 3, 4, 10])
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
-    def test_harmonic_recurrence_matches_scalar(self, dim, alpha, k_max):
+    @pytest.mark.parametrize("method,dim,alpha,k_max", _RECURRENCE_CASES)
+    def test_harmonic_recurrence_matches_scalar(self, method, dim, alpha, k_max):
         poly = action_coefficients(alpha)
         sigmas = np.array([-23.0, -4.5, -0.3])
-        got = modulation(poly, sigmas, dim, k_max, "quadrature")
+        got = modulation(poly, sigmas, dim, k_max, method)
         assert got.shape == (3, k_max)
         for i, sigma in enumerate(sigmas):
             for k in range(1, k_max + 1):
-                want = modulation_quadrature(poly, k * sigma, dim, 1).value
-                assert abs(got[i, k - 1] - want) <= 1e-12
+                want = _SCALAR[method](poly, k * sigma, dim, 1).value
+                assert abs(got[i, k - 1] - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_rows_beyond_one_chunk(self):
         # Small sigma gives one panel, so 2 * DEFAULT_ORDER fine nodes per row.
@@ -89,6 +100,17 @@ class TestArrayKernel:
             for k in (1, 2, 3):
                 want = modulation_quadrature(poly, sigma, 4, k).value
                 assert abs(got[i, k - 1] - want) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["closed_form", "spa"])
+    def test_grid_rows_beyond_one_block(self, method):
+        step = _GRID_CHUNK // 10
+        sigmas = np.linspace(-40.0, 40.0, 2 * step + 7)
+        poly = action_coefficients(2)
+        got = modulation(poly, sigmas, 4, 10, method)
+        for i in (0, step - 1, step, 2 * step - 1, 2 * step, len(sigmas) - 1):
+            for k in (1, 10):
+                want = _SCALAR[method](poly, sigmas[i], 4, k).value
+                assert abs(got[i, k - 1] - want) <= 1e-12 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("method", ["quadrature", "closed_form", "spa"])
     def test_exactly_one_at_zero_strength(self, method):
@@ -172,20 +194,41 @@ class TestClosedForm:
             modulation_closed_form(action_coefficients(4), 1.0, 3, 1)
 
 
+def _erf_ratio(w: float) -> complex:
+    """erf(sqrt(i w)) / sqrt(i w) with the principal branch, any real w != 0."""
+    root = cmath.sqrt(1j * w)
+    return complex(erf(root)) / root
+
+
+def _elementary(a0: float, a1: float, x: float, dim: int) -> complex:
+    """Dimension-specific elementary/erf forms of M for D = 2..7 and x a1 != 0:
+    the circular (l = 1) and diameter (l = 0) end-point terms."""
+    w = x * a1
+    eout = cmath.exp(-1j * x * (a0 + a1))  # circular end point
+    ein = cmath.exp(-1j * x * a0)          # diameter end point
+    root_pi = math.sqrt(math.pi)
+    return {
+        2: lambda: 0.5 * root_pi * _erf_ratio(w) * ein,
+        3: lambda: 1j / w * (eout - ein),
+        4: lambda: 0.75j / w * (2.0 * eout - root_pi * _erf_ratio(w) * ein),
+        5: lambda: 2.0 / w ** 2 * ((1j * w + 1.0) * eout - ein),
+        6: lambda: (0.625 / w ** 2
+                    * ((4j * w + 6.0) * eout - 3.0 * root_pi * _erf_ratio(w) * ein)),
+        7: lambda: 3.0 / w ** 3 * ((1j * w * w + 2.0 * w - 2j) * eout + 2j * ein),
+    }[dim]()
+
+
 class TestElementaryForms:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("alpha", [2, 3])
     def test_against_hypergeometric(self, dim, alpha):
         poly = action_coefficients(alpha)
+        a0, a1 = [float(c) for c in poly.coeffs]
         for x in (0.1, 1.0, 5.0, 20.0):
             for k in (1, 2, 3):
-                table = modulation_elementary(poly, x, dim, k).value
+                table = _elementary(a0, a1, k * x, dim)
                 hyper = modulation_closed_form(poly, x, dim, k).value
                 assert abs(table - hyper) <= 1e-10 * max(abs(hyper), 1e-3)
-
-    def test_no_tabulated_form_above_seven(self):
-        with pytest.raises(UnsupportedMethodError):
-            modulation_elementary(action_coefficients(2), 1.0, 8, 1)
 
 
 class TestSpa:
