@@ -9,12 +9,11 @@ converge.
 """
 
 import argparse
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from hoshell import SystemParams, TruncationWarning, ebk_dos, envelope_nodes, pert_dos
+from hoshell import SystemParams, ebk_dos, envelope_nodes, pert_dos
 
 
 def main() -> None:
@@ -32,9 +31,7 @@ def main() -> None:
     grid = np.arange(args.e_min, args.e_max, 0.02)
     method = "closed_form" if args.alpha in (2, 3) else "quadrature"
     pert = pert_dos(params, grid, k_max=10, width=args.width, method=method)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        g, smooth, levels = ebk_dos(params, grid, width=args.width)
+    g, smooth, levels = ebk_dos(params, grid, width=args.width)
     dg_ebk = g - smooth
 
     with open(args.out, "w", newline="\n") as fh:

@@ -191,8 +191,9 @@ def verify_legendre_form(alpha_max: int) -> list[LegendreFormCheck]:
     return out
 
 
-def sigma_alpha(energy: float, epsilon: float, alpha: int, omega: float) -> float:
-    """Action scale of the perturbation: eps * 2 pi E^alpha / omega^(2 alpha + 1)."""
+def sigma_alpha(energy, epsilon: float, alpha: int, omega: float):
+    """Action scale of the perturbation: eps * 2 pi E^alpha / omega^(2 alpha + 1);
+    an array of energies gives an array."""
     return epsilon * 2.0 * math.pi * energy ** alpha / omega ** (2 * alpha + 1)
 
 
@@ -223,29 +224,41 @@ def absorb_harmonic_terms(params: SystemParams) -> SystemParams:
                         hbar=params.hbar, terms=higher)
 
 
-def polynomial_delta_s(params: SystemParams, energy: float
-                       ) -> tuple[ActionPolynomial, float]:
+def polynomial_delta_s(params: SystemParams, energy):
     """Combined action polynomial for a polynomial perturbation at energy E.
 
-    Returns (poly, sigma) with dS_total(ltilde) = -sigma * sum_j c_j ltilde^(2j)
-    and sum_j c_j = 1, obtained by summing each monomial term linearly with its
-    own action scale folded in.  All terms must have alpha >= 2; harmonic
-    terms belong in the effective frequency, not here.
+    For a float E, returns (poly, sigma) with
+    dS_total(ltilde) = -sigma * sum_j c_j ltilde^(2j) and sum_j c_j = 1,
+    obtained by summing each monomial term linearly with its own action scale
+    folded in.  For a 1-D array of energies, returns (polys, index, sigma):
+    the distinct polynomials, the index into `polys` of each energy's
+    polynomial, and sigma per energy.  Energies where sigma is 0 get the unit
+    order-1 polynomial.  All terms must have alpha >= 2; harmonic terms belong
+    in the effective frequency, not here.
     """
-    if energy <= 0:
-        raise DomainError(f"energy must be > 0, got {energy}")
+    energies = np.atleast_1d(np.asarray(energy, dtype=float))
+    if np.any(energies <= 0):
+        raise DomainError(f"energy must be > 0, got {float(np.min(energies))}")
     if any(t.alpha < 2 for t in params.terms):
         raise DomainError("alpha=1 terms must be absorbed into the frequency first")
-    if not params.terms:
-        return ActionPolynomial(alpha=1, coeffs=(1.0,)), 0.0
-    max_alpha = max(t.alpha for t in params.terms)
-    sigmas = [sigma_alpha(energy, eps, alpha, params.omega) for eps, alpha in params.terms]
-    sigma_total = sum(sigmas)
-    if sigma_total == 0.0:
-        return ActionPolynomial(alpha=1, coeffs=(1.0,)), 0.0
+    max_alpha = max((t.alpha for t in params.terms), default=1)
+    sigmas = np.reshape([sigma_alpha(energies, eps, alpha, params.omega)
+                         for eps, alpha in params.terms], (len(params.terms), len(energies)))
+    sigma_total = sigmas.sum(axis=0)
+    live = sigma_total != 0.0
     # Weighting by sigma_j / sigma_total (exactly 1 for a single term) keeps
-    # the coefficients of a single-order system identical at every energy.
-    coeffs = np.zeros(max_alpha // 2 + 1)
-    for sigma, (_, alpha) in zip(sigmas, params.terms):
-        coeffs[: alpha // 2 + 1] += sigma / sigma_total * action_coefficients(alpha).float_coeffs
-    return ActionPolynomial(alpha=max_alpha, coeffs=tuple(coeffs)), sigma_total
+    # the coefficients of a single-order system identical at every energy,
+    # so all its energies share one polynomial.
+    weights = np.divide(sigmas, sigma_total, out=np.zeros_like(sigmas), where=live)
+    coeffs = np.zeros((len(energies), max_alpha // 2 + 1))
+    for w, (_, alpha) in zip(weights, params.terms):
+        coeffs[:, : alpha // 2 + 1] += w[:, None] * action_coefficients(alpha).float_coeffs
+    rows, index = np.unique(coeffs[live], axis=0, return_inverse=True)
+    polys = [ActionPolynomial(alpha=max_alpha, coeffs=tuple(row)) for row in rows]
+    full_index = np.full(len(energies), len(polys))
+    full_index[live] = index.reshape(-1)
+    if not live.all():
+        polys.append(ActionPolynomial(alpha=1, coeffs=(1.0,)))
+    if np.ndim(energy) == 0:
+        return polys[full_index[0]], float(sigma_total[0])
+    return tuple(polys), full_index, sigma_total

@@ -10,12 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actionpoly import (
-    ActionPolynomial,
-    SystemParams,
-    absorb_harmonic_terms,
-    polynomial_delta_s,
-)
+from .actionpoly import SystemParams, absorb_harmonic_terms, polynomial_delta_s
 from .errors import DomainError, UnsupportedMethodError
 from .modfactor import Method, modulation
 
@@ -131,15 +126,11 @@ def pert_dos(params: SystemParams, energies: np.ndarray, k_max: int = 10,
     s0_over_hbar = 2.0 * math.pi * energies / (omega * hbar)
     # M_k depends on E only through sigma(E) and the normalised polynomial,
     # which is the same at every energy of a single-order system.
-    sigma_over_hbar = np.empty_like(energies)
-    groups: dict[ActionPolynomial, list[int]] = {}
-    for i, energy in enumerate(energies):
-        poly, sigma = polynomial_delta_s(params, float(energy))
-        sigma_over_hbar[i] = sigma / hbar
-        groups.setdefault(poly, []).append(i)
+    polys, index, sigma = polynomial_delta_s(params, energies)
+    sigma_over_hbar = sigma / hbar
     osc = np.empty_like(energies)
-    for poly, rows in groups.items():
-        rows = np.asarray(rows)
+    for group, poly in enumerate(polys):
+        rows = np.flatnonzero(index == group)
         mods = modulation(poly, sigma_over_hbar[rows], dim, k_max, method)
         for start in range(0, len(rows), _ROWS_PER_CHUNK):
             sel = rows[start:start + _ROWS_PER_CHUNK]

@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import fresnel
 
 from .errors import AccuracyError, DomainError
 
@@ -191,8 +190,12 @@ def erf_sqrt_i(x):
     complex, an array a complex array.
 
     Through the Fresnel integrals: erf(sqrt(ix)) = (1+i)(C(v) - i S(v)) with
-    v = sqrt(2x/pi), obtained by integrating along the pi/4 ray.
+    v = sqrt(2x/pi), obtained by integrating along the pi/4 ray.  This is the
+    package's only use of scipy, reached only by the even-D closed form, so
+    scipy is imported here rather than when the package loads.
     """
+    from scipy.special import fresnel  # deferred: keeps scipy out of the CLI's start-up
+
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError(f"erf_sqrt_i needs x >= 0, got {float(np.min(x))}")

@@ -242,6 +242,10 @@ class TestPolynomialDeltaS:
             poly, _ = polynomial_delta_s(params, float(energy))
             assert poly.alpha == alpha
             assert np.array_equal(poly.float_coeffs, want)
+        polys, index, _ = polynomial_delta_s(params, np.linspace(1.0, 70.0, 2001))
+        assert len(polys) == 1 and not index.any()
+        assert polys[0].alpha == alpha
+        assert np.array_equal(polys[0].float_coeffs, want)
 
     def test_linearity_in_strength(self):
         whole = SystemParams.single(3, 0.08, 2)
@@ -285,6 +289,39 @@ class TestPolynomialDeltaS:
         poly, sigma = polynomial_delta_s(SystemParams(dim=3), 1.0)
         assert sigma == 0.0
         assert poly.scaled_value(0.5) == 1.0
+
+    @pytest.mark.parametrize("terms", [
+        ((-1.25e-3, 2),), ((2e-5, 3),), ((1e-7, 10),),
+        ((1e-3, 2), (2e-5, 3)), ((1e-4, 2), (-1e-6, 3), (1e-9, 4)),
+        ((1e-3, 2), (-1e-3, 2)), ((0.0, 4),), (),
+    ])
+    def test_array_path_equals_scalar_view(self, terms):
+        params = SystemParams(dim=3, omega=1.3, terms=terms)
+        grid = np.linspace(0.5, 70.0, 97)
+        polys, index, sigma = polynomial_delta_s(params, grid)
+        assert index.shape == sigma.shape == grid.shape
+        assert sorted(set(index.tolist())) == list(range(len(polys)))
+        for energy, i, s in zip(grid, index, sigma):
+            poly, want = polynomial_delta_s(params, float(energy))
+            assert polys[i] == poly
+            assert s == want
+
+    def test_zero_total_strength_gives_unit_polynomial(self):
+        # The two terms cancel exactly at E = 1 only: that row keeps the
+        # order-1 unit polynomial while the other carries the mixed-order one.
+        params = SystemParams(dim=3, terms=((1.0, 2), (-1.0, 3)))
+        polys, index, sigma = polynomial_delta_s(params, np.array([1.0, 2.0]))
+        assert polys[index[0]] == ActionPolynomial(alpha=1, coeffs=(1.0,))
+        assert sigma[0] == 0.0
+        assert polys[index[1]] == polynomial_delta_s(params, 2.0)[0]
+        assert polys[index[1]].alpha == 3 and sigma[1] == -8.0 * math.pi
+
+    def test_array_path_rejects_bad_input(self):
+        with pytest.raises(DomainError):
+            polynomial_delta_s(SystemParams.single(3, 1e-3, 2), np.array([1.0, 0.0, 2.0]))
+        with pytest.raises(DomainError):
+            polynomial_delta_s(SystemParams(dim=3, terms=((0.01, 1), (1e-4, 2))),
+                               np.array([1.0, 2.0]))
 
 
 class TestSystemParams:

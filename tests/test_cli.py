@@ -225,6 +225,60 @@ def test_cli_import_skips_scipy_optimize():
     assert cp.stdout.strip() == "False"
 
 
+COLD_START = """
+import json, sys
+import hoshell, hoshell.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = [scipy_modules()]
+for argv in json.loads(sys.argv[1]):
+    assert hoshell.cli.main(argv) == 0, argv
+    loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+def _cold_start(*argvs: list[str]) -> list[list[str]]:
+    """scipy modules loaded in a fresh interpreter after `import hoshell.cli`
+    and after each CLI command in turn."""
+    cp = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(argvs)],
+                        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    return json.loads(cp.stdout.splitlines()[-1])
+
+
+def test_cold_start_loads_no_scipy(tmp_path: Path):
+    # scipy is imported only by the even-D closed form (erf along the sqrt(i)
+    # ray); importing the CLI and running the other commands must not load it.
+    system = ["--alpha", "2", "--epsilon", "1.25e-3"]
+    loaded = _cold_start(
+        ["dos", "--D", "3", *system, "--method", "quad", "--e-range", "1:30:301",
+         "--out", str(tmp_path / "quad.csv")],
+        ["dos", "--D", "3", *system, "--method", "closed", "--e-range", "1:70:301",
+         "--out", str(tmp_path / "closed3.csv")],
+        ["dos", "--D", "5", *system, "--method", "closed", "--e-range", "1:70:301",
+         "--out", str(tmp_path / "closed5.csv")],
+        ["ebk", "--D", "2", *system, "--e-max", "10", "--out", str(tmp_path / "levels.csv")],
+        ["coeffs", "--alpha-max", "6", "--out", str(tmp_path / "coeffs.csv")],
+    )
+    assert loaded == [[]] * 6
+
+
+def test_even_dimension_closed_form_reaches_erf(tmp_path: Path):
+    # At E = 70, |x a1| = k sigma / (2 hbar) reaches 190 > max(10, b/2): the
+    # half-integer recursion, seeded by erf, which loads scipy.special.
+    out = tmp_path / "closed4.csv"
+    loaded = _cold_start(
+        ["dos", "--D", "4", "--alpha", "2", "--epsilon", "1.25e-3", "--method", "closed",
+         "--e-range", "1:70:301", "--out", str(out)],
+    )
+    assert loaded[0] == []
+    assert "scipy.special" in loaded[1]
+    assert out.read_text().count("\n") == 302
+
+
 def test_ebk_writes_identical_out_and_cache(tmp_path: Path):
     out, cache = tmp_path / "out.csv", tmp_path / "levels.csv"
     cp = run_cli("ebk", "--D", "2", "--alpha", "2", "--epsilon=-2e-3", "--e-max", "12",

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy.signal import hilbert
 
-from hoshell.actionpoly import SystemParams
+import hoshell.dos
+from hoshell.actionpoly import (
+    ActionPolynomial,
+    SystemParams,
+    absorb_harmonic_terms,
+    polynomial_delta_s,
+)
 from hoshell.dos import (
     DosCurve,
     envelope_nodes,
@@ -17,6 +23,7 @@ from hoshell.dos import (
 )
 from hoshell.ebk import angular_degeneracy
 from hoshell.errors import DomainError, UnsupportedMethodError
+from hoshell.modfactor import modulation
 
 
 class TestHoSpectrum:
@@ -167,6 +174,95 @@ class TestPertDos:
                 damp = math.exp(-((0.1 * k * math.pi) ** 2))
                 total += (-1.0) ** k * damp * (mod * np.exp(2j * math.pi * k * energy)).real
             assert abs(got - 2.0 * smooth * total) <= 1e-10 * smooth
+
+
+def _scalar_reference(params, grid, k_max, width, method):
+    """The oscillating column of pert_dos, rebuilt from one scalar
+    polynomial_delta_s and one single-row modulation call per energy, and the
+    bound 1e-12 * smooth * max(1, max_k |M_k|) for each energy.  The factor
+    max_k |M_k| only matters for SPA, which exceeds 1 at small x."""
+    params = absorb_harmonic_terms(params)
+    dim, omega, hbar = params.dim, params.omega, params.hbar
+    ks = np.arange(1, k_max + 1)
+    weights = (-1.0) ** (dim * ks) * np.exp(-((width * ks * math.pi / (omega * hbar)) ** 2))
+    out, bound = [], []
+    for energy in grid:
+        poly, sigma = polynomial_delta_s(params, float(energy))
+        mods = modulation(poly, [sigma / hbar], dim, k_max, method)[0]
+        smooth = energy ** (dim - 1) / (math.factorial(dim - 1) * (hbar * omega) ** dim)
+        phases = np.exp(1j * (2.0 * math.pi * energy / (omega * hbar)) * ks)
+        out.append(2.0 * smooth * ((mods * phases).real @ weights))
+        bound.append(1e-12 * smooth * max(1.0, np.max(np.abs(mods))))
+    return np.array(out), np.array(bound)
+
+
+# Every method each order supports: the closed form and SPA need two coefficients.
+ORDER_METHODS = [(2, "quadrature"), (2, "closed_form"), (2, "spa"),
+                 (3, "quadrature"), (3, "closed_form"), (3, "spa"), (4, "quadrature")]
+
+
+class TestArrayActionScale:
+    """pert_dos computes sigma(E) and the normalised polynomial for the whole
+    grid at once; it must agree with the per-energy scalar evaluation."""
+
+    omega, hbar = 1.3, 0.7
+
+    def grid(self, e_max=30.0):
+        return np.linspace(0.5, e_max, 41) * self.hbar * self.omega
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("alpha,method", ORDER_METHODS)
+    def test_matches_scalar_reference(self, dim, alpha, method):
+        # Strength chosen so that sigma / hbar reaches 40 at the top of the grid.
+        e_max = 30.0 * self.hbar * self.omega
+        eps = (-1.0) ** dim * 40.0 * self.hbar * self.omega ** (2 * alpha + 1) / (
+            2.0 * math.pi * e_max ** alpha)
+        params = SystemParams.single(dim, eps, alpha, omega=self.omega, hbar=self.hbar)
+        curve = pert_dos(params, self.grid(), k_max=8, width=0.1, method=method)
+        want, bound = _scalar_reference(params, self.grid(), 8, 0.1, method)
+        assert np.all(np.abs(curve.oscillating - want) <= bound)
+
+    @pytest.mark.parametrize("method", ["quadrature", "closed_form", "spa"])
+    def test_zero_strength_is_the_unperturbed_sum(self, method):
+        params = SystemParams.single(3, 0.0, 2, omega=self.omega, hbar=self.hbar)
+        polys, index, sigma = polynomial_delta_s(params, self.grid())
+        assert polys == (ActionPolynomial(alpha=1, coeffs=(1.0,)),)
+        assert not index.any() and not sigma.any()
+        curve = pert_dos(params, self.grid(), k_max=8, width=0.1, method=method)
+        ks = np.arange(1, 9)
+        weights = (-1.0) ** (3 * ks) * np.exp(-((0.1 * ks * math.pi / (self.omega * self.hbar)) ** 2))
+        bare = np.cos(2.0 * math.pi * np.outer(self.grid(), ks) / (self.omega * self.hbar))
+        want = 2.0 * curve.smooth * (bare @ weights)
+        assert np.all(np.abs(curve.oscillating - want) <= 1e-12 * curve.smooth)
+
+    @pytest.mark.parametrize("alpha,method", ORDER_METHODS)
+    def test_absorbed_harmonic_term(self, alpha, method):
+        params = SystemParams(dim=3, omega=self.omega, hbar=self.hbar,
+                              terms=((0.04, 1), (2e-3 / 10 ** alpha, alpha)))
+        with pytest.raises(DomainError):
+            polynomial_delta_s(params, self.grid())
+        curve = pert_dos(params, self.grid(), k_max=8, width=0.1, method=method)
+        want, bound = _scalar_reference(params, self.grid(), 8, 0.1, method)
+        assert np.all(np.abs(curve.oscillating - want) <= bound)
+
+    def test_single_order_makes_one_modulation_call(self, monkeypatch):
+        # One polynomial for the whole grid: a per-energy loop would show up
+        # here as one call per energy.
+        calls = {"modulation": [], "polynomial_delta_s": 0}
+
+        def counted_modulation(poly, sigma_over_hbar, *args, **kwargs):
+            calls["modulation"].append(len(sigma_over_hbar))
+            return modulation(poly, sigma_over_hbar, *args, **kwargs)
+
+        def counted_delta_s(*args):
+            calls["polynomial_delta_s"] += 1
+            return polynomial_delta_s(*args)
+
+        monkeypatch.setattr(hoshell.dos, "modulation", counted_modulation)
+        monkeypatch.setattr(hoshell.dos, "polynomial_delta_s", counted_delta_s)
+        grid = np.linspace(1.0, 70.0, 2001)
+        pert_dos(SystemParams.single(3, 1.25e-3, 2), grid, k_max=10, method="closed_form")
+        assert calls == {"modulation": [2001], "polynomial_delta_s": 1}
 
 
 class TestSupershell:
