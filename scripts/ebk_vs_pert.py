@@ -5,7 +5,7 @@ Writes both Gaussian-averaged oscillating densities on a shared grid and a
 summary of beat-node positions.  At the default strength the quantum beat
 node sits visibly above the perturbative one; rerun with a smaller
 --epsilon (the node moves to sqrt(2/eps)) to watch the two pipelines
-converge.
+converge.  For a negative --epsilon the grid ends below the barrier top.
 """
 
 import argparse
@@ -28,7 +28,13 @@ def main() -> None:
     args.out.parent.mkdir(parents=True, exist_ok=True)
 
     params = SystemParams.single(3, args.epsilon, args.alpha)
-    grid = np.arange(args.e_min, args.e_max, 0.02)
+    e_max = args.e_max
+    if args.epsilon < 0 and args.alpha > 1:
+        # Bound motion ends at the l = 0 barrier top E_top = u / 2 + eps u^alpha,
+        # at u = (1 / (2 alpha |eps|))^(1 / (alpha - 1)) (omega = 1).
+        u_top = (1.0 / (2.0 * args.alpha * -args.epsilon)) ** (1.0 / (args.alpha - 1))
+        e_max = min(e_max, 0.5 * u_top + args.epsilon * u_top ** args.alpha)
+    grid = np.arange(args.e_min, e_max, 0.02)
     method = "closed_form" if args.alpha in (2, 3) else "quadrature"
     pert = pert_dos(params, grid, k_max=10, width=args.width, method=method)
     g, smooth, levels = ebk_dos(params, grid, width=args.width)

@@ -57,14 +57,16 @@ class SystemParams:
     def __post_init__(self):
         if self.dim < 2:
             raise DomainError(f"spatial dimension must be >= 2, got {self.dim}")
-        if not self.omega > 0:
-            raise DomainError(f"trap frequency must be > 0, got {self.omega}")
-        if not self.hbar > 0:
-            raise DomainError(f"hbar must be > 0, got {self.hbar}")
+        if not 0 < self.omega < math.inf:
+            raise DomainError(f"trap frequency must be finite and > 0, got {self.omega}")
+        if not 0 < self.hbar < math.inf:
+            raise DomainError(f"hbar must be finite and > 0, got {self.hbar}")
         terms = tuple(PerturbationTerm(float(e), int(a)) for e, a in self.terms)
-        for _, alpha in terms:
+        for eps, alpha in terms:
             if alpha < 1:
                 raise DomainError(f"monomial order must be >= 1, got {alpha}")
+            if not math.isfinite(eps):
+                raise DomainError(f"perturbation strength must be finite, got {eps}")
         object.__setattr__(self, "terms", terms)
 
     @classmethod

@@ -5,9 +5,11 @@ formatting, so identical invocations are byte-identical.  All quantities are
 in hbar = omega = m = 1 units unless --omega/--hbar are given; energy axes
 are always emitted as E over hbar*omega.
 
-Exit codes: 0 success, 2 domain error, 3 accuracy error, 64 usage error.
-A level enumeration that stops at a cap or a barrier still exits 0 and
-prints its TruncationWarning, with the reasons, to stderr.
+Exit codes: 0 success, 2 domain error (a value out of range or not finite,
+or a level cache that cannot be read or belongs to another system),
+3 accuracy error, 64 usage error.  A level enumeration that stops at a cap
+or a barrier still exits 0 and prints its TruncationWarning, with the
+reasons, to stderr.
 The environment variable HOSHELL_OUTDIR, when set, prefixes relative output
 paths.
 """
@@ -21,6 +23,7 @@ import math
 import os
 import re
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +37,8 @@ from .actionpoly import (
     verify_legendre_form,
 )
 from .dos import envelope_nodes, pert_dos, supershell_nodes
-from .ebk import angular_degeneracy, ebk_dos, enumerate_levels, radial_action
-from .errors import (
-    AccuracyError,
-    DomainError,
-    NoBoundStateError,
-    UnsupportedMethodError,
-)
+from .ebk import EbkLevel, ebk_dos, enumerate_levels
+from .errors import AccuracyError, DomainError, UnsupportedMethodError
 from .modfactor import modulation
 from .oracle import (
     EllipseOrbit,
@@ -109,24 +107,19 @@ def _write_rows(args, header: list[str], rows) -> None:
 
 
 def _system_params(args, dim=None) -> SystemParams:
-    return SystemParams(dim=dim if dim is not None else args.D,
-                        omega=args.omega, hbar=args.hbar,
+    return SystemParams(dim=dim or args.D, omega=args.omega, hbar=args.hbar,
                         terms=((args.epsilon, args.alpha),))
 
 
 def _cmd_coeffs(args) -> int:
-    rows = []
-    if args.exact:
-        header = ["alpha", "j", "numerator", "denominator"]
-        for alpha in range(1, args.alpha_max + 1):
-            for j, c in enumerate(action_coefficients(alpha).coeffs):
-                rows.append([str(alpha), str(j), str(c.numerator), str(c.denominator)])
-    else:
-        header = ["alpha", "j", "value"]
-        for alpha in range(1, args.alpha_max + 1):
-            for j, c in enumerate(action_coefficients(alpha).coeffs):
-                rows.append([str(alpha), str(j), _fmt(float(c))])
-    _write_rows(args, header, rows)
+    if args.alpha_max < 1:
+        raise DomainError(f"alpha_max must be >= 1, got {args.alpha_max}")
+    columns = ["numerator", "denominator"] if args.exact else ["value"]
+    rows = ([str(alpha), str(j),
+             *([str(c.numerator), str(c.denominator)] if args.exact else [_fmt(float(c))])]
+            for alpha in range(1, args.alpha_max + 1)
+            for j, c in enumerate(action_coefficients(alpha).coeffs))
+    _write_rows(args, ["alpha", "j", *columns], rows)
     return 0
 
 
@@ -150,18 +143,12 @@ def _cmd_modfactor(args) -> int:
         methods = ["quad", "closed", "spa"] if args.alpha in (2, 3) else ["quad", "spa"]
     else:
         methods = [args.method]
-    header = ["sigma_over_hbar"]
-    for m in methods:
-        header += [f"re_{m}", f"im_{m}", f"abs_{m}"]
+    header = ["sigma_over_hbar", *(f"{part}_{m}" for m in methods
+                                   for part in ("re", "im", "abs"))]
     # M_k(sigma) = M_1(k sigma)
     columns = [modulation(poly, args.k * xs, args.D, 1, _METHOD[m])[:, 0] for m in methods]
-    rows = []
-    for i, x in enumerate(xs):
-        row = [_fmt(x)]
-        for column in columns:
-            value = column[i]
-            row += [_fmt(value.real), _fmt(value.imag), _fmt(abs(value))]
-        rows.append(row)
+    rows = ([_fmt(x), *(_fmt(v) for z in values for v in (z.real, z.imag, abs(z)))]
+            for x, *values in zip(xs, *columns))
     _write_rows(args, header, rows)
     return 0
 
@@ -205,53 +192,34 @@ def _cmd_ebk(args) -> int:
     return 0
 
 
-def _read_levels_csv(path: str, params: SystemParams):
-    from .ebk import EbkLevel
-    scale = params.hbar * params.omega
-    levels = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != _LEVEL_HEADER:
-            raise DomainError(f"unexpected level file header: {header}")
-        for line in fh:
-            n_r, l, e, deg = line.strip().split(",")
-            levels.append(EbkLevel(n_r=int(n_r), l=int(l),
-                                   energy=float(e) * scale, degeneracy=int(deg)))
-    _check_level_cache(params, levels, path)
-    return levels
-
-
-def _check_level_cache(params: SystemParams, levels, path: str) -> None:
-    """A cache must hold levels of this system: each degeneracy matches its l
-    in this dimension, and each energy quantizes this trap's radial action to
-    1e-9 of its target (checked in one pass over all levels)."""
-    for lev in levels:
-        if lev.n_r < 0 or lev.degeneracy != angular_degeneracy(params.dim, lev.l):
-            raise DomainError(f"{path}: level (n_r={lev.n_r}, l={lev.l}) with "
-                              f"degeneracy {lev.degeneracy} is not a D={params.dim} level")
-    n_r, l, e = (np.array([getattr(lev, k) for lev in levels], dtype=float)
-                 for k in ("n_r", "l", "energy"))
-    target = 2.0 * math.pi * params.hbar * (n_r + 0.5)
+def _read_levels_csv(path: str, scale: float) -> list[EbkLevel]:
     try:
-        action = radial_action(params, e, params.hbar * (l + 0.5 * (params.dim - 2)))
-    except NoBoundStateError as exc:
-        raise DomainError(f"{path}: a cached level lies outside this system's well: "
-                          f"{exc}") from exc
-    bad = np.flatnonzero(~(np.abs(action - target) <= 1e-9 * target))
-    if bad.size:
-        lev = levels[bad[0]]
-        raise DomainError(f"{path}: level (n_r={lev.n_r}, l={lev.l}) at E={lev.energy} "
-                          f"is not quantized in this system ({bad.size} of "
-                          f"{len(levels)} levels do not match)")
+        with open(path, errors="replace") as fh:  # bad bytes fail the checks below
+            header = fh.readline().strip().split(",")
+            rows = [line.strip().split(",") for line in fh]
+    except OSError as exc:
+        raise DomainError(f"{path}: cannot read level file: {exc.strerror}") from None
+    if header != _LEVEL_HEADER:
+        raise DomainError(f"{path}: unexpected level file header: {header}")
+    try:
+        return [EbkLevel(n_r=int(n_r), l=int(l), energy=float(e) * scale,
+                         degeneracy=int(deg)) for n_r, l, e, deg in rows]
+    except ValueError:
+        raise DomainError(f"{path}: level rows must be n_r,l,E,degeneracy") from None
 
 
 def _cmd_ebk_dos(args) -> int:
     params = _system_params(args)
     scale = args.hbar * args.omega
     shell = _parse_range(args.e_range)
-    levels = _read_levels_csv(args.levels_in, params) if args.levels_in else None
-    g, smooth, _ = ebk_dos(params, shell * scale, width=args.width * scale,
-                           n_r_max=args.nr_max, l_max=args.l_max, levels=levels)
+    levels = _read_levels_csv(args.levels_in, scale) if args.levels_in else None
+    try:
+        g, smooth, _ = ebk_dos(params, shell * scale, width=args.width * scale,
+                               n_r_max=args.nr_max, l_max=args.l_max, levels=levels)
+    except DomainError as exc:
+        if levels is None:
+            raise
+        raise DomainError(f"{args.levels_in}: {exc}") from exc
     rows = ([_fmt(e), _fmt(gv), _fmt(sv), _fmt(gv - sv)]
             for e, gv, sv in zip(shell, g, smooth))
     _write_rows(args, ["E_over_hbar_omega", "g_ebk", "g_smooth", "dg_ebk"], rows)
@@ -297,6 +265,8 @@ def _oracle_conservation(rng) -> dict:
 
 
 def _cmd_oracle(args) -> int:
+    if args.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     report = {"seed": args.seed}
     if args.check in ("all", "delta-s"):
@@ -358,11 +328,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _add_units(p: _Parser) -> None:
-    p.add_argument("--omega", type=float, default=1.0, help="trap frequency (default 1)")
-    p.add_argument("--hbar", type=float, default=1.0, help="Planck constant (default 1)")
-
-
 def _add_system(p: _Parser, with_dim=True) -> None:
     if with_dim:
         p.add_argument("--D", type=int, default=3, help="spatial dimension (default 3)")
@@ -370,7 +335,29 @@ def _add_system(p: _Parser, with_dim=True) -> None:
                    help="monomial order of the perturbation (default 2)")
     p.add_argument("--epsilon", type=float, default=0.0,
                    help="perturbation strength (default 0)")
-    _add_units(p)
+    p.add_argument("--omega", type=float, default=1.0, help="trap frequency (default 1)")
+    p.add_argument("--hbar", type=float, default=1.0, help="Planck constant (default 1)")
+
+
+def _add_grid(p: _Parser, e_range: str) -> None:
+    p.add_argument("--width", type=float, default=0.1,
+                   help="Gaussian width in units of hbar*omega (default 0.1)")
+    p.add_argument("--e-range", default=e_range, metavar="A:B:N",
+                   help=f"energy grid in units of hbar*omega (default {e_range})")
+
+
+def _add_sum(p: _Parser) -> None:
+    p.add_argument("--k-max", type=int, default=10, help="repetitions summed (default 10)")
+    p.add_argument("--method", choices=["quad", "closed", "spa"], default="quad")
+
+
+def _add_caps(p: _Parser) -> None:
+    p.add_argument("--nr-max", type=int, default=200, help="n_r cap (default 200)")
+    p.add_argument("--l-max", type=int, default=400, help="l cap (default 400)")
+
+
+def _add_alpha_max(p: _Parser) -> None:
+    p.add_argument("--alpha-max", type=int, required=True, help="highest order, >= 1")
 
 
 def build_parser() -> _Parser:
@@ -384,85 +371,52 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("coeffs", help="action polynomial coefficients per order")
-    p.add_argument("--alpha-max", type=int, required=True)
+    def command(name, func, help, *groups) -> _Parser:
+        p = sub.add_parser(name, help=help)
+        for add in groups:
+            add(p)
+        p.add_argument("--out", default=None, help="output file (default stdout)")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("coeffs", _cmd_coeffs, "action polynomial coefficients per order",
+                _add_alpha_max)
     p.add_argument("--exact", action="store_true",
                    help="emit exact numerator/denominator columns")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_coeffs)
+    command("verify-legendre", _cmd_verify,
+            "check the Legendre closed form of the coefficients", _add_alpha_max)
 
-    p = sub.add_parser("verify-legendre",
-                       help="check the Legendre closed form of the coefficients")
-    p.add_argument("--alpha-max", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("modfactor", help="modulation factor sweeps")
+    p = command("modfactor", _cmd_modfactor, "modulation factor sweeps")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--sigma-over-hbar-range", required=True, metavar="A:B:N")
     p.add_argument("--method", choices=["quad", "closed", "spa", "all"], default="all")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_modfactor)
 
-    p = sub.add_parser("dos", help="oscillating density of states")
-    _add_system(p)
-    p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--width", type=float, default=0.1,
-                   help="Gaussian width in units of hbar*omega (default 0.1)")
-    p.add_argument("--e-range", default="1:70:3451", metavar="A:B:N",
-                   help="energy grid in units of hbar*omega")
-    p.add_argument("--method", choices=["quad", "closed", "spa"], default="quad")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_dos)
+    command("dos", _cmd_dos, "oscillating density of states",
+            _add_system, partial(_add_grid, e_range="1:70:3451"), _add_sum)
 
-    p = sub.add_parser("supershell", help="super-shell node positions (D=3)")
-    _add_system(p, with_dim=False)
+    p = command("supershell", _cmd_supershell, "super-shell node positions (D=3)",
+                partial(_add_system, with_dim=False))
     p.add_argument("--s-max", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_supershell)
 
-    p = sub.add_parser("ebk", help="torus-quantized levels")
-    _add_system(p)
+    p = command("ebk", _cmd_ebk, "torus-quantized levels", _add_system, _add_caps)
     p.add_argument("--e-max", type=float, default=30.0,
                    help="enumerate levels up to this E/hbar*omega (default 30)")
-    p.add_argument("--nr-max", type=int, default=200)
-    p.add_argument("--l-max", type=int, default=400)
     p.add_argument("--levels-out", default=None,
                    help="also cache the level list to this CSV file")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_ebk)
 
-    p = sub.add_parser("ebk-dos", help="Gaussian-smoothed torus-quantized DOS")
-    _add_system(p)
-    p.add_argument("--width", type=float, default=0.1)
-    p.add_argument("--e-range", default="1:30:1451", metavar="A:B:N")
-    p.add_argument("--nr-max", type=int, default=200)
-    p.add_argument("--l-max", type=int, default=400)
+    p = command("ebk-dos", _cmd_ebk_dos, "Gaussian-smoothed torus-quantized DOS",
+                _add_system, partial(_add_grid, e_range="1:30:1451"), _add_caps)
     p.add_argument("--levels-in", default=None,
                    help="reuse a level list cached by `ebk --levels-out`")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_ebk_dos)
 
-    p = sub.add_parser("oracle", help="classical-mechanics cross checks")
+    p = command("oracle", _cmd_oracle, "classical-mechanics cross checks")
     p.add_argument("--check", choices=["all", "delta-s", "conservation"], default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("compare",
-                       help="perturbative vs torus-quantized oscillating DOS")
-    _add_system(p)
-    p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--width", type=float, default=0.1)
-    p.add_argument("--e-range", default="5:50:2251", metavar="A:B:N")
-    p.add_argument("--method", choices=["quad", "closed", "spa"], default="quad")
-    p.add_argument("--nr-max", type=int, default=200)
-    p.add_argument("--l-max", type=int, default=400)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_compare)
-
+    command("compare", _cmd_compare, "perturbative vs torus-quantized oscillating DOS",
+            _add_system, partial(_add_grid, e_range="5:50:2251"), _add_sum, _add_caps)
     return parser
 
 

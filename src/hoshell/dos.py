@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actionpoly import SystemParams, absorb_harmonic_terms, polynomial_delta_s
+from .actionpoly import (SystemParams, absorb_harmonic_terms, action_coefficients,
+                         polynomial_delta_s, sigma_alpha)
 from .errors import DomainError, UnsupportedMethodError
 from .modfactor import Method, modulation
 
@@ -117,6 +118,8 @@ def pert_dos(params: SystemParams, energies: np.ndarray, k_max: int = 10,
     dim, omega, hbar = params.dim, params.omega, params.hbar
     if width is None:
         width = 0.1 * hbar * omega
+    if not 0.0 <= width < math.inf:
+        raise DomainError(f"smoothing width must be finite and >= 0, got {width}")
     energies = np.asarray(energies, dtype=float)
     if np.any(energies <= 0):
         raise DomainError("energies must be positive")
@@ -141,7 +144,9 @@ def pert_dos(params: SystemParams, energies: np.ndarray, k_max: int = 10,
                     k_max=k_max, width=width)
 
 
-def _supershell_setup(params: SystemParams) -> tuple[float, int, float, float]:
+def _supershell_setup(params: SystemParams):
+    """(params with harmonic terms absorbed, eps, alpha, a0, a1) for D=3 and a
+    single order-2 or order-3 term, whose action polynomial is a0 + a1 ltilde^2."""
     params = absorb_harmonic_terms(params)
     if params.dim != 3 or len(params.terms) != 1 or params.terms[0].alpha not in (2, 3):
         raise UnsupportedMethodError(
@@ -151,9 +156,8 @@ def _supershell_setup(params: SystemParams) -> tuple[float, int, float, float]:
     eps, alpha = params.terms[0]
     if eps == 0.0:
         raise DomainError("super-shell analysis needs a nonzero perturbation")
-    a0 = 1.5 if alpha == 2 else 2.5
-    a1 = -0.5 if alpha == 2 else -1.5
-    return eps, alpha, a0, a1
+    a0, a1 = (float(c) for c in action_coefficients(alpha).coeffs)
+    return params, eps, alpha, a0, a1
 
 
 def supershell_factorized(params: SystemParams, energies: np.ndarray,
@@ -166,13 +170,12 @@ def supershell_factorized(params: SystemParams, energies: np.ndarray,
 
     with the optional per-k Gaussian damping of the averaged trace formula.
     """
-    eps, alpha, a0, a1 = _supershell_setup(params)
-    params = absorb_harmonic_terms(params)
+    params, eps, alpha, a0, a1 = _supershell_setup(params)
     omega, hbar = params.omega, params.hbar
     energies = np.asarray(energies, dtype=float)
     ks = np.arange(1, k_max + 1)
     damp = _damping(width, ks, 2.0 * math.pi / omega, hbar)
-    sigma = eps * 2.0 * math.pi * energies ** alpha / omega ** (2 * alpha + 1)
+    sigma = sigma_alpha(energies, eps, alpha, omega)
     s0 = 2.0 * math.pi * energies / omega
     slow = np.sin(np.outer(sigma, ks) * a1 / (2.0 * hbar))
     fast = np.cos(np.outer(s0 - sigma * (a0 + 0.5 * a1), ks) / hbar)
@@ -184,8 +187,7 @@ def supershell_factorized(params: SystemParams, energies: np.ndarray,
 
 def supershell_nodes(params: SystemParams, s_max: int) -> list[float]:
     """Shell quantum numbers E/(hbar omega) where the beat envelope vanishes."""
-    eps, alpha, _, _ = _supershell_setup(params)
-    params = absorb_harmonic_terms(params)
+    params, eps, alpha, _, _ = _supershell_setup(params)
     omega, hbar = params.omega, params.hbar
     if s_max < 1:
         raise DomainError(f"s_max must be >= 1, got {s_max}")

@@ -181,15 +181,16 @@ def _turning_points(trap: _Trap, e, l2, win: _Window):
     return roots[:n], roots[n:]
 
 
-def _checked(sums, columns, tol: float, what: str) -> np.ndarray:
+def _checked(sums, columns, tol: float, floor: float, what: str) -> np.ndarray:
     """The 240-node results (k, rows) of sums(*columns, order), by row blocks;
-    the first must agree with the 120-node rule to tol relative on every row."""
+    the first must agree with the 120-node rule to tol * max(|result|, floor)
+    on every row."""
     out = []
     for start in range(0, columns[0].size, _ROW_CHUNK):
         block = [c[start:start + _ROW_CHUNK] for c in columns]
         coarse, fine = sums(*block, _ACTION_ORDER)[0], np.array(sums(*block, 2 * _ACTION_ORDER))
         err = np.abs(fine[0] - coarse)
-        if np.any(err > tol * np.maximum(np.abs(fine[0]), 1e-300)):
+        if np.any(err > tol * np.maximum(np.abs(fine[0]), floor)):
             raise AccuracyError(f"{what} quadrature error {err.max():.3e} "
                                 f"exceeds {tol:g} relative")
         out.append(fine)
@@ -237,10 +238,12 @@ def _action_sums(trap: _Trap, e, l2, u_in, u_out, order: int):
 
 def _radial_action_rows(trap: _Trap, e, l2, win: _Window):
     """The action kernel: (S_r, T_r) for rows (E, L^2) inside their window.
-    S_r is checked to 1e-10 relative per row; T_r only steers Newton."""
+    S_r is checked to 1e-10 max(S_r, pi hbar) per row: S_r vanishes at the
+    well bottom, and pi hbar is the smallest quantization target.  T_r only
+    steers Newton."""
     u_in, u_out = _turning_points(trap, e, l2, win)
     return _checked(partial(_action_sums, trap), (e, l2, u_in, u_out), 1e-10,
-                    "radial action")
+                    math.pi * trap.hbar, "radial action")
 
 
 def _separatrix_action(trap: _Trap, l2, win: _Window) -> np.ndarray:
@@ -398,6 +401,29 @@ def enumerate_levels(params: SystemParams, e_max: float,
             for l, n_r, e in sorted(found)]
 
 
+def _check_levels(params: SystemParams, levels: list[EbkLevel]) -> None:
+    """Each degeneracy must match its l in this dimension, and each energy must
+    quantize this trap's radial action to 1e-9 of its target (one pass)."""
+    trap = _resolve(params)
+    for lev in levels:
+        if lev.n_r < 0 or lev.degeneracy != angular_degeneracy(trap.dim, lev.l):
+            raise DomainError(f"level (n_r={lev.n_r}, l={lev.l}) with degeneracy "
+                              f"{lev.degeneracy} is not a D={trap.dim} level")
+    n_r, l, e = (np.array([getattr(lev, k) for lev in levels], dtype=float)
+                 for k in ("n_r", "l", "energy"))
+    target = trap.target(n_r)
+    try:
+        action = radial_action(params, e, trap.l_eff(l))
+    except NoBoundStateError as exc:
+        raise DomainError(f"a given level lies outside this system's well: {exc}") from exc
+    bad = np.flatnonzero(~(np.abs(action - target) <= 1e-9 * target))
+    if bad.size:
+        lev = levels[bad[0]]
+        raise DomainError(f"level (n_r={lev.n_r}, l={lev.l}) at E={lev.energy} is not "
+                          f"quantized in this system ({bad.size} of {len(levels)} "
+                          f"levels do not match)")
+
+
 def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
             n_r_max: int = 200, l_max: int = 400,
             levels: list[EbkLevel] | None = None
@@ -407,7 +433,7 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
     Returns (g_ebk, g_smooth, levels); the oscillating part is their
     difference.  The grid must be strictly increasing.  Levels are enumerated
     out to 5 widths past the grid end so no Gaussian weight is lost, unless a
-    precomputed list is supplied.
+    precomputed list is supplied; such a list must hold levels of this system.
     """
     energies = np.asarray(energies, dtype=float)
     if width <= 0:
@@ -417,6 +443,8 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
     e_cut = energies[-1] + 5.0 * width
     if levels is None:
         levels = enumerate_levels(params, e_cut, n_r_max=n_r_max, l_max=l_max)
+    else:
+        _check_levels(params, levels)
     g = np.zeros_like(energies)
     # fixed accumulation order keeps the sum independent of enumeration order;
     # past 27.5 widths exp(-x^2) is exactly 0.0 (x^2 > 745.14), so each level
@@ -453,7 +481,7 @@ def tf_smooth(params: SystemParams, energy):
     trap = _resolve(params)
     energies = np.asarray(energy, dtype=float)
     e = energies.ravel()
-    out = _checked(partial(_tf_sums, trap), (e, _outer_radius(trap, e)), 1e-11,
+    out = _checked(partial(_tf_sums, trap), (e, _outer_radius(trap, e)), 1e-11, 1e-300,
                    "smooth DOS")[0]
     out *= ((2.0 * math.pi * trap.hbar ** 2) ** (-0.5 * trap.dim)
             * 2.0 * math.pi ** (0.5 * trap.dim) / math.gamma(0.5 * trap.dim) ** 2)

@@ -335,6 +335,13 @@ class TestSystemParams:
         with pytest.raises(DomainError):
             SystemParams(dim=3, terms=((0.1, 0),))
 
+    @pytest.mark.parametrize("field", ["epsilon", "omega", "hbar"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        system = {"dim": 3, "epsilon": 1e-3, "alpha": 2, field: value}
+        with pytest.raises(DomainError, match="finite"):
+            SystemParams.single(**system)
+
     def test_r0(self):
         params = SystemParams(dim=3, omega=2.0)
         assert params.r0(2.0) == 1.0

@@ -322,3 +322,141 @@ def test_matching_level_cache_accepted(d3_cache: Path):
                  "--e-range", "2:8:13", "--width", "0.3", "--levels-in", str(d3_cache))
     assert cp.returncode == 0, cp.stderr
     assert len(cp.stdout.splitlines()) == 14
+
+
+@pytest.mark.parametrize("args,message", [
+    (("dos", "--width", "-1", "--e-range", "5:6:3"), "smoothing width must be finite and >= 0"),
+    (("dos", "--width", "nan", "--e-range", "5:6:3"), "smoothing width must be finite and >= 0"),
+    (("supershell", "--epsilon", "nan", "--s-max", "2"), "perturbation strength must be finite"),
+    (("ebk", "--epsilon", "nan"), "perturbation strength must be finite"),
+    (("ebk", "--hbar", "inf"), "hbar must be finite"),
+    (("oracle", "--seed", "-1"), "seed must be >= 0"),
+    (("coeffs", "--alpha-max", "-3"), "alpha_max must be >= 1, got -3"),
+    (("verify-legendre", "--alpha-max", "0"), "alpha_max must be >= 1, got 0"),
+])
+def test_invalid_values_are_domain_errors(args, message):
+    cp = run_cli(*args)
+    assert cp.returncode == 2, cp.stdout + cp.stderr
+    assert cp.stdout == "" and "Traceback" not in cp.stderr
+    assert f"hoshell: domain error: {message}" in cp.stderr
+
+
+@pytest.mark.parametrize("content", [
+    None,  # no file
+    b"E,g\n1,2\n",
+    b"n_r,l,E_over_hbar_omega,degeneracy\n0,0,1.5\n",
+    b"\x80\x81\n",
+])
+def test_unusable_level_file_is_domain_error(tmp_path: Path, content):
+    path = tmp_path / "levels.csv"
+    if content is not None:
+        path.write_bytes(content)
+    cp = run_cli("ebk-dos", "--e-range", "2:8:13", "--levels-in", str(path))
+    assert cp.returncode == 2, cp.stdout + cp.stderr
+    assert f"hoshell: domain error: {path}: " in cp.stderr
+    assert "Traceback" not in cp.stderr
+
+
+# Every option of every subcommand: option strings, default, type, choices,
+# required.  Captured from the parser before its options were declared once
+# per group; the command line must stay the same.
+PARSER_SURFACE = {
+    "coeffs": [
+        ("--alpha-max", None, int, None, True),
+        ("--exact", False, None, None, False),
+        ("--out", None, None, None, False),
+    ],
+    "verify-legendre": [
+        ("--alpha-max", None, int, None, True),
+        ("--out", None, None, None, False),
+    ],
+    "modfactor": [
+        ("--D", None, int, None, True),
+        ("--alpha", None, int, None, True),
+        ("--k", 1, int, None, False),
+        ("--sigma-over-hbar-range", None, None, None, True),
+        ("--method", "all", None, ["quad", "closed", "spa", "all"], False),
+        ("--out", None, None, None, False),
+    ],
+    "dos": [
+        ("--D", 3, int, None, False),
+        ("--alpha", 2, int, None, False),
+        ("--epsilon", 0.0, float, None, False),
+        ("--omega", 1.0, float, None, False),
+        ("--hbar", 1.0, float, None, False),
+        ("--k-max", 10, int, None, False),
+        ("--width", 0.1, float, None, False),
+        ("--e-range", "1:70:3451", None, None, False),
+        ("--method", "quad", None, ["quad", "closed", "spa"], False),
+        ("--out", None, None, None, False),
+    ],
+    "supershell": [
+        ("--alpha", 2, int, None, False),
+        ("--epsilon", 0.0, float, None, False),
+        ("--omega", 1.0, float, None, False),
+        ("--hbar", 1.0, float, None, False),
+        ("--s-max", None, int, None, True),
+        ("--out", None, None, None, False),
+    ],
+    "ebk": [
+        ("--D", 3, int, None, False),
+        ("--alpha", 2, int, None, False),
+        ("--epsilon", 0.0, float, None, False),
+        ("--omega", 1.0, float, None, False),
+        ("--hbar", 1.0, float, None, False),
+        ("--e-max", 30.0, float, None, False),
+        ("--nr-max", 200, int, None, False),
+        ("--l-max", 400, int, None, False),
+        ("--levels-out", None, None, None, False),
+        ("--out", None, None, None, False),
+    ],
+    "ebk-dos": [
+        ("--D", 3, int, None, False),
+        ("--alpha", 2, int, None, False),
+        ("--epsilon", 0.0, float, None, False),
+        ("--omega", 1.0, float, None, False),
+        ("--hbar", 1.0, float, None, False),
+        ("--width", 0.1, float, None, False),
+        ("--e-range", "1:30:1451", None, None, False),
+        ("--nr-max", 200, int, None, False),
+        ("--l-max", 400, int, None, False),
+        ("--levels-in", None, None, None, False),
+        ("--out", None, None, None, False),
+    ],
+    "oracle": [
+        ("--check", "all", None, ["all", "delta-s", "conservation"], False),
+        ("--seed", 0, int, None, False),
+        ("--out", None, None, None, False),
+    ],
+    "compare": [
+        ("--D", 3, int, None, False),
+        ("--alpha", 2, int, None, False),
+        ("--epsilon", 0.0, float, None, False),
+        ("--omega", 1.0, float, None, False),
+        ("--hbar", 1.0, float, None, False),
+        ("--k-max", 10, int, None, False),
+        ("--width", 0.1, float, None, False),
+        ("--e-range", "5:50:2251", None, None, False),
+        ("--method", "quad", None, ["quad", "closed", "spa"], False),
+        ("--nr-max", 200, int, None, False),
+        ("--l-max", 400, int, None, False),
+        ("--out", None, None, None, False),
+    ],
+}
+
+
+def test_parser_surface():
+    import argparse
+
+    from hoshell.cli import build_parser
+
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    surface = {
+        name: sorted((*action.option_strings, action.default, action.type, action.choices,
+                      action.required)
+                     for action in parser._actions
+                     if not isinstance(action, argparse._HelpAction))
+        for name, parser in sub.choices.items()
+    }
+    assert surface == {name: sorted(options) for name, options in PARSER_SURFACE.items()}

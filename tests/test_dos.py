@@ -103,6 +103,12 @@ class TestPertDos:
         assert damped.oscillating[0] / bare.oscillating[0] == pytest.approx(
             want, rel=1e-12)
 
+    @pytest.mark.parametrize("width", [-0.1, math.nan, math.inf])
+    def test_rejects_bad_width(self, width):
+        # width 0, the undamped sum, stays valid: see the damping-ratio test above
+        with pytest.raises(DomainError, match="width"):
+            pert_dos(SystemParams.single(3, 1e-3, 2), np.array([5.0, 6.0]), width=width)
+
     def test_k_sum_bound(self):
         params = SystemParams.single(3, 1e-3, 2)
         grid = np.arange(5.0, 30.0, 0.02)
@@ -283,6 +289,16 @@ class TestSupershell:
         with pytest.raises(UnsupportedMethodError):
             supershell_factorized(SystemParams.single(3, 1e-3, 4),
                                   np.array([1.0]))
+
+    def test_resolves_the_system_once(self, monkeypatch):
+        calls = []
+        absorb = hoshell.dos.absorb_harmonic_terms
+        monkeypatch.setattr(hoshell.dos, "absorb_harmonic_terms",
+                            lambda params: calls.append(params) or absorb(params))
+        params = SystemParams(dim=3, terms=((0.01, 1), (1.1e-5, 3)))
+        supershell_factorized(params, np.array([10.0, 20.0]))
+        supershell_nodes(params, 2)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("eps,alpha", [(1.25e-3, 2), (-1.25e-3, 2), (1.1e-5, 3)])
     def test_factorized_equals_trace_formula(self, eps, alpha):

@@ -76,6 +76,30 @@ class TestRadialAction:
         with pytest.raises(NoBoundStateError):
             radial_action(params, 1.0, 1.5)  # E < omega * L_eff
 
+    @pytest.mark.parametrize("eps", [-1e-3, 2e-3])
+    @pytest.mark.parametrize("rel", [1e-10, 1e-8])
+    def test_just_above_the_well_bottom(self, eps, rel):
+        # S_r vanishes at the well bottom, where the quadrature check is held
+        # to 1e-10 pi hbar instead of 1e-10 S_r.  Reference: mpmath's well
+        # bottom, turning points and tanh-sinh quadrature in u = r^2.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            eps_mp, l2 = mp.mpf(eps), mp.mpf(100)  # L_eff = 10
+            # dV_eff/du = 0, times 2 u^2, at the well bottom
+            u_well = mp.findroot(lambda u: u * u + 4 * eps_mp * u ** 3 - l2, 10)
+            energy = float((u_well + 3 * eps_mp * u_well ** 2) * (1 + rel))
+
+            def q(u):
+                return 2 * mp.mpf(energy) * u - u * u - 2 * eps_mp * u ** 3 - l2
+
+            spread = 10 * mp.sqrt(rel) * u_well
+            u_in = mp.findroot(q, (u_well - spread, u_well), solver="bisect")
+            u_out = mp.findroot(q, (u_well, u_well + spread), solver="bisect")
+            want = float(mp.quad(lambda u: mp.sqrt(max(q(u), 0)) / u,
+                                 [u_in, u_well, u_out]))
+        got = radial_action(SystemParams.single(3, eps, 2), energy, 10.0)
+        assert abs(got - want) <= 1e-10 * max(want, math.pi)
+
     def test_half_action_consistency_with_orbit_perturbation(self):
         # One radial libration covers half the closed orbit, so the radial
         # action shift is half the orbit action shift; Richardson in eps
@@ -239,6 +263,17 @@ class TestEbkDos:
         g1, s1, levels = ebk_dos(params, grid, width=0.15)
         g2, s2, _ = ebk_dos(params, grid, width=0.15, levels=levels)
         assert np.array_equal(g1, g2) and np.array_equal(s1, s2)
+
+    @pytest.mark.parametrize("eps,other,match", [
+        (1.25e-3, SystemParams.single(4, 0.02, 2), "not a D=4 level"),
+        (1.25e-3, SystemParams.single(3, 1e-3, 2), "not quantized in this system"),
+        (0.0, SystemParams.single(3, -1.25e-3, 2), "outside this system's well"),
+    ])
+    def test_rejects_levels_of_another_system(self, eps, other, match):
+        # another dimension, a weaker strength, a barrier below the levels
+        levels = enumerate_levels(SystemParams.single(3, eps, 2), 55.0, l_max=60)
+        with pytest.raises(DomainError, match=match):
+            ebk_dos(other, np.arange(2.0, 8.0, 0.5), 0.3, levels=levels)
 
     @pytest.mark.parametrize("width", [0.05, 0.7])
     def test_grid_slices_match_full_grid_sum(self, width):
