@@ -5,7 +5,8 @@ Writes both Gaussian-averaged oscillating densities on a shared grid and a
 summary of beat-node positions.  At the default strength the quantum beat
 node sits visibly above the perturbative one; rerun with a smaller
 --epsilon (the node moves to sqrt(2/eps)) to watch the two pipelines
-converge.  For a negative --epsilon the grid ends below the barrier top.
+converge.  For a negative --epsilon the grid ends below the barrier top;
+a grid that would start above it exits 2.
 """
 
 import argparse
@@ -34,6 +35,10 @@ def main() -> None:
         # at u = (1 / (2 alpha |eps|))^(1 / (alpha - 1)) (omega = 1).
         u_top = (1.0 / (2.0 * args.alpha * -args.epsilon)) ** (1.0 / (args.alpha - 1))
         e_max = min(e_max, 0.5 * u_top + args.epsilon * u_top ** args.alpha)
+    if args.e_min >= e_max:
+        end = "the barrier top" if e_max < args.e_max else "--e-max"
+        ap.error(f"the grid is empty: --e-min {args.e_min:g} lies at or above "
+                 f"{end} {e_max:.6g}")
     grid = np.arange(args.e_min, e_max, 0.02)
     method = "closed_form" if args.alpha in (2, 3) else "quadrature"
     pert = pert_dos(params, grid, k_max=10, width=args.width, method=method)

@@ -106,6 +106,14 @@ def _write_rows(args, header: list[str], rows) -> None:
     _write_text(args.out, (",".join(row) + "\n" for row in itertools.chain([header], rows)))
 
 
+def _write_columns(args, header: list[str], *columns) -> None:
+    """Stream float columns as rows with one format string; for floats %.17g
+    gives the text of _fmt."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    _write_text(args.out, itertools.chain([",".join(header) + "\n"],
+                                          (row % values for values in zip(*columns))))
+
+
 def _system_params(args, dim=None) -> SystemParams:
     return SystemParams(dim=dim or args.D, omega=args.omega, hbar=args.hbar,
                         terms=((args.epsilon, args.alpha),))
@@ -159,9 +167,8 @@ def _cmd_dos(args) -> int:
     scale = args.hbar * args.omega
     curve = pert_dos(params, shell * scale, k_max=args.k_max,
                      width=args.width * scale, method=_METHOD[args.method])
-    rows = ([_fmt(e), _fmt(s), _fmt(o)] for e, s, o in
-            zip(shell, curve.smooth, curve.oscillating))
-    _write_rows(args, ["E_over_hbar_omega", "smooth", "oscillating"], rows)
+    _write_columns(args, ["E_over_hbar_omega", "smooth", "oscillating"],
+                   shell, curve.smooth, curve.oscillating)
     return 0
 
 
@@ -220,9 +227,8 @@ def _cmd_ebk_dos(args) -> int:
         if levels is None:
             raise
         raise DomainError(f"{args.levels_in}: {exc}") from exc
-    rows = ([_fmt(e), _fmt(gv), _fmt(sv), _fmt(gv - sv)]
-            for e, gv, sv in zip(shell, g, smooth))
-    _write_rows(args, ["E_over_hbar_omega", "g_ebk", "g_smooth", "dg_ebk"], rows)
+    _write_columns(args, ["E_over_hbar_omega", "g_ebk", "g_smooth", "dg_ebk"],
+                   shell, g, smooth, g - smooth)
     return 0
 
 

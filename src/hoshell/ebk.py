@@ -197,13 +197,22 @@ def _checked(sums, columns, tol: float, floor: float, what: str) -> np.ndarray:
     return np.concatenate(out, axis=1) if out else np.empty((2, 0))
 
 
+def _frozen(*tables):
+    """Node tables shared by every call through lru_cache: read-only, so a
+    kernel working in place cannot corrupt them."""
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 @lru_cache(maxsize=None)
 def _angle_nodes(order: int):
     # Half-angle forms of 1 +- sin(theta) keep full relative precision at the
     # end points, where the plain expressions cancel catastrophically.
     theta, w = gauss_legendre(order).on_interval(-0.5 * math.pi, 0.5 * math.pi)
     half_angle = 0.25 * math.pi - 0.5 * theta
-    return w, np.cos(theta), 2.0 * np.cos(half_angle) ** 2, 2.0 * np.sin(half_angle) ** 2
+    return _frozen(w, np.cos(theta), 2.0 * np.cos(half_angle) ** 2,
+                   2.0 * np.sin(half_angle) ** 2)
 
 
 def _action_sums(trap: _Trap, e, l2, u_in, u_out, order: int):
@@ -431,11 +440,15 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
     """Gaussian-smoothed torus-quantized DOS and its smooth reference.
 
     Returns (g_ebk, g_smooth, levels); the oscillating part is their
-    difference.  The grid must be strictly increasing.  Levels are enumerated
-    out to 5 widths past the grid end so no Gaussian weight is lost, unless a
-    precomputed list is supplied; such a list must hold levels of this system.
+    difference.  The grid must be 1-D, non-empty and strictly increasing.
+    Levels are enumerated out to 5 widths past the grid end so no Gaussian
+    weight is lost, unless a precomputed list is supplied; such a list must
+    hold levels of this system.
     """
     energies = np.asarray(energies, dtype=float)
+    if energies.ndim != 1 or not energies.size:
+        raise DomainError(f"energy grid must be a non-empty 1-D array, "
+                          f"got shape {energies.shape}")
     if width <= 0:
         raise DomainError(f"smoothing width must be > 0, got {width}")
     if np.any(np.diff(energies) <= 0):
@@ -459,13 +472,33 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
     return g, tf_smooth(params, energies), levels
 
 
-def _tf_sums(trap: _Trap, e, r_max, order: int):
+@lru_cache(maxsize=None)
+def _tf_nodes(order: int, dim: int, alpha: int):
+    """s^2, s^(2 alpha) and the measure s^(D-1) cos(psi) w at the nodes of
+    r = r_max s, s = sin(psi), on [0, pi/2]."""
     psi, w = gauss_legendre(order).on_interval(0.0, 0.5 * math.pi)
-    r = r_max[:, None] * np.sin(psi)
-    body = e[:, None] - 0.5 * trap.omega ** 2 * r ** 2 - trap.eps * r ** (2 * trap.alpha)
-    integrand = (np.maximum(body, 0.0) ** (0.5 * trap.dim - 1.0)
-                 * r ** (trap.dim - 1) * (r_max[:, None] * np.cos(psi)))
-    return (np.sum(integrand * w, axis=1),)
+    s = np.sin(psi)
+    return _frozen(s * s, s ** (2 * alpha), s ** (dim - 1) * np.cos(psi) * w)
+
+
+def _tf_sums(trap: _Trap, e, r_max, order: int):
+    """r_max^D * sum [E - a s^2 - b s^(2 alpha)]^(D/2-1) s^(D-1) cos(psi) w per
+    row, with a = omega^2 r_max^2 / 2 and b = eps r_max^(2 alpha)."""
+    s2, s2a, measure = _tf_nodes(order, trap.dim, trap.alpha)
+    power = 0.5 * trap.dim - 1.0
+    if power == 0.0:  # D = 2: the bracket drops out
+        f = np.broadcast_to(measure, (e.size, measure.size))
+    else:
+        f = np.multiply.outer(0.5 * trap.omega ** 2 * r_max ** 2, s2)
+        np.subtract(e[:, None], f, out=f)
+        f -= np.multiply.outer(trap.eps * r_max ** (2 * trap.alpha), s2a)
+        np.maximum(f, 0.0, out=f)
+        if power == 0.5:
+            np.sqrt(f, out=f)
+        elif power != 1.0:
+            np.power(f, power, out=f)
+        f *= measure
+    return (np.sum(f, axis=1) * r_max ** trap.dim,)
 
 
 def tf_smooth(params: SystemParams, energy):

@@ -187,6 +187,30 @@ def test_node_pairing_by_nearest_neighbour():
     assert _pair_nodes([39.99], []) == ([], [39.99], [])
 
 
+ROW_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1.0 / 3.0, -7.5,
+              12345678901234567.0, -98765432109876543.0, float("inf"), float("nan")]
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_column_rows_match_fmt(tmp_path: Path, as_array):
+    # dos and ebk-dos format each row with one %.17g string; that must give
+    # the text of _fmt, value by value, for Python floats and for the numpy
+    # float64 scalars that zipped array columns yield.
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from hoshell.cli import _fmt, _write_columns
+
+    columns = [ROW_VALUES, ROW_VALUES[::-1], ROW_VALUES[3:] + ROW_VALUES[:3]]
+    if as_array:
+        columns = [np.array(c) for c in columns]
+    out = tmp_path / "rows.csv"
+    _write_columns(SimpleNamespace(out=str(out)), ["a", "b", "c"], *columns)
+    want = "a,b,c\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in zip(*columns))
+    assert out.read_text() == want
+
+
 def test_output_dir_override(tmp_path: Path, monkeypatch):
     import os
 

@@ -228,6 +228,47 @@ class TestSmoothDos:
         assert all(v > 0 for v in values)
         assert all(a < b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("alpha", [2, 3, 4])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_mpmath_quadrature_oracle(self, dim, alpha, sign):
+        # Exponents D/2 - 1 = 0, 1/2, 1, 3/2, 2, 5/2 each take their own path
+        # through the kernel.  Reference: mpmath's turning point and
+        # tanh-sinh quadrature directly in r, at 80% and 30% of the energy
+        # of the eps < 0 barrier top.
+        mp = pytest.importorskip("mpmath")
+        omega, hbar, eps = 1.3, 0.7, sign * 1e-2
+        r_top = (omega ** 2 / (2.0 * alpha * 1e-2)) ** (1.0 / (2 * alpha - 2))
+        e_top = 0.5 * omega ** 2 * r_top ** 2 - 1e-2 * r_top ** (2 * alpha)
+        energies = np.array([0.3, 0.8]) * e_top
+        want = []
+        with mp.workdps(30):
+            pref = ((2 * mp.pi * mp.mpf(hbar) ** 2) ** (-mp.mpf(dim) / 2)
+                    * 2 * mp.pi ** (mp.mpf(dim) / 2) / mp.gamma(mp.mpf(dim) / 2) ** 2)
+            for energy in energies:
+                def excess(r, energy=mp.mpf(energy)):
+                    return (energy - mp.mpf(omega) ** 2 * r ** 2 / 2
+                            - mp.mpf(eps) * r ** (2 * alpha))
+
+                r_hi = r_top if eps < 0 else math.sqrt(2.0 * energy) / omega
+                r_max = mp.findroot(excess, (0, r_hi), solver="anderson")
+                integral = mp.quad(lambda r: max(excess(r), 0) ** (mp.mpf(dim) / 2 - 1)
+                                   * r ** (dim - 1), [0, r_max])
+                want.append(float(pref * integral))
+        got = tf_smooth(SystemParams.single(dim, eps, alpha, omega=omega, hbar=hbar),
+                        energies)
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+
+    def test_node_tables_are_read_only(self):
+        # lru_cache hands the same arrays to every call; a kernel that wrote
+        # into one would corrupt all later results.
+        import hoshell.ebk as ebk
+
+        for tables in (ebk._angle_nodes(120), ebk._tf_nodes(240, 3, 2)):
+            for table in tables:
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = 1.0
+
 
 class TestEbkDos:
     def test_unperturbed_gaussian_comb(self):
@@ -286,6 +327,12 @@ class TestEbkDos:
         for lev in sorted(levels, key=lambda lev: (lev.energy, lev.l, lev.n_r)):
             full += lev.degeneracy * np.exp(-((grid - lev.energy) / width) ** 2)
         assert np.array_equal(g, full / (width * math.sqrt(math.pi)))
+
+    @pytest.mark.parametrize("grid", [[], [[1.0, 2.0], [3.0, 4.0]], 3.0])
+    def test_rejects_empty_or_not_1d_grid(self, grid):
+        params = SystemParams.single(3, 1.25e-3, 2)
+        with pytest.raises(DomainError, match="non-empty 1-D"):
+            ebk_dos(params, np.array(grid), 0.1)
 
     def test_rejects_grid_not_increasing(self):
         params = SystemParams.single(3, 1.25e-3, 2)

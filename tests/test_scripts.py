@@ -43,3 +43,14 @@ def test_ebk_vs_pert_clips_the_grid_at_the_barrier(tmp_path: Path):
     assert 49.9 < rows[-1][0] < 50.0
     assert all(math.isfinite(v) for row in rows for v in row)
     assert "quantized levels" in cp.stdout
+
+
+def test_ebk_vs_pert_grid_above_the_barrier_exits_2(tmp_path: Path):
+    # eps = -1.25e-3 puts the l = 0 barrier top at E = 50: no grid is left
+    cp = subprocess.run([sys.executable, str(SCRIPTS / "ebk_vs_pert.py"),
+                         "--out", str(tmp_path / "cmp.csv"), "--epsilon=-1.25e-3",
+                         "--e-min", "55"], capture_output=True, text=True)
+    assert cp.returncode == 2
+    assert "above the barrier top" in cp.stderr
+    assert "Traceback" not in cp.stderr
+    assert not (tmp_path / "cmp.csv").exists()
