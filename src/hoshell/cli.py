@@ -51,10 +51,6 @@ from .oracle import (
 USAGE_EXIT = 64
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -102,16 +98,11 @@ def _write_text(path: str | None, lines) -> None:
             stream.close()
 
 
-def _write_rows(args, header: list[str], rows) -> None:
-    _write_text(args.out, (",".join(row) + "\n" for row in itertools.chain([header], rows)))
-
-
-def _write_columns(args, header: list[str], *columns) -> None:
-    """Stream float columns as rows with one format string; for floats %.17g
-    gives the text of _fmt."""
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    _write_text(args.out, itertools.chain([",".join(header) + "\n"],
-                                          (row % values for values in zip(*columns))))
+def _csv(header: list[str], row: str, rows):
+    """CSV lines: the header, then `row % values` for each tuple of `rows`.
+    `row` has %d for integer columns, exact for Python ints of any size, and
+    %.17g for float columns; memoryviews of numpy columns yield Python floats."""
+    return itertools.chain([",".join(header) + "\n"], (row % values for values in rows))
 
 
 def _system_params(args, dim=None) -> SystemParams:
@@ -122,19 +113,19 @@ def _system_params(args, dim=None) -> SystemParams:
 def _cmd_coeffs(args) -> int:
     if args.alpha_max < 1:
         raise DomainError(f"alpha_max must be >= 1, got {args.alpha_max}")
-    columns = ["numerator", "denominator"] if args.exact else ["value"]
-    rows = ([str(alpha), str(j),
-             *([str(c.numerator), str(c.denominator)] if args.exact else [_fmt(float(c))])]
+    columns, row = ((["numerator", "denominator"], "%d,%d,%d,%d\n") if args.exact
+                    else (["value"], "%d,%d,%.17g\n"))
+    rows = ((alpha, j, *((c.numerator, c.denominator) if args.exact else (float(c),)))
             for alpha in range(1, args.alpha_max + 1)
             for j, c in enumerate(action_coefficients(alpha).coeffs))
-    _write_rows(args, ["alpha", "j", *columns], rows)
+    _write_text(args.out, _csv(["alpha", "j", *columns], row, rows))
     return 0
 
 
 def _cmd_verify(args) -> int:
     checks = verify_legendre_form(args.alpha_max)
-    _write_rows(args, ["alpha", "matches_legendre_form"],
-                ([str(c.alpha), str(int(c.matches))] for c in checks))
+    _write_text(args.out, _csv(["alpha", "matches_legendre_form"], "%d,%d\n",
+                               ((c.alpha, c.matches) for c in checks)))
     return 0 if all(c.matches for c in checks) else 1
 
 
@@ -155,9 +146,10 @@ def _cmd_modfactor(args) -> int:
                                    for part in ("re", "im", "abs"))]
     # M_k(sigma) = M_1(k sigma)
     columns = [modulation(poly, args.k * xs, args.D, 1, _METHOD[m])[:, 0] for m in methods]
-    rows = ([_fmt(x), *(_fmt(v) for z in values for v in (z.real, z.imag, abs(z)))]
-            for x, *values in zip(xs, *columns))
-    _write_rows(args, header, rows)
+    # abs per element: np.abs of the whole column can differ in the last bit
+    rows = ((x, *(v for z in values for v in (z.real, z.imag, abs(z))))
+            for x, *values in zip(memoryview(xs), *columns))
+    _write_text(args.out, _csv(header, ",".join(["%.17g"] * len(header)) + "\n", rows))
     return 0
 
 
@@ -167,16 +159,16 @@ def _cmd_dos(args) -> int:
     scale = args.hbar * args.omega
     curve = pert_dos(params, shell * scale, k_max=args.k_max,
                      width=args.width * scale, method=_METHOD[args.method])
-    _write_columns(args, ["E_over_hbar_omega", "smooth", "oscillating"],
-                   shell, curve.smooth, curve.oscillating)
+    _write_text(args.out, _csv(["E_over_hbar_omega", "smooth", "oscillating"],
+                               "%.17g,%.17g,%.17g\n",
+                               zip(*map(memoryview, (shell, curve.smooth, curve.oscillating)))))
     return 0
 
 
 def _cmd_supershell(args) -> int:
     params = _system_params(args, dim=3)
     nodes = supershell_nodes(params, args.s_max)
-    rows = ([str(s + 1), _fmt(n)] for s, n in enumerate(nodes))
-    _write_rows(args, ["s", "n_s"], rows)
+    _write_text(args.out, _csv(["s", "n_s"], "%d,%.17g\n", enumerate(nodes, 1)))
     return 0
 
 
@@ -189,10 +181,8 @@ def _cmd_ebk(args) -> int:
     levels = enumerate_levels(params, e_max=args.e_max * scale,
                               n_r_max=args.nr_max, l_max=args.l_max)
     levels.sort(key=lambda lev: (lev.energy, lev.l))
-    text = "".join(
-        [",".join(_LEVEL_HEADER) + "\n"]
-        + [f"{lev.n_r},{lev.l},{_fmt(lev.energy / scale)},{lev.degeneracy}\n"
-           for lev in levels])
+    text = "".join(_csv(_LEVEL_HEADER, "%d,%d,%.17g,%d\n", [
+        (lev.n_r, lev.l, lev.energy / scale, lev.degeneracy) for lev in levels]))
     if args.levels_out:
         _write_text(args.levels_out, [text])
     _write_text(args.out, [text])
@@ -227,8 +217,9 @@ def _cmd_ebk_dos(args) -> int:
         if levels is None:
             raise
         raise DomainError(f"{args.levels_in}: {exc}") from exc
-    _write_columns(args, ["E_over_hbar_omega", "g_ebk", "g_smooth", "dg_ebk"],
-                   shell, g, smooth, g - smooth)
+    _write_text(args.out, _csv(["E_over_hbar_omega", "g_ebk", "g_smooth", "dg_ebk"],
+                               "%.17g,%.17g,%.17g,%.17g\n",
+                               zip(*map(memoryview, (shell, g, smooth, g - smooth)))))
     return 0
 
 

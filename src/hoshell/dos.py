@@ -74,6 +74,8 @@ _ROWS_PER_CHUNK = 256  # energies per slice of the k-sum assembly
 
 
 def _damping(width: float, k: np.ndarray, t0: float, hbar: float) -> np.ndarray:
+    if not 0.0 <= width < math.inf:
+        raise DomainError(f"smoothing width must be finite and >= 0, got {width}")
     return np.exp(-((width * k * t0 / (2.0 * hbar)) ** 2))
 
 
@@ -118,8 +120,6 @@ def pert_dos(params: SystemParams, energies: np.ndarray, k_max: int = 10,
     dim, omega, hbar = params.dim, params.omega, params.hbar
     if width is None:
         width = 0.1 * hbar * omega
-    if not 0.0 <= width < math.inf:
-        raise DomainError(f"smoothing width must be finite and >= 0, got {width}")
     energies = np.asarray(energies, dtype=float)
     if np.any(energies <= 0):
         raise DomainError("energies must be positive")

@@ -368,6 +368,8 @@ def enumerate_levels(params: SystemParams, e_max: float,
     Levels above a barrier (eps < 0) are skipped and reported in the warning.
     All active l of one n_r are solved at once, from n_r - 1 plus 2 pi hbar / T_r.
     """
+    if math.isnan(e_max):
+        raise DomainError("e_max must not be nan")
     trap = _resolve(params)
     l2 = trap.l_eff(np.arange(l_max + 1)) ** 2
     win = _window(trap, l2)
@@ -449,8 +451,8 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
     if energies.ndim != 1 or not energies.size:
         raise DomainError(f"energy grid must be a non-empty 1-D array, "
                           f"got shape {energies.shape}")
-    if width <= 0:
-        raise DomainError(f"smoothing width must be > 0, got {width}")
+    if not 0.0 < width < math.inf:
+        raise DomainError(f"smoothing width must be finite and > 0, got {width}")
     if np.any(np.diff(energies) <= 0):
         raise DomainError("energy grid must be strictly increasing")
     e_cut = energies[-1] + 5.0 * width

@@ -193,22 +193,46 @@ ROW_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1.0 / 3.0, -7.5
 
 @pytest.mark.parametrize("as_array", [False, True])
 def test_column_rows_match_fmt(tmp_path: Path, as_array):
-    # dos and ebk-dos format each row with one %.17g string; that must give
-    # the text of _fmt, value by value, for Python floats and for the numpy
-    # float64 scalars that zipped array columns yield.
-    from types import SimpleNamespace
-
+    # Float columns go through one %.17g row string; that must give the text
+    # of f"{v:.17g}", value by value, for Python floats and for numpy columns
+    # zipped as memoryviews.
     import numpy as np
 
-    from hoshell.cli import _fmt, _write_columns
+    from hoshell.cli import _csv, _write_text
 
     columns = [ROW_VALUES, ROW_VALUES[::-1], ROW_VALUES[3:] + ROW_VALUES[:3]]
+    want = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                               for row in zip(*columns))
     if as_array:
-        columns = [np.array(c) for c in columns]
+        columns = [memoryview(np.array(c)) for c in columns]
     out = tmp_path / "rows.csv"
-    _write_columns(SimpleNamespace(out=str(out)), ["a", "b", "c"], *columns)
-    want = "a,b,c\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in zip(*columns))
+    _write_text(str(out), _csv(["a", "b", "c"], "%.17g,%.17g,%.17g\n", zip(*columns)))
     assert out.read_text() == want
+
+
+def test_integer_columns_are_exact():
+    # Exact coefficients and high-D degeneracies exceed 2**53; %d must not
+    # pass them through a float.
+    from hoshell.cli import _csv
+
+    big = [0, -1, 2**53 + 1, 2**60 + 1, -(2**63) - 1, 10**39 + 7]
+    lines = list(_csv(["n", "x"], "%d,%.17g\n", ((n, 0.5) for n in big)))
+    assert lines == ["n,x\n", *(f"{n},0.5\n" for n in big)]
+
+
+@pytest.mark.parametrize("dim,alpha", [("3", "2"), ("4", "2"), ("3", "4"), ("4", "4")])
+def test_modfactor_abs_is_abs_of_the_row(dim, alpha):
+    # Each abs_* value is abs() of that row's complex value; np.abs over the
+    # whole column differs from it in the last bit on many rows.
+    cp = run_cli("modfactor", "--D", dim, "--alpha", alpha,
+                 "--sigma-over-hbar-range", "0:40:101", "--method", "all")
+    assert cp.returncode == 0, cp.stderr
+    _, *rows = cp.stdout.splitlines()
+    assert len(rows) == 101
+    for row in rows:
+        values = row.split(",")[1:]
+        for re, im, mag in zip(values[0::3], values[1::3], values[2::3]):
+            assert mag == "%.17g" % abs(complex(float(re), float(im)))
 
 
 def test_output_dir_override(tmp_path: Path, monkeypatch):
@@ -357,6 +381,11 @@ def test_matching_level_cache_accepted(d3_cache: Path):
     (("oracle", "--seed", "-1"), "seed must be >= 0"),
     (("coeffs", "--alpha-max", "-3"), "alpha_max must be >= 1, got -3"),
     (("verify-legendre", "--alpha-max", "0"), "alpha_max must be >= 1, got 0"),
+    (("ebk-dos", "--width", "nan", "--e-range", "1:6:2"),
+     "smoothing width must be finite and > 0"),
+    (("ebk-dos", "--width", "inf", "--e-range", "1:6:2"),
+     "smoothing width must be finite and > 0"),
+    (("ebk", "--e-max", "nan"), "e_max must not be nan"),
 ])
 def test_invalid_values_are_domain_errors(args, message):
     cp = run_cli(*args)

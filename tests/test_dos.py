@@ -66,6 +66,12 @@ class TestHoDos:
             DosCurve(energies=grid[::-1], smooth=curve.smooth,
                      oscillating=curve.oscillating, k_max=1, width=0.0)
 
+    @pytest.mark.parametrize("width", [-0.1, math.nan, math.inf])
+    def test_rejects_bad_width(self, width):
+        # the width enters squared: a negative one must not pass as its absolute value
+        with pytest.raises(DomainError, match="width"):
+            ho_dos(3, 1.0, 1.0, np.array([5.0, 6.0]), k_max=20, width=width)
+
 
 class TestPertDos:
     def test_unperturbed_matches_leading_order_comb(self):
@@ -289,6 +295,12 @@ class TestSupershell:
         with pytest.raises(UnsupportedMethodError):
             supershell_factorized(SystemParams.single(3, 1e-3, 4),
                                   np.array([1.0]))
+
+    @pytest.mark.parametrize("width", [-0.1, math.nan, math.inf])
+    def test_factorized_rejects_bad_width(self, width):
+        with pytest.raises(DomainError, match="width"):
+            supershell_factorized(SystemParams.single(3, 1.25e-3, 2),
+                                  np.array([10.0, 20.0]), width=width)
 
     def test_resolves_the_system_once(self, monkeypatch):
         calls = []

@@ -298,6 +298,18 @@ class TestEbkDos:
         with pytest.warns(TruncationWarning):
             enumerate_levels(params, 12.0, n_r_max=2, l_max=40)
 
+    def test_rejects_nan_e_max(self):
+        # nan compares false with every energy, which would give an empty list
+        # and a false "l cap reached" warning
+        with pytest.raises(DomainError, match="e_max"):
+            enumerate_levels(SystemParams.single(3, 1e-3, 2), math.nan)
+
+    def test_infinite_e_max_walks_to_the_caps(self):
+        with pytest.warns(TruncationWarning, match="n_r cap 3 reached at l=0"):
+            levels = enumerate_levels(SystemParams.single(2, 1e-2, 2), math.inf,
+                                      n_r_max=3, l_max=4)
+        assert len(levels) == 4 * 5
+
     def test_level_cache_roundtrip(self):
         params = SystemParams.single(3, 1e-3, 2)
         grid = np.arange(1.0, 6.0, 0.02)
@@ -333,6 +345,13 @@ class TestEbkDos:
         params = SystemParams.single(3, 1.25e-3, 2)
         with pytest.raises(DomainError, match="non-empty 1-D"):
             ebk_dos(params, np.array(grid), 0.1)
+
+    @pytest.mark.parametrize("width", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_bad_width(self, width):
+        # nan would give nan rows and inf a zero g_ebk
+        params = SystemParams.single(3, 1.25e-3, 2)
+        with pytest.raises(DomainError, match="width must be finite and > 0"):
+            ebk_dos(params, np.arange(2.0, 8.0, 0.5), width)
 
     def test_rejects_grid_not_increasing(self):
         params = SystemParams.single(3, 1.25e-3, 2)
