@@ -76,6 +76,18 @@ def _parse_range(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _grid(args) -> tuple[np.ndarray, float]:
+    """The --e-range grid in units of hbar omega, and hbar omega, which must
+    keep both grid ends finite floats as energies."""
+    shell = _parse_range(args.e_range)
+    scale = args.hbar * args.omega
+    edge = max(abs(float(shell[0])), abs(float(shell[-1])))
+    if not math.isfinite(edge * scale):
+        raise DomainError(f"energy {edge:g} hbar omega leaves the float range "
+                          f"at hbar omega={scale:g}")
+    return shell, scale
+
+
 def _open_out(path: str | None):
     if path is None:
         return sys.stdout, False
@@ -155,8 +167,7 @@ def _cmd_modfactor(args) -> int:
 
 def _cmd_dos(args) -> int:
     params = _system_params(args)
-    shell = _parse_range(args.e_range)
-    scale = args.hbar * args.omega
+    shell, scale = _grid(args)
     curve = pert_dos(params, shell * scale, k_max=args.k_max,
                      width=args.width * scale, method=_METHOD[args.method])
     _write_text(args.out, _csv(["E_over_hbar_omega", "smooth", "oscillating"],
@@ -207,8 +218,7 @@ def _read_levels_csv(path: str, scale: float) -> list[EbkLevel]:
 
 def _cmd_ebk_dos(args) -> int:
     params = _system_params(args)
-    scale = args.hbar * args.omega
-    shell = _parse_range(args.e_range)
+    shell, scale = _grid(args)
     levels = _read_levels_csv(args.levels_in, scale) if args.levels_in else None
     try:
         g, smooth, _ = ebk_dos(params, shell * scale, width=args.width * scale,
@@ -299,8 +309,7 @@ def _pair_nodes(pert, ebk) -> tuple[list[float], list[float], list[float]]:
 
 def _cmd_compare(args) -> int:
     params = _system_params(args)
-    scale = args.hbar * args.omega
-    shell = _parse_range(args.e_range)
+    shell, scale = _grid(args)
     energies = shell * scale
     curve = pert_dos(params, energies, k_max=args.k_max, width=args.width * scale,
                      method=_METHOD[args.method])

@@ -71,6 +71,9 @@ def ho_spectrum(dim: int, omega: float, hbar: float, n_max: int) -> list[HoLevel
 
 
 _ROWS_PER_CHUNK = 256  # energies per slice of the k-sum assembly
+# Largest (energy, k) grid of one pert_dos call: its modulation factors alone
+# take 16 bytes per entry, 256 MiB here.
+_MAX_GRID = 1 << 24
 
 
 def _damping(width: float, k: np.ndarray, t0: float, hbar: float) -> np.ndarray:
@@ -112,7 +115,9 @@ def pert_dos(params: SystemParams, energies: np.ndarray, k_max: int = 10,
                          Re{ M_k exp(i k S0 / hbar) },
 
     with S0 = 2 pi E / omega.  Harmonic perturbation terms are folded into an
-    effective frequency before the oscillating sum is assembled.
+    effective frequency before the oscillating sum is assembled.  A grid of
+    more than 2**24 (energy, k) entries, or a (D-1)! (hbar omega)^D outside
+    the float range, is a DomainError.
     """
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
@@ -123,7 +128,17 @@ def pert_dos(params: SystemParams, energies: np.ndarray, k_max: int = 10,
     energies = np.asarray(energies, dtype=float)
     if np.any(energies <= 0):
         raise DomainError("energies must be positive")
-    smooth = energies ** (dim - 1) / (math.factorial(dim - 1) * (hbar * omega) ** dim)
+    if energies.size * k_max > _MAX_GRID:
+        raise DomainError(f"{energies.size} energies x k_max {k_max} exceed the budget "
+                          f"of {_MAX_GRID} (energy, k) entries")
+    try:
+        norm = math.factorial(dim - 1) * (hbar * omega) ** dim
+    except OverflowError:
+        norm = math.inf
+    if not 0.0 < norm < math.inf:
+        raise DomainError(f"(D-1)! (hbar omega)^D leaves the float range at D={dim}, "
+                          f"hbar omega={hbar * omega:g}")
+    smooth = energies ** (dim - 1) / norm
     ks = np.arange(1, k_max + 1)
     weights = (-1.0) ** (dim * ks) * _damping(width, ks, 2.0 * math.pi / omega, hbar)
     s0_over_hbar = 2.0 * math.pi * energies / (omega * hbar)
@@ -192,11 +207,17 @@ def supershell_nodes(params: SystemParams, s_max: int) -> list[float]:
     if s_max < 1:
         raise DomainError(f"s_max must be >= 1, got {s_max}")
     out = []
-    for s in range(1, s_max + 1):
-        if alpha == 2:
-            out.append(math.sqrt(2.0 * s * omega ** 3 / (abs(eps) * hbar)))
-        else:
-            out.append((2.0 * s * omega ** 4 / (3.0 * abs(eps) * hbar ** 2)) ** (1.0 / 3.0))
+    try:
+        for s in range(1, s_max + 1):
+            if alpha == 2:
+                out.append(math.sqrt(2.0 * s * omega ** 3 / (abs(eps) * hbar)))
+            else:
+                out.append((2.0 * s * omega ** 4 / (3.0 * abs(eps) * hbar ** 2)) ** (1.0 / 3.0))
+    except (OverflowError, ZeroDivisionError):
+        out.append(math.inf)
+    if not (0.0 < out[0] and out[-1] < math.inf):  # nodes rise with s
+        raise DomainError(f"super-shell nodes leave the float range at omega={omega:g}, "
+                          f"hbar={hbar:g}, epsilon={eps:g}")
     return out
 
 

@@ -51,6 +51,9 @@ DEFAULT_ORDER = 200
 _NODES_PER_CYCLE = 10.0
 _QUAD_TOL = 1e-8
 _CHUNK_ENTRIES = 1 << 13  # (row, node) entries per quadrature work buffer
+# Coarse panels per row at most: the fine grid then holds 2 * 1024 * order
+# nodes, and the three work buffers 16 MB at order 200.
+_MAX_PANELS = 1 << 10
 # (row, k) entries per closed-form / SPA block: each complex temporary stays
 # at 32 kB.  Whole-grid temporaries (20,010 entries for 2001 energies and
 # k_max = 10) raised the peak RSS of a `dos --method closed` run by ~4 MB.
@@ -117,7 +120,14 @@ def _quadrature(poly: ActionPolynomial, s: np.ndarray, dim: int, k_max: int,
     probe = poly.scaled_value(np.linspace(0.0, 1.0, 513))
     swing = np.abs(k_max * s) * (float(np.max(probe)) - float(np.min(probe)))
     cycles = swing / (2.0 * math.pi)
-    panels = np.maximum(1, np.ceil(cycles * _NODES_PER_CYCLE / rule.order)).astype(int)
+    panels = np.maximum(1, np.ceil(cycles * _NODES_PER_CYCLE / rule.order))
+    if not np.all(panels <= _MAX_PANELS):  # also catches nan, before any buffer exists
+        raise AccuracyError(
+            f"modulation quadrature needs {np.max(panels):.4g} panels of order {rule.order} "
+            f"(k_max={k_max}, max |sigma/hbar|={np.max(np.abs(s)):.6g}), over the budget "
+            f"of {_MAX_PANELS}"
+        )
+    panels = panels.astype(int)
     active = s != 0.0
     counts = np.unique(panels[active])
     if not counts.size:
@@ -245,7 +255,8 @@ def modulation(poly: ActionPolynomial, sigma_over_hbar, dim: int, k_max: int,
     sigma = 0 are exactly 1 for every method.  "quadrature" sizes the panels
     of each row for its highest harmonic, evaluates exp(-i sigma P / hbar)
     once per (row, node) and reaches harmonic k by repeated multiplication;
-    the coarse/fine error estimate is checked for every (row, k).
+    the coarse/fine error estimate is checked for every (row, k), and a row
+    that needs more than 1024 panels is an AccuracyError.
     "closed_form" and "spa" evaluate their formulas as array expressions
     over the (row, k) grid x = k sigma / hbar, in blocks of rows.  `rule`
     applies to the quadrature only.

@@ -115,7 +115,8 @@ def integrate_orbit(params: SystemParams, initial: PhaseState, t_end: float,
     """Fixed-step 4th-order symplectic integration of the perturbed trap.
 
     Each step composes three velocity-Verlet substeps with the triple-jump
-    weights, preserving the splitting structure of the Hamiltonian.
+    weights, preserving the splitting structure of the Hamiltonian; the
+    force closing one substep opens the next, so a step costs three forces.
     """
     if dt <= 0:
         raise DomainError(f"time step must be > 0, got {dt}")
@@ -130,12 +131,14 @@ def integrate_orbit(params: SystemParams, initial: PhaseState, t_end: float,
     scale = abs(e0) if e0 != 0 else 1.0
     # Divergence is detected by the drift check; let overflow saturate quietly.
     with np.errstate(over="ignore", invalid="ignore"):
+        f = _force(params, q)
         for i in range(1, n_steps + 1):
             for w in (_W1, _W0, _W1):
                 h = w * dt
-                p = p + 0.5 * h * _force(params, q)
+                p = p + 0.5 * h * f
                 q = q + h * p
-                p = p + 0.5 * h * _force(params, q)
+                f = _force(params, q)  # also opens the next substep
+                p = p + 0.5 * h * f
             qs[i], ps[i] = q, p
             es[i] = _energy(params, q, p)
             if not np.isfinite(es[i]) or abs(es[i] - e0) > 1e-3 * scale:

@@ -386,12 +386,41 @@ def test_matching_level_cache_accepted(d3_cache: Path):
     (("ebk-dos", "--width", "inf", "--e-range", "1:6:2"),
      "smoothing width must be finite and > 0"),
     (("ebk", "--e-max", "nan"), "e_max must not be nan"),
+    (("ebk", "--nr-max", "-1"), "level caps must be >= 0, got n_r_max=-1"),
+    (("ebk", "--l-max", "-1"), "level caps must be >= 0, got n_r_max=200, l_max=-1"),
+    (("ebk-dos", "--nr-max", "-1"), "level caps must be >= 0, got n_r_max=-1"),
+    (("dos", "--omega", "1e200"), "(D-1)! (hbar omega)^D leaves the float range"),
+    (("dos", "--hbar", "1e308"), "energy 70 hbar omega leaves the float range"),
+    (("compare", "--omega", "1e308"), "energy 50 hbar omega leaves the float range"),
+    (("ebk", "--omega", "1e308", "--e-max", "1"), "omega^2 leaves the float range"),
+    (("ebk-dos", "--omega", "1e308"), "energy 30 hbar omega leaves the float range"),
+    (("supershell", "--omega", "1e308", "--epsilon", "1e-3", "--s-max", "2"),
+     "super-shell nodes leave the float range"),
+    (("dos", "--D", "400"), "(D-1)! (hbar omega)^D leaves the float range at D=400"),
+    (("dos", "--hbar", "1e-300"), "(D-1)! (hbar omega)^D leaves the float range"),
+    (("dos", "--k-max", "100000000"), "3451 energies x k_max 100000000 exceed the budget"),
 ])
 def test_invalid_values_are_domain_errors(args, message):
     cp = run_cli(*args)
     assert cp.returncode == 2, cp.stdout + cp.stderr
     assert cp.stdout == "" and "Traceback" not in cp.stderr
-    assert f"hoshell: domain error: {message}" in cp.stderr
+    assert cp.stderr.startswith(f"hoshell: domain error: {message}")
+    assert cp.stderr.count("\n") == 1, cp.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("dos", "--alpha", "8", "--epsilon", "1e-3", "--e-range", "1:70:5"),
+    # panel counts past 2**63, which a cast to int would wrap negative
+    ("dos", "--alpha", "40", "--epsilon", "1e-3", "--e-range", "1:70:5"),
+    ("modfactor", "--D", "3", "--alpha", "2", "--sigma-over-hbar-range", "0:1e300:5",
+     "--method", "quad"),
+])
+def test_quadrature_past_its_panel_budget_is_accuracy_error(args):
+    cp = run_cli(*args)
+    assert cp.returncode == 3, cp.stdout + cp.stderr
+    assert cp.stdout == "" and cp.stderr.count("\n") == 1
+    assert cp.stderr.startswith("hoshell: accuracy error: modulation quadrature needs ")
+    assert "over the budget of 1024" in cp.stderr
 
 
 @pytest.mark.parametrize("content", [

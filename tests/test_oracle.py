@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hoshell import oracle
 from hoshell.actionpoly import SystemParams, action_coefficients, delta_s, sigma_alpha
 from hoshell.errors import DomainError, StepSizeError
 from hoshell.oracle import (
@@ -71,6 +72,21 @@ class TestIntegrator:
             comps, _ = angular_momentum(
                 PhaseState(q=traj.positions[i], p=traj.momenta[i]))
             assert np.max(np.abs(comps - comps0)) <= 1e-9 * mag0
+
+    def test_three_forces_per_step(self, monkeypatch):
+        # The force that closes one velocity-Verlet substep opens the next.
+        calls = []
+        force = oracle._force
+
+        def counted(params, q):
+            calls.append(q)
+            return force(params, q)
+
+        monkeypatch.setattr(oracle, "_force", counted)
+        params = SystemParams.single(3, 0.02, 2)
+        init = PhaseState(q=[1.0, 0.0, -0.4], p=[0.0, 0.7, 0.2])
+        integrate_orbit(params, init, 40 * 0.01, 0.01)
+        assert len(calls) == 1 + 3 * 40
 
     def test_instability_detected(self):
         params = SystemParams.single(2, 5.0, 3)

@@ -157,13 +157,16 @@ class TestKummer:
             assert abs(got - ref) <= 5e-12 * abs(ref), (b, z)
 
 
-    @pytest.mark.parametrize("dim", range(2, 13))
+    @pytest.mark.parametrize("dim", [*range(2, 13), 20, 40, 41])
     def test_axis_oracle_every_dimension(self, dim):
         # b = (D+1)/2 on the imaginary axis is the whole domain the package
         # reaches: the array kernel and its scalar view both meet the oracle.
+        # D = 20, 40, 41 straddle b/2 = 10, where the series' reach turns
+        # from |y| <= 10 to |y| <= b/2; the edge is probed from both sides.
         mp = pytest.importorskip("mpmath")
         b = (dim + 1) / 2.0
-        mags = np.geomspace(1e-4, 1e4, 41)
+        edge = max(10.0, b / 2.0)
+        mags = np.concatenate([np.geomspace(1e-4, 1e4, 41), [edge, edge * (1 - 1e-12)]])
         ys = np.concatenate([-mags, mags])
         values = kummer_1f1_axis(b, ys)
         with mp.workdps(40):
@@ -242,6 +245,14 @@ class TestQuadrature:
         x, w = rule.on_panels(0.0, 1.0, 3)
         assert abs(np.sum(w) - 1.0) < 1e-14
         assert abs(np.sum(w * x ** 2) - 1.0 / 3.0) < 1e-14
+        # the same bits as mapping each panel on its own, in order
+        for order, panels in [(6, 1), (6, 7), (8, 3), (200, 2), (200, 50)]:
+            rule = gauss_legendre(order)
+            edges = np.linspace(0.0, 1.0, panels + 1)
+            parts = [rule.on_interval(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+            x, w = rule.on_panels(0.0, 1.0, panels)
+            assert np.array_equal(x, np.concatenate([p[0] for p in parts]))
+            assert np.array_equal(w, np.concatenate([p[1] for p in parts]))
 
     def test_rules_are_frozen(self):
         rule = gauss_legendre(12)
