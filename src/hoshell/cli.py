@@ -156,8 +156,10 @@ def _cmd_modfactor(args) -> int:
         methods = [args.method]
     header = ["sigma_over_hbar", *(f"{part}_{m}" for m in methods
                                    for part in ("re", "im", "abs"))]
-    # M_k(sigma) = M_1(k sigma)
-    columns = [modulation(poly, args.k * xs, args.D, 1, _METHOD[m])[:, 0] for m in methods]
+    # M_k(sigma) = M_1(k sigma); `modulation` rejects a product past the float range
+    with np.errstate(over="ignore"):
+        k_xs = args.k * xs
+    columns = [modulation(poly, k_xs, args.D, 1, _METHOD[m])[:, 0] for m in methods]
     # abs per element: np.abs of the whole column can differ in the last bit
     rows = ((x, *(v for z in values for v in (z.real, z.imag, abs(z))))
             for x, *values in zip(memoryview(xs), *columns))

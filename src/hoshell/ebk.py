@@ -43,6 +43,7 @@ _ACTION_ORDER = 120
 _ROW_CHUNK = 128
 _MAX_STEPS = 200
 _ULP = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,12 @@ def _window(trap: _Trap, l2) -> _Window:
     return _Window(u_well, energy(u_well), u_top, energy(u_top))
 
 
-def _turning_points(trap: _Trap, e, l2, win: _Window):
+def _turning_points(trap: _Trap, e, l2, win: _Window, start=None):
     """Roots u_in below the well bottom and u_out between it and the barrier
     top, in one pass.  For eps >= 0, Q is concave and below its harmonic part,
-    so Newton from the harmonic roots moves monotonically onto the true ones."""
+    so Newton from the harmonic roots moves monotonically onto the true ones.
+    `start`, the roots (u_in, u_out) at a nearby energy, replaces the
+    harmonic roots as the starting point; the brackets stay the same."""
     w2, eps, a = trap.omega ** 2, trap.eps, trap.alpha
     e, l2, u_well, u_top = np.broadcast_arrays(
         np.asarray(e, dtype=float), np.asarray(l2, dtype=float), win.u_well, win.u_top)
@@ -174,17 +177,21 @@ def _turning_points(trap: _Trap, e, l2, win: _Window):
     lo_in = u_minus if eps >= 0 else np.zeros_like(e)
     hi_out = (u_top if eps < 0 else u_plus if eps == 0
               else np.minimum(u_plus, (e / eps) ** (1.0 / a)))
-    # Start from the harmonic roots, clipped into the brackets; the first n
-    # rows are the inner roots, where Q rises.
+    # Start from the given or the harmonic roots, clipped into the brackets;
+    # the first n rows are the inner roots, where Q rises.
+    x_in, x_out = (u_minus, u_plus) if start is None else start
     n = e.size
     e, l2 = np.tile(e, 2), np.tile(l2, 2)
     lo, hi, x = (np.concatenate(p) for p in (
         (lo_in, u_well), (u_well, hi_out),
-        (np.minimum(u_minus, u_well), np.clip(u_plus, u_well, hi_out))))
+        (np.clip(x_in, lo_in, u_well), np.clip(x_out, u_well, hi_out))))
 
     def q(u):
-        return (2.0 * e * u - w2 * u * u - 2.0 * eps * u ** (a + 1) - l2,
-                2.0 * e - 2.0 * w2 * u - 2.0 * eps * (a + 1) * u ** a)
+        # u ** a * u, not u ** (a + 1): numpy squares fast but takes the
+        # generic power for a cube.
+        ua = u ** a
+        return (2.0 * e * u - w2 * u * u - 2.0 * eps * ua * u - l2,
+                2.0 * e - 2.0 * w2 * u - 2.0 * eps * (a + 1) * ua)
 
     roots = _safe_newton(q, lo, hi, x, np.arange(2 * n) < n)
     return roots[:n], roots[n:]
@@ -243,25 +250,28 @@ def _action_sums(trap: _Trap, e, l2, u_in, u_out, order: int):
     v_in = np.log(u_in[rest, None])
     v_half = 0.5 * (np.log(u_out[rest, None]) - v_in)
     u = np.exp(v_in + v_half * plus)
-    q = 2.0 * e[rest, None] * u - w2 * u * u - 2.0 * eps * u ** (a + 1) - l2[rest, None]
+    q = 2.0 * e[rest, None] * u - w2 * u * u - 2.0 * eps * u ** a * u - l2[rest, None]
     f = v_half * cos * np.sqrt(np.maximum(q, 0.0))
     parts.append((rest, f, f * u, q))
     # T_r's integrand is S_r's times u / Q.  Sums run pairwise along each row
     # (not a BLAS product), so a row's value ignores the rows beside it.
     for rows, f, fu, q in parts:
         s[rows] = np.sum(f * w, axis=1)
-        t[rows] = np.sum(np.divide(fu, q, out=np.zeros_like(f), where=q > 0) * w, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t[rows] = np.sum(np.where(q > 0, fu / q, 0.0) * w, axis=1)
     return s, t
 
 
-def _radial_action_rows(trap: _Trap, e, l2, win: _Window):
-    """The action kernel: (S_r, T_r) for rows (E, L^2) inside their window.
-    S_r is checked to 1e-10 max(S_r, pi hbar) per row: S_r vanishes at the
-    well bottom, and pi hbar is the smallest quantization target.  T_r only
+def _radial_action_rows(trap: _Trap, e, l2, win: _Window, start=None):
+    """The action kernel: (S_r, T_r, u_in, u_out) for rows (E, L^2) inside
+    their window, the turning points solved from `start` if given.  S_r is
+    checked to 1e-10 max(S_r, pi hbar) per row: S_r vanishes at the well
+    bottom, and pi hbar is the smallest quantization target.  T_r only
     steers Newton."""
-    u_in, u_out = _turning_points(trap, e, l2, win)
-    return _checked(partial(_action_sums, trap), (e, l2, u_in, u_out), 1e-10,
+    u_in, u_out = _turning_points(trap, e, l2, win, start)
+    s, t = _checked(partial(_action_sums, trap), (e, l2, u_in, u_out), 1e-10,
                     math.pi * trap.hbar, "radial action")
+    return s, t, u_in, u_out
 
 
 def _separatrix_action(trap: _Trap, l2, win: _Window) -> np.ndarray:
@@ -325,16 +335,17 @@ def _quantize(trap: _Trap, l2, win: _Window, target: float, guess):
     """(E, T_r(E)) with S_r(E, L) = target for rows whose level exists, by
     Newton in E inside [E_well, E_top) that bisects when a step leaves the
     bracket.  Accepts |S_r - target| <= 1e-12 target, or the 1e-11 contract
-    once the bracket has collapsed."""
+    once the bracket has collapsed.  Each step solves its turning points from
+    the previous step's roots."""
     lo, hi = win.e_well.copy(), win.e_top.copy()
     # Out of the window, start mid-window or (eps >= 0) a harmonic step up.
     e = np.where((guess > lo) & (guess < hi), guess,
                  np.where(np.isfinite(hi), 0.5 * (lo + hi),
                           lo + target * trap.omega / math.pi))
     energy, period = np.empty(l2.size), np.empty(l2.size)
-    rows = np.arange(l2.size)
+    rows, start = np.arange(l2.size), None
     for _ in range(_MAX_STEPS):
-        s, t = _radial_action_rows(trap, e, l2[rows], win.take(rows))
+        s, t, u_in, u_out = _radial_action_rows(trap, e, l2[rows], win.take(rows), start)
         resid = s - target
         lo[rows] = np.where(resid < 0, e, lo[rows])
         hi[rows] = np.where(resid < 0, hi[rows], e)
@@ -344,6 +355,7 @@ def _quantize(trap: _Trap, l2, win: _Window, target: float, guess):
         if ok.all():
             return energy, period
         rows, e, newton = rows[~ok], e[~ok], (e - resid / t)[~ok]
+        start = u_in[~ok], u_out[~ok]
         inside = (newton > lo[rows]) & (newton < hi[rows])
         e = np.where(inside, newton, 0.5 * (lo[rows] + hi[rows]))
     raise AccuracyError(f"quantization residual {np.max(np.abs(resid)):.3e} exceeds "
@@ -375,17 +387,26 @@ def enumerate_levels(params: SystemParams, e_max: float,
     Walks l outward, and n_r upward within each l, until the energy exceeds
     e_max; warns with a weight bound if the caps cut the enumeration short.
     Levels above a barrier (eps < 0) are skipped and reported in the warning.
-    All active l of one n_r are solved at once, from n_r - 1 plus 2 pi hbar / T_r.
+    All active l of one n_r are solved at once.  With the level spacing
+    s = dE/dn = 2 pi hbar / T_r, each starts from the Adams-Bashforth step
+    E(n_r-1) + 1.5 s(n_r-1) - 0.5 s(n_r-2), or E(n_r-1) + s(n_r-1) at n_r = 1.
     """
     if math.isnan(e_max):
         raise DomainError("e_max must not be nan")
     if n_r_max < 0 or l_max < 0:
         raise DomainError(f"level caps must be >= 0, got n_r_max={n_r_max}, l_max={l_max}")
     trap = _resolve(params)
-    l2 = trap.l_eff(np.arange(l_max + 1)) ** 2
+    with np.errstate(over="ignore"):
+        l_eff = trap.l_eff(np.arange(l_max + 1))
+        l2 = l_eff ** 2
+    # Every nonzero L^2 must be a normal float: the kernels work at its scale.
+    if not np.all((l2 < math.inf) & ((l2 >= _TINY) | (l_eff == 0.0))):
+        raise DomainError(f"(hbar l)^2 leaves the float range at hbar={trap.hbar:g}, "
+                          f"l <= {l_max}")
     win = _window(trap, l2)
     s_top = _separatrix_action(trap, l2, win)
     found, top = [], np.full(l2.size, -1)
+    step_before = np.full(l2.size, np.nan)  # s(n_r - 2) per l; nan until n_r = 2
     # n_r = 0 for every l whose well bottom lies below e_max.
     rows = np.flatnonzero(win.e_well <= e_max)
     guess = trap.hbar * trap.omega * (rows + trap.dim / 2.0)
@@ -406,7 +427,10 @@ def enumerate_levels(params: SystemParams, e_max: float,
         found += [(int(l), n_r, float(e)) for l, e in zip(rows, e_rows)]
         if not rows.size:
             break
-        guess = e_rows + 2.0 * math.pi * trap.hbar / t_rows
+        step = 2.0 * math.pi * trap.hbar / t_rows
+        guess = e_rows + np.where(np.isnan(step_before[rows]), step,
+                                  1.5 * step - 0.5 * step_before[rows])
+        step_before[rows] = step
     # Why the walk in n_r stopped, per l: the cap, the barrier, or e_max.
     truncated = []
     for l, n_next in enumerate(top[:l_end] + 1):

@@ -399,6 +399,12 @@ def test_matching_level_cache_accepted(d3_cache: Path):
     (("dos", "--D", "400"), "(D-1)! (hbar omega)^D leaves the float range at D=400"),
     (("dos", "--hbar", "1e-300"), "(D-1)! (hbar omega)^D leaves the float range"),
     (("dos", "--k-max", "100000000"), "3451 energies x k_max 100000000 exceed the budget"),
+    (("dos", "--D", "171", "--e-range", "1:1e10:3"),
+     "E^(D-1) / ((D-1)! (hbar omega)^D) leaves the float range at E=5e+09"),
+    (("ebk", "--hbar", "1e308"), "(hbar l)^2 leaves the float range at hbar=1e+308"),
+    (("ebk-dos", "--hbar", "1e-300"), "(hbar l)^2 leaves the float range at hbar=1e-300"),
+    (("modfactor", "--D", "3", "--alpha", "2", "--k", "10",
+      "--sigma-over-hbar-range", "0:1e308:3"), "sigma / hbar must be finite"),
 ])
 def test_invalid_values_are_domain_errors(args, message):
     cp = run_cli(*args)

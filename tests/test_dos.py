@@ -89,6 +89,26 @@ class TestPertDos:
         curve = pert_dos(SystemParams.single(4, 0.0, 2), grid, k_max=1)
         assert np.allclose(curve.smooth, grid ** 3 / 6.0, rtol=1e-14)
 
+    @pytest.mark.parametrize("dim,omega,grid", [
+        (170, 1.0, [1.0, 18.25, 35.5, 52.75, 70.0]),   # 70^169 overflows
+        (40, 1e-3, [1e-8, 1e-7, 1e-3]),                # 1e-8^39 is subnormal
+    ])
+    def test_smooth_column_past_the_power_range(self, dim, omega, grid):
+        # E^(D-1) leaves the normal float range, E^(D-1) / ((D-1)! (hbar omega)^D)
+        # does not.  Reference: mpmath at 40 digits.
+        mp = pytest.importorskip("mpmath")
+        curve = pert_dos(SystemParams.single(dim, 0.0, 2, omega=omega), np.array(grid),
+                         k_max=2)
+        with mp.workdps(40):
+            want = [float(mp.mpf(e) ** (dim - 1) / (mp.factorial(dim - 1) * mp.mpf(omega) ** dim))
+                    for e in grid]
+        np.testing.assert_allclose(curve.smooth, want, rtol=1e-15, atol=0.0)
+        assert np.all(np.isfinite(curve.oscillating))
+
+    def test_smooth_column_out_of_range_is_domain_error(self):
+        with pytest.raises(DomainError, match=r"leaves the float range at E=1e\+10"):
+            pert_dos(SystemParams.single(171, 0.0, 2), np.array([1.0, 1e10]), k_max=1)
+
     def test_methods_agree(self):
         params = SystemParams.single(3, 1.25e-3, 2)
         grid = np.arange(20.0, 24.0, 0.5)

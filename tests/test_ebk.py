@@ -520,6 +520,56 @@ class TestArrayKernel:
         assert sum(rows) <= 4 * len(levels)
 
 
+def _rows_per_level(monkeypatch, params, e_max):
+    """Action-kernel rows per kept level of one enumerate_levels call."""
+    import hoshell.ebk as ebk
+
+    rows = []
+    kernel = ebk._radial_action_rows
+
+    def counting(trap, e, *args):
+        rows.append(np.size(e))
+        return kernel(trap, e, *args)
+
+    monkeypatch.setattr(ebk, "_radial_action_rows", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        levels = ebk.enumerate_levels(params, e_max)
+    return sum(rows) / len(levels)
+
+
+class TestLevelWalk:
+    # The first-order start E(n_r-1) + 2 pi hbar / T_r took 3.12 rows per
+    # kept level for these eps > 0 walks, and 3.45 (D = 2) and 3.46 (D = 4)
+    # for the eps < 0 walks past the barrier at E = 50.
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_second_order_start_rows_per_level(self, monkeypatch, dim):
+        rate = _rows_per_level(monkeypatch, SystemParams.single(dim, 3e-4, 2), 110.0 + dim / 2)
+        assert rate <= 2.3
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_rows_per_level_past_the_barrier(self, monkeypatch, dim):
+        rate = _rows_per_level(monkeypatch, SystemParams.single(dim, -1.25e-3, 2), 60.0)
+        assert rate <= 3.45
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("alpha,eps", [(2, 1e-3), (3, 1e-5), (4, 2e-7)])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_levels_quantize_the_cold_start_action(self, dim, alpha, eps, sign):
+        # The walk solves turning points from the previous Newton step's
+        # roots; radial_action solves them from the harmonic roots.
+        params = SystemParams.single(dim, sign * eps, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            levels = enumerate_levels(params, 40.0)
+        assert levels
+        n_r, l, e = (np.array([getattr(lev, k) for lev in levels], dtype=float)
+                     for k in ("n_r", "l", "energy"))
+        target = 2.0 * math.pi * (n_r + 0.5)
+        action = radial_action(params, e, l + 0.5 * (dim - 2))
+        assert np.all(np.abs(action - target) <= 1e-11 * target)
+
+
 class TestTruncationParity:
     # Warning texts and level sets as produced by the bracket-search
     # implementation this kernel replaced.
