@@ -74,7 +74,6 @@ _ROWS_PER_CHUNK = 256  # energies per slice of the k-sum assembly
 # Largest (energy, k) grid of one pert_dos call: its modulation factors alone
 # take 16 bytes per entry, 256 MiB here.
 _MAX_GRID = 1 << 24
-_TINY = float(np.finfo(float).tiny)
 
 
 def _damping(width: float, k: np.ndarray, t0: float, hbar: float) -> np.ndarray:
@@ -139,17 +138,13 @@ def pert_dos(params: SystemParams, energies: np.ndarray, k_max: int = 10,
     if not 0.0 < norm < math.inf:
         raise DomainError(f"(D-1)! (hbar omega)^D leaves the float range at D={dim}, "
                           f"hbar omega={hbar * omega:g}")
+    # E^(D-1) can leave the float range where the quotient does not (D = 170,
+    # E = 70 hbar omega): divide the mantissas and add the exponents.
+    mantissa, exponent = np.frexp(energies)
+    norm_mantissa, norm_exponent = math.frexp(norm)
     with np.errstate(over="ignore"):
-        power = energies ** (dim - 1)
-        smooth = power / norm
-        # E^(D-1) can leave the float range where the quotient does not (D = 170,
-        # E = 70 hbar omega): there, divide the mantissas and add the exponents.
-        off = (power < _TINY) | (power == math.inf)
-        if off.any():
-            mantissa, exponent = np.frexp(energies[off])
-            norm_mantissa, norm_exponent = math.frexp(norm)
-            smooth[off] = np.ldexp(mantissa ** (dim - 1) / norm_mantissa,
-                                   exponent * (dim - 1) - norm_exponent)
+        smooth = np.ldexp(mantissa ** (dim - 1) / norm_mantissa,
+                          exponent * (dim - 1) - norm_exponent)
     if not np.all(np.isfinite(smooth)):
         raise DomainError(f"E^(D-1) / ((D-1)! (hbar omega)^D) leaves the float range "
                           f"at E={energies[~np.isfinite(smooth)][0]:g}")

@@ -43,7 +43,6 @@ _ACTION_ORDER = 120
 _ROW_CHUNK = 128
 _MAX_STEPS = 200
 _ULP = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -400,7 +399,7 @@ def enumerate_levels(params: SystemParams, e_max: float,
         l_eff = trap.l_eff(np.arange(l_max + 1))
         l2 = l_eff ** 2
     # Every nonzero L^2 must be a normal float: the kernels work at its scale.
-    if not np.all((l2 < math.inf) & ((l2 >= _TINY) | (l_eff == 0.0))):
+    if not np.all((l2 < math.inf) & ((l2 >= np.finfo(float).tiny) | (l_eff == 0.0))):
         raise DomainError(f"(hbar l)^2 leaves the float range at hbar={trap.hbar:g}, "
                           f"l <= {l_max}")
     win = _window(trap, l2)

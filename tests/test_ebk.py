@@ -542,15 +542,12 @@ class TestLevelWalk:
     # The first-order start E(n_r-1) + 2 pi hbar / T_r took 3.12 rows per
     # kept level for these eps > 0 walks, and 3.45 (D = 2) and 3.46 (D = 4)
     # for the eps < 0 walks past the barrier at E = 50.
-    @pytest.mark.parametrize("dim", [3, 4])
-    def test_second_order_start_rows_per_level(self, monkeypatch, dim):
-        rate = _rows_per_level(monkeypatch, SystemParams.single(dim, 3e-4, 2), 110.0 + dim / 2)
-        assert rate <= 2.3
-
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_rows_per_level_past_the_barrier(self, monkeypatch, dim):
-        rate = _rows_per_level(monkeypatch, SystemParams.single(dim, -1.25e-3, 2), 60.0)
-        assert rate <= 3.45
+    @pytest.mark.parametrize("dim,eps,e_max,bound", [
+        (3, 3e-4, 113.5, 2.3), (4, 3e-4, 112.0, 2.3),
+        (2, -1.25e-3, 60.0, 3.45), (4, -1.25e-3, 60.0, 3.45)])
+    def test_rows_per_level(self, monkeypatch, dim, eps, e_max, bound):
+        rate = _rows_per_level(monkeypatch, SystemParams.single(dim, eps, 2), e_max)
+        assert rate <= bound
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("alpha,eps", [(2, 1e-3), (3, 1e-5), (4, 2e-7)])
