@@ -76,16 +76,20 @@ def _parse_range(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _scale(args, edge: float) -> float:
+    """hbar omega, which must keep an energy of `edge` hbar omega a finite float."""
+    scale = args.hbar * args.omega
+    if not math.isfinite(edge * scale):
+        raise DomainError(f"energy {edge:g} hbar omega leaves the float range "
+                          f"at hbar omega={scale:g}")
+    return scale
+
+
 def _grid(args) -> tuple[np.ndarray, float]:
     """The --e-range grid in units of hbar omega, and hbar omega, which must
     keep both grid ends finite floats as energies."""
     shell = _parse_range(args.e_range)
-    scale = args.hbar * args.omega
-    edge = max(abs(float(shell[0])), abs(float(shell[-1])))
-    if not math.isfinite(edge * scale):
-        raise DomainError(f"energy {edge:g} hbar omega leaves the float range "
-                          f"at hbar omega={scale:g}")
-    return shell, scale
+    return shell, _scale(args, max(abs(float(shell[0])), abs(float(shell[-1]))))
 
 
 def _open_out(path: str | None):
@@ -190,7 +194,8 @@ _LEVEL_HEADER = ["n_r", "l", "E_over_hbar_omega", "degeneracy"]
 
 def _cmd_ebk(args) -> int:
     params = _system_params(args)
-    scale = args.hbar * args.omega
+    # An e_max of inf enumerates up to the caps; nan is the library's to reject.
+    scale = _scale(args, args.e_max if math.isfinite(args.e_max) else 1.0)
     levels = enumerate_levels(params, e_max=args.e_max * scale,
                               n_r_max=args.nr_max, l_max=args.l_max)
     levels.sort(key=lambda lev: (lev.energy, lev.l))

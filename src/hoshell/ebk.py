@@ -1,9 +1,11 @@
 """Non-perturbative reference pipeline: torus-quantized radial spectra,
 angular degeneracies, Gaussian-smoothed level densities, and the smooth
-Thomas-Fermi density of states with its turning-point solve.
+Thomas-Fermi density of states with its turning-point solve.  It computes in
+oscillator units, hbar = omega = 1 (energies in hbar omega, actions in hbar,
+lengths in sqrt(hbar/omega)); only the public entry points convert.
 
 Radial integrals work in u = r^2, where the momentum polynomial
-Q(u) = 2 E u - omega^2 u^2 - 2 eps u^(alpha+1) - L^2 has simple roots at the
+Q(u) = 2 E u - u^2 - 2 eps u^(alpha+1) - L^2 has simple roots at the
 turning points; mapping u = u_mid + du sin(theta) absorbs both square-root
 end points.  Kernels take arrays of rows (E, L^2), each inside the window of
 its effective potential: above the well bottom, below any barrier top.
@@ -72,33 +74,49 @@ def angular_degeneracy(dim: int, l: int) -> int:
 
 
 class _Trap(NamedTuple):
-    """A system resolved once: harmonic terms absorbed, one monomial left."""
+    """A system resolved once into oscillator units (hbar = omega = 1), one monomial left."""
 
-    hbar: float
-    omega: float
     dim: int
     eps: float
     alpha: int
 
     def l_eff(self, l):
-        return self.hbar * (l + 0.5 * (self.dim - 2))
+        return l + 0.5 * (self.dim - 2)
 
     def target(self, n_r):
-        return 2.0 * math.pi * self.hbar * (n_r + 0.5)
+        return 2.0 * math.pi * (n_r + 0.5)
 
 
-def _resolve(params: SystemParams) -> _Trap:
+def _resolve(params: SystemParams) -> tuple[_Trap, float, float]:
+    """The trap in oscillator units with the hbar and hbar omega that convert back;
+    its strength eps hbar^(alpha-1) / omega^(alpha+1) goes by mantissa and exponent."""
     params = absorb_harmonic_terms(params)
     if len(params.terms) > 1:
         raise DomainError("reference pipeline handles a single monomial term")
-    try:
-        w2 = params.omega ** 2
-    except OverflowError:
-        w2 = math.inf
-    if not 0.0 < w2 < math.inf:  # every kernel works with omega^2
-        raise DomainError(f"omega^2 leaves the float range at omega={params.omega:g}")
+    hbar, unit = params.hbar, params.hbar * params.omega
     eps, alpha = params.terms[0] if params.terms else (0.0, 2)
-    return _Trap(params.hbar, params.omega, params.dim, eps, alpha)
+    (m_e, x_e), (m_h, x_h), (m_w, x_w) = map(math.frexp, (eps, hbar, params.omega))
+    try:  # the strength, or 2^y past alpha = 1000, can overflow
+        y = (alpha - 1) * (math.log2(m_h) - math.log2(m_w)) - 2.0 * math.log2(m_w)
+        eps_u = math.ldexp(m_e * 2.0 ** y, x_e + (alpha - 1) * x_h - (alpha + 1) * x_w)
+    except OverflowError:
+        eps_u = math.inf
+    if not (np.finfo(float).tiny <= unit < math.inf and (0.0 < abs(eps_u) < math.inf or not eps)):
+        raise DomainError(f"hbar omega={unit:g} or the strength eps hbar^(alpha-1) / "
+                          f"omega^(alpha+1)={eps_u:g} leaves the float range")
+    # No kernel forms a power above u^(alpha+1) at the zero of g past the barrier.
+    if eps_u < 0 and (alpha + 1) / (alpha - 1) * -math.log(2.0 * alpha * -eps_u) > 709.0:
+        raise DomainError(f"the barrier of strength {eps_u:g} lies beyond the float range")
+    return _Trap(params.dim, eps_u, alpha), hbar, unit
+
+
+def _physical(values, unit: float, what: str) -> np.ndarray:
+    """Kernel results times their physical unit; each must stay finite."""
+    with np.errstate(over="ignore"):
+        out = np.multiply(values, unit)
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"{what} leaves the float range")
+    return out
 
 
 def _safe_newton(func, lo, hi, x, rising):
@@ -133,31 +151,30 @@ class _Window(NamedTuple):
 
 
 def _window(trap: _Trap, l2) -> _Window:
-    """Stationary points of V_eff(u) = w^2 u / 2 + eps u^alpha + L^2 / (2 u):
-    roots of g(u) = w^2 u^2 + 2 alpha eps u^(alpha+1) - L^2, at energies
-    E = w^2 u + (alpha+1) eps u^alpha.  For eps < 0 the well bottom and the
+    """Stationary points of V_eff(u) = u / 2 + eps u^alpha + L^2 / (2 u):
+    roots of g(u) = u^2 + 2 alpha eps u^(alpha+1) - L^2, at energies
+    E = u + (alpha+1) eps u^alpha.  For eps < 0 the well bottom and the
     barrier top straddle the hump of g, which must rise above zero."""
-    w2, eps, a = trap.omega ** 2, trap.eps, trap.alpha
-    l2 = np.asarray(l2, dtype=float)
+    eps, a = trap.eps, trap.alpha
 
     def g(u):
-        return (w2 * u * u + 2.0 * a * eps * u ** (a + 1) - l2,
-                2.0 * w2 * u + 2.0 * a * (a + 1) * eps * u ** a)
+        return (u * u + 2.0 * a * eps * u ** (a + 1) - l2,
+                2.0 * u + 2.0 * a * (a + 1) * eps * u ** a)
 
     def energy(u):
-        return w2 * u + (a + 1) * eps * u ** a
+        return u + (a + 1) * eps * u ** a
 
-    u_harm = np.sqrt(l2 / w2)
+    u_harm = np.sqrt(l2)
     # For eps >= 0, g is convex and rising with g(u_harm) >= 0.
-    u_hump = u_harm if eps >= 0 else (w2 / (a * (a + 1) * -eps)) ** (1.0 / (a - 1))
+    u_hump = u_harm if eps >= 0 else (1.0 / (a * (a + 1) * -eps)) ** (1.0 / (a - 1))
     u_well = _safe_newton(g, 0.0, u_hump, np.minimum(u_harm, u_hump), True)
     if eps >= 0:
         inf = np.full(l2.shape, np.inf)
         return _Window(u_well, energy(u_well), inf, inf)
     # g(u_zero) = -L^2 <= 0 past the hump
-    u_zero = np.full(l2.shape, (w2 / (2.0 * a * -eps)) ** (1.0 / (a - 1)))
+    u_zero = np.full(l2.shape, (1.0 / (2.0 * a * -eps)) ** (1.0 / (a - 1)))
     u_top = _safe_newton(g, u_hump, u_zero, u_zero, False)
-    open_ = ~(w2 * u_hump ** 2 * (a - 1) / (a + 1) > l2)
+    open_ = ~(u_hump ** 2 * (a - 1) / (a + 1) > l2)
     u_well[open_] = u_top[open_] = np.nan
     return _Window(u_well, energy(u_well), u_top, energy(u_top))
 
@@ -168,11 +185,10 @@ def _turning_points(trap: _Trap, e, l2, win: _Window, start=None):
     so Newton from the harmonic roots moves monotonically onto the true ones.
     `start`, the roots (u_in, u_out) at a nearby energy, replaces the
     harmonic roots as the starting point; the brackets stay the same."""
-    w2, eps, a = trap.omega ** 2, trap.eps, trap.alpha
-    e, l2, u_well, u_top = np.broadcast_arrays(
-        np.asarray(e, dtype=float), np.asarray(l2, dtype=float), win.u_well, win.u_top)
-    u_plus = (e + np.sqrt(np.maximum(e * e - w2 * l2, 0.0))) / w2
-    u_minus = l2 / (w2 * u_plus)
+    eps, a = trap.eps, trap.alpha
+    e, l2, u_well, u_top = np.broadcast_arrays(e, l2, win.u_well, win.u_top)
+    u_plus = e + np.sqrt(np.maximum(e * e - l2, 0.0))
+    u_minus = l2 / u_plus
     lo_in = u_minus if eps >= 0 else np.zeros_like(e)
     hi_out = (u_top if eps < 0 else u_plus if eps == 0
               else np.minimum(u_plus, (e / eps) ** (1.0 / a)))
@@ -189,8 +205,8 @@ def _turning_points(trap: _Trap, e, l2, win: _Window, start=None):
         # u ** a * u, not u ** (a + 1): numpy squares fast but takes the
         # generic power for a cube.
         ua = u ** a
-        return (2.0 * e * u - w2 * u * u - 2.0 * eps * ua * u - l2,
-                2.0 * e - 2.0 * w2 * u - 2.0 * eps * (a + 1) * ua)
+        return (2.0 * e * u - u * u - 2.0 * eps * ua * u - l2,
+                2.0 * e - 2.0 * u - 2.0 * eps * (a + 1) * ua)
 
     roots = _safe_newton(q, lo, hi, x, np.arange(2 * n) < n)
     return roots[:n], roots[n:]
@@ -233,7 +249,7 @@ def _angle_nodes(order: int):
 def _action_sums(trap: _Trap, e, l2, u_in, u_out, order: int):
     """S_r = integral sqrt(Q(u))/u du and T_r = dS_r/dE = integral
     du/sqrt(Q(u)) over [u_in, u_out] on one rule in the mapped angle."""
-    w2, eps, a = trap.omega ** 2, trap.eps, trap.alpha
+    eps, a = trap.eps, trap.alpha
     w, cos, plus, minus = _angle_nodes(order)
     s, t = np.empty(e.size), np.empty(e.size)
     origin, rest = u_in == 0.0, u_in != 0.0
@@ -241,7 +257,7 @@ def _action_sums(trap: _Trap, e, l2, u_in, u_out, order: int):
     # cancellation-free despite the 1/u measure.
     mid = 0.5 * u_out[origin, None]
     u = mid * plus
-    q_over_u = 2.0 * e[origin, None] - w2 * u - 2.0 * eps * u ** a
+    q_over_u = 2.0 * e[origin, None] - u - 2.0 * eps * u ** a
     f = np.sqrt(np.maximum(mid * minus * q_over_u, 0.0))
     parts = [(origin, f, f, q_over_u)]
     # Work in v = log u: the 1/u measure is absorbed, so wells with
@@ -249,7 +265,7 @@ def _action_sums(trap: _Trap, e, l2, u_in, u_out, order: int):
     v_in = np.log(u_in[rest, None])
     v_half = 0.5 * (np.log(u_out[rest, None]) - v_in)
     u = np.exp(v_in + v_half * plus)
-    q = 2.0 * e[rest, None] * u - w2 * u * u - 2.0 * eps * u ** a * u - l2[rest, None]
+    q = 2.0 * e[rest, None] * u - u * u - 2.0 * eps * u ** a * u - l2[rest, None]
     f = v_half * cos * np.sqrt(np.maximum(q, 0.0))
     parts.append((rest, f, f * u, q))
     # T_r's integrand is S_r's times u / Q.  Sums run pairwise along each row
@@ -261,27 +277,28 @@ def _action_sums(trap: _Trap, e, l2, u_in, u_out, order: int):
     return s, t
 
 
-def _radial_action_rows(trap: _Trap, e, l2, win: _Window, start=None):
-    """The action kernel: (S_r, T_r, u_in, u_out) for rows (E, L^2) inside
-    their window, the turning points solved from `start` if given.  S_r is
-    checked to 1e-10 max(S_r, pi hbar) per row: S_r vanishes at the well
-    bottom, and pi hbar is the smallest quantization target.  T_r only
-    steers Newton."""
+def _radial_action_rows(trap: _Trap, e, l2, win: _Window | None = None, start=None):
+    """The action kernel, in oscillator units: (S_r, T_r, u_in, u_out) for rows
+    (E, L^2) inside their window (checked unless given), turning points solved
+    from `start` if given.  S_r is checked to 1e-10 max(S_r, pi) per row: it
+    vanishes at the well bottom, and pi is the least target.  T_r steers Newton."""
+    win = _window_holding(trap, e, l2) if win is None else win
     u_in, u_out = _turning_points(trap, e, l2, win, start)
     s, t = _checked(partial(_action_sums, trap), (e, l2, u_in, u_out), 1e-10,
-                    math.pi * trap.hbar, "radial action")
+                    math.pi, "radial action")
     return s, t, u_in, u_out
 
 
-def _separatrix_action(trap: _Trap, l2, win: _Window) -> np.ndarray:
-    """S_r(E_top) per row, inf for eps >= 0 and nan for an open well; the
-    integrand is linear at the double root u_top, so smooth in the angle."""
+def _separatrix_action(trap: _Trap, l2) -> tuple[_Window, np.ndarray]:
+    """Each row's window, and S_r(E_top): inf for eps >= 0, nan for an open well;
+    the integrand is linear at the double root u_top, so smooth in the angle."""
+    win = _window(trap, l2)
     s = np.full(np.shape(l2), np.inf if trap.eps >= 0 else np.nan)
     if trap.eps < 0:
         rows = np.flatnonzero(~np.isnan(win.e_well))
         top = win.take(rows)
         s[rows] = _radial_action_rows(trap, top.e_top, l2[rows], top)[0]
-    return s
+    return win, s
 
 
 def _window_holding(trap: _Trap, e, l2) -> _Window:
@@ -290,9 +307,9 @@ def _window_holding(trap: _Trap, e, l2) -> _Window:
         raise DomainError(f"energy must be > 0, got {np.min(e)}")
     win = _window(trap, l2)
     if np.any(np.isnan(win.e_well) | (e >= win.e_top)):
-        raise NoBoundStateError(f"energy {np.max(e)} lies above the barrier")
+        raise NoBoundStateError(f"energy {np.max(e)} hbar omega lies above the barrier")
     if np.any(e <= win.e_well):
-        raise NoBoundStateError(f"energy {np.min(e)} lies below the well minimum")
+        raise NoBoundStateError(f"energy {np.min(e)} hbar omega lies below the well minimum")
     return win
 
 
@@ -300,8 +317,7 @@ def _outer_radius(trap: _Trap, e: np.ndarray) -> np.ndarray:
     """Outer turning radius of the l = 0 motion, |V(r_max) - E| <= 1e-12 E."""
     l2 = np.zeros(e.size)
     r_max = np.sqrt(_turning_points(trap, e, l2, _window_holding(trap, e, l2))[1])
-    resid = np.abs(0.5 * trap.omega ** 2 * r_max ** 2
-                   + trap.eps * r_max ** (2 * trap.alpha) - e)
+    resid = np.abs(0.5 * r_max ** 2 + trap.eps * r_max ** (2 * trap.alpha) - e)
     if np.any(resid > 1e-12 * e):
         raise AccuracyError(f"turning point residual {np.max(resid):.3e} exceeds 1e-12 * E")
     return r_max
@@ -310,7 +326,9 @@ def _outer_radius(trap: _Trap, e: np.ndarray) -> np.ndarray:
 def outer_turning_point(params: SystemParams, energy: float) -> TurningPoint:
     """Outer classical turning point of V(r) = omega^2 r^2 / 2 + eps r^(2 alpha)
     at the given energy (the l = 0 radial problem)."""
-    r_max = _outer_radius(_resolve(params), np.array([float(energy)]))
+    trap, hbar, unit = _resolve(params)
+    r_max = _physical(_outer_radius(trap, np.array([float(energy) / unit])),
+                      hbar / math.sqrt(unit), "turning point")
     return TurningPoint(r_max=float(r_max[0]), inner=0.0)
 
 
@@ -320,13 +338,11 @@ def radial_action(params: SystemParams, energy, l_eff):
 
     Equal to integral of sqrt(Q(u))/u du over [u_in, u_out]; the order-doubled
     quadrature difference must stay below 1e-10 relative.  Arrays of E and
-    L_eff go through the kernel in one pass.
-    """
-    e, l_eff = np.broadcast_arrays(np.asarray(energy, dtype=float),
-                                   np.asarray(l_eff, dtype=float))
-    trap = _resolve(params)
-    e, l2 = e.ravel(), l_eff.ravel() ** 2
-    s = _radial_action_rows(trap, e, l2, _window_holding(trap, e, l2))[0]
+    L_eff go through the kernel in one pass."""
+    e, l_eff = np.broadcast_arrays(energy, l_eff)
+    trap, hbar, unit = _resolve(params)
+    s = _radial_action_rows(trap, e.ravel() / unit, (l_eff.ravel() / hbar) ** 2)[0]
+    s = _physical(s, hbar, "radial action")
     return float(s[0]) if l_eff.ndim == 0 else s.reshape(l_eff.shape)
 
 
@@ -339,8 +355,7 @@ def _quantize(trap: _Trap, l2, win: _Window, target: float, guess):
     lo, hi = win.e_well.copy(), win.e_top.copy()
     # Out of the window, start mid-window or (eps >= 0) a harmonic step up.
     e = np.where((guess > lo) & (guess < hi), guess,
-                 np.where(np.isfinite(hi), 0.5 * (lo + hi),
-                          lo + target * trap.omega / math.pi))
+                 np.where(np.isfinite(hi), 0.5 * (lo + hi), lo + target / math.pi))
     energy, period = np.empty(l2.size), np.empty(l2.size)
     rows, start = np.arange(l2.size), None
     for _ in range(_MAX_STEPS):
@@ -364,18 +379,17 @@ def _quantize(trap: _Trap, l2, win: _Window, target: float, guess):
 def ebk_energy(params: SystemParams, n_r: int, l: int) -> EbkLevel:
     """Torus-quantized level: solve S_r(E) = 2 pi hbar (n_r + 1/2) with the
     half-integer angular shift L_eff = hbar (l + (D-2)/2) from the unperturbed
-    energy.  It exists when S_r at the barrier top (if any) exceeds the target.
-    """
+    energy.  It exists when S_r at the barrier top (if any) exceeds the target."""
     if n_r < 0 or l < 0:
         raise DomainError(f"quantum numbers must be >= 0, got ({n_r}, {l})")
-    trap = _resolve(params)
+    trap, _, unit = _resolve(params)
     l2 = np.array([trap.l_eff(l) ** 2])
-    win = _window(trap, l2)
-    if not _separatrix_action(trap, l2, win)[0] > trap.target(n_r):
+    win, s_top = _separatrix_action(trap, l2)
+    if not s_top[0] > trap.target(n_r):
         raise NoBoundStateError(f"level (n_r={n_r}, l={l}) has no bound solution")
-    e0 = np.array([trap.hbar * trap.omega * (2 * n_r + l + trap.dim / 2.0)])
-    energy, _ = _quantize(trap, l2, win, trap.target(n_r), e0)
-    return EbkLevel(n_r=n_r, l=l, energy=float(energy[0]),
+    energy, _ = _quantize(trap, l2, win, trap.target(n_r),
+                          np.array([2 * n_r + l + trap.dim / 2.0]))
+    return EbkLevel(n_r=n_r, l=l, energy=float(_physical(energy, unit, "energy")[0]),
                     degeneracy=angular_degeneracy(trap.dim, l))
 
 
@@ -394,49 +408,37 @@ def enumerate_levels(params: SystemParams, e_max: float,
         raise DomainError("e_max must not be nan")
     if n_r_max < 0 or l_max < 0:
         raise DomainError(f"level caps must be >= 0, got n_r_max={n_r_max}, l_max={l_max}")
-    trap = _resolve(params)
-    with np.errstate(over="ignore"):
-        l_eff = trap.l_eff(np.arange(l_max + 1))
-        l2 = l_eff ** 2
-    # Every nonzero L^2 must be a normal float: the kernels work at its scale.
-    if not np.all((l2 < math.inf) & ((l2 >= np.finfo(float).tiny) | (l_eff == 0.0))):
-        raise DomainError(f"(hbar l)^2 leaves the float range at hbar={trap.hbar:g}, "
-                          f"l <= {l_max}")
-    win = _window(trap, l2)
-    s_top = _separatrix_action(trap, l2, win)
+    trap, _, unit = _resolve(params)
+    e_max = e_max / unit
+    l2 = trap.l_eff(np.arange(l_max + 1)) ** 2
+    win, s_top = _separatrix_action(trap, l2)
     found, top = [], np.full(l2.size, -1)
     step_before = np.full(l2.size, np.nan)  # s(n_r - 2) per l; nan until n_r = 2
     # n_r = 0 for every l whose well bottom lies below e_max.
     rows = np.flatnonzero(win.e_well <= e_max)
-    guess = trap.hbar * trap.omega * (rows + trap.dim / 2.0)
-    l_end = l2.size
+    guess = rows + trap.dim / 2.0
     for n_r in range(n_r_max + 1):
         target = trap.target(n_r)
         exists = s_top[rows] > target
         rows = rows[exists]
         e_rows, t_rows = _quantize(trap, l2[rows], win.take(rows), target, guess[exists])
-        if n_r == 0:
-            # The first l whose lowest level exists above e_max ends the walk.
-            above = (s_top > target) & (win.e_well > e_max)
-            above[rows] = e_rows > e_max
-            l_end = int(np.argmax(above)) if above.any() else l2.size
-        kept = (e_rows <= e_max) & (rows < l_end)
+        kept = e_rows <= e_max
         rows, e_rows, t_rows = rows[kept], e_rows[kept], t_rows[kept]
         top[rows] = n_r
-        found += [(int(l), n_r, float(e)) for l, e in zip(rows, e_rows)]
+        found += zip(rows.tolist(), [n_r] * rows.size, _physical(e_rows, unit, "energy").tolist())
         if not rows.size:
             break
-        step = 2.0 * math.pi * trap.hbar / t_rows
+        step = 2.0 * math.pi / t_rows
         guess = e_rows + np.where(np.isnan(step_before[rows]), step,
                                   1.5 * step - 0.5 * step_before[rows])
         step_before[rows] = step
+    # The walk ended at the first l whose lowest level exists but was not kept.
+    l_end = int(np.argmax(np.append((s_top > trap.target(0)) & (top < 0), True)))
     # Why the walk in n_r stopped, per l: the cap, the barrier, or e_max.
-    truncated = []
-    for l, n_next in enumerate(top[:l_end] + 1):
-        if n_next > n_r_max:
-            truncated.append(f"n_r cap {n_r_max} reached at l={l}")
-        elif not s_top[l] > trap.target(n_next):
-            truncated.append(f"(n_r={n_next}, l={l}) above barrier")
+    truncated = [f"n_r cap {n_r_max} reached at l={l}" if n > n_r_max
+                 else f"(n_r={n}, l={l}) above barrier"
+                 for l, n in enumerate(top[:l_end] + 1)
+                 if n > n_r_max or not s_top[l] > trap.target(n)]
     if l_end == l2.size:
         truncated.append(f"l cap {l_max} reached")
     if truncated:
@@ -449,7 +451,7 @@ def enumerate_levels(params: SystemParams, e_max: float,
 def _check_levels(params: SystemParams, levels: list[EbkLevel]) -> None:
     """Each degeneracy must match its l in this dimension, and each energy must
     quantize this trap's radial action to 1e-9 of its target (one pass)."""
-    trap = _resolve(params)
+    trap, _, unit = _resolve(params)
     for lev in levels:
         if lev.n_r < 0 or lev.degeneracy != angular_degeneracy(trap.dim, lev.l):
             raise DomainError(f"level (n_r={lev.n_r}, l={lev.l}) with degeneracy "
@@ -458,15 +460,14 @@ def _check_levels(params: SystemParams, levels: list[EbkLevel]) -> None:
                  for k in ("n_r", "l", "energy"))
     target = trap.target(n_r)
     try:
-        action = radial_action(params, e, trap.l_eff(l))
+        action = _radial_action_rows(trap, e / unit, trap.l_eff(l) ** 2)[0]
     except NoBoundStateError as exc:
         raise DomainError(f"a given level lies outside this system's well: {exc}") from exc
     bad = np.flatnonzero(~(np.abs(action - target) <= 1e-9 * target))
     if bad.size:
         lev = levels[bad[0]]
-        raise DomainError(f"level (n_r={lev.n_r}, l={lev.l}) at E={lev.energy} is not "
-                          f"quantized in this system ({bad.size} of {len(levels)} "
-                          f"levels do not match)")
+        raise DomainError(f"level (n_r={lev.n_r}, l={lev.l}) at E={lev.energy} is not quantized "
+                          f"in this system ({bad.size} of {len(levels)} levels do not match)")
 
 
 def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
@@ -519,13 +520,13 @@ def _tf_nodes(order: int, dim: int, alpha: int):
 
 def _tf_sums(trap: _Trap, e, r_max, order: int):
     """r_max^D * sum [E - a s^2 - b s^(2 alpha)]^(D/2-1) s^(D-1) cos(psi) w per
-    row, with a = omega^2 r_max^2 / 2 and b = eps r_max^(2 alpha)."""
+    row, with a = r_max^2 / 2 and b = eps r_max^(2 alpha)."""
     s2, s2a, measure = _tf_nodes(order, trap.dim, trap.alpha)
     power = 0.5 * trap.dim - 1.0
     if power == 0.0:  # D = 2: the bracket drops out
         f = np.broadcast_to(measure, (e.size, measure.size))
     else:
-        f = np.multiply.outer(0.5 * trap.omega ** 2 * r_max ** 2, s2)
+        f = np.multiply.outer(0.5 * r_max ** 2, s2)
         np.subtract(e[:, None], f, out=f)
         f -= np.multiply.outer(trap.eps * r_max ** (2 * trap.alpha), s2a)
         np.maximum(f, 0.0, out=f)
@@ -545,13 +546,12 @@ def tf_smooth(params: SystemParams, energy):
 
     with the substitution r = rmax sin(psi) flattening the end point for odd D.
     Takes a float or an array; each element has its own 1e-12 E turning-point
-    residual and 1e-11 coarse/fine check.
-    """
-    trap = _resolve(params)
+    residual and 1e-11 coarse/fine check."""
+    trap, _, unit = _resolve(params)
     energies = np.asarray(energy, dtype=float)
-    e = energies.ravel()
+    e = energies.ravel() / unit
     out = _checked(partial(_tf_sums, trap), (e, _outer_radius(trap, e)), 1e-11, 1e-300,
                    "smooth DOS")[0]
-    out *= ((2.0 * math.pi * trap.hbar ** 2) ** (-0.5 * trap.dim)
-            * 2.0 * math.pi ** (0.5 * trap.dim) / math.gamma(0.5 * trap.dim) ** 2)
+    out = _physical(out, (2.0 * math.pi) ** (-0.5 * trap.dim) * 2.0 * math.pi ** (0.5 * trap.dim)
+                    / math.gamma(0.5 * trap.dim) ** 2 / unit, "smooth DOS")
     return float(out[0]) if energies.ndim == 0 else out.reshape(energies.shape)

@@ -1,8 +1,10 @@
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 
@@ -392,7 +394,8 @@ def test_matching_level_cache_accepted(d3_cache: Path):
     (("dos", "--omega", "1e200"), "(D-1)! (hbar omega)^D leaves the float range"),
     (("dos", "--hbar", "1e308"), "energy 70 hbar omega leaves the float range"),
     (("compare", "--omega", "1e308"), "energy 50 hbar omega leaves the float range"),
-    (("ebk", "--omega", "1e308", "--e-max", "1"), "omega^2 leaves the float range"),
+    (("ebk", "--epsilon=-1e-165", "--e-max", "5"),
+     "the barrier of strength -1e-165 lies beyond the float range"),
     (("ebk-dos", "--omega", "1e308"), "energy 30 hbar omega leaves the float range"),
     (("supershell", "--omega", "1e308", "--epsilon", "1e-3", "--s-max", "2"),
      "super-shell nodes leave the float range"),
@@ -401,8 +404,9 @@ def test_matching_level_cache_accepted(d3_cache: Path):
     (("dos", "--k-max", "100000000"), "3451 energies x k_max 100000000 exceed the budget"),
     (("dos", "--D", "171", "--e-range", "1:1e10:3"),
      "E^(D-1) / ((D-1)! (hbar omega)^D) leaves the float range at E=5e+09"),
-    (("ebk", "--hbar", "1e308"), "(hbar l)^2 leaves the float range at hbar=1e+308"),
-    (("ebk-dos", "--hbar", "1e-300"), "(hbar l)^2 leaves the float range at hbar=1e-300"),
+    (("ebk", "--hbar", "1e308"), "energy 30 hbar omega leaves the float range at hbar omega=1e+308"),
+    (("ebk", "--hbar", "1e-200", "--alpha", "3", "--epsilon", "1e-3"),
+     "hbar omega=1e-200 or the strength eps hbar^(alpha-1) / omega^(alpha+1)=0 leaves the float"),
     (("modfactor", "--D", "3", "--alpha", "2", "--k", "10",
       "--sigma-over-hbar-range", "0:1e308:3"), "sigma / hbar must be finite"),
 ])
@@ -412,6 +416,66 @@ def test_invalid_values_are_domain_errors(args, message):
     assert cp.stdout == "" and "Traceback" not in cp.stderr
     assert cp.stderr.startswith(f"hoshell: domain error: {message}")
     assert cp.stderr.count("\n") == 1, cp.stderr
+
+
+def _columns(cp: subprocess.CompletedProcess) -> np.ndarray:
+    assert cp.returncode == 0 and cp.stderr == "", cp.stderr
+    return np.loadtxt(io.StringIO(cp.stdout), delimiter=",", skiprows=1, ndmin=2)
+
+
+def test_huge_omega_matches_oscillator_units():
+    # The torus pipeline works in hbar omega: omega = 1e308 only rescales.
+    big = run_cli("ebk", "--omega", "1e308", "--e-max", "1")
+    assert big.returncode == 0 and big.stderr == ""
+    assert big.stdout == run_cli("ebk", "--e-max", "1").stdout
+
+
+@pytest.mark.parametrize("big,unit", [
+    (("--e-max", "3"), ("--e-max", "3")),
+    # eps hbar^(alpha-1) / omega^(alpha+1) = 1e-152 * 1e150, the unit run's 1e-2.
+    (("--e-max", "30", "--epsilon", "1e-152"), ("--e-max", "30", "--epsilon", "1e-2"))])
+def test_huge_hbar_levels_match_oscillator_units(big, unit):
+    got, want = run_cli("ebk", "--hbar", "1e150", *big), run_cli("ebk", *unit)
+    if big == unit:
+        assert got.stdout == want.stdout
+    got, want = _columns(got), _columns(want)
+    np.testing.assert_array_equal(got[:, [0, 1, 3]], want[:, [0, 1, 3]])
+    np.testing.assert_allclose(got[:, 2], want[:, 2], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("eps_tiny,eps_unit,grid", [
+    ("0", "0", "5:30:3"), ("1e117", "1e-3", "5:30:501")])
+def test_tiny_hbar_dos_scales_with_hbar(eps_tiny, eps_unit, grid):
+    # At hbar = 1e-120 every density is 1e120 times that of hbar = 1, with the
+    # strength eps hbar^(alpha-1) / omega^(alpha+1) held fixed.
+    common = ("ebk-dos", "--e-range", grid, "--width", "0.3")
+    got = _columns(run_cli(*common, "--hbar", "1e-120", "--epsilon", eps_tiny))
+    want = _columns(run_cli(*common, "--epsilon", eps_unit))
+    np.testing.assert_array_equal(got[:, 0], want[:, 0])
+    np.testing.assert_allclose(got[:, 1:3] * 1e-120, want[:, 1:3], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got[:, 3] * 1e-120, want[:, 3], rtol=1e-11, atol=0.0)
+
+
+def test_hbar_1e_minus_300_dos_scales_with_hbar():
+    got = _columns(run_cli("ebk-dos", "--hbar", "1e-300"))
+    want = _columns(run_cli("ebk-dos"))
+    np.testing.assert_array_equal(got[:, 0], want[:, 0])
+    np.testing.assert_allclose(got[:, 2] * 1e-300, want[:, 2], rtol=1e-12, atol=0.0)
+    # A harmonic level sits exactly on the enumeration cut E = 30.5, so the
+    # far tails at the last grid points depend on that cut's last bit.
+    live = want[:, 1] > 1e-6 * want[:, 1].max()
+    np.testing.assert_allclose(got[live, 1] * 1e-300, want[live, 1], rtol=1e-9, atol=0.0)
+
+
+def test_level_cache_for_another_hbar_is_not_quantized(tmp_path: Path):
+    # At hbar = 1e-300 the oscillator-unit strength is 1.25e-303: another trap.
+    cache = tmp_path / "levels.csv"
+    cp = run_cli("ebk", "--D", "3", "--alpha", "2", "--epsilon", "1.25e-3", "--e-max", "30",
+                 "--levels-out", str(cache))
+    assert cp.returncode == 0, cp.stderr
+    cp = run_cli("ebk-dos", "--levels-in", str(cache), "--hbar", "1e-300")
+    assert cp.returncode == 2, cp.stdout
+    assert cp.stderr.count("\n") == 1 and "not quantized in this system" in cp.stderr
 
 
 @pytest.mark.parametrize("args", [

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from hoshell.actionpoly import SystemParams, action_coefficients, delta_s, sigma_alpha
@@ -486,6 +488,47 @@ class TestArrayKernel:
             got = ebk_energy(params, n_r, l).energy / (hbar * omega)
             assert got == pytest.approx(ebk_energy(unit, n_r, l).energy, rel=1e-12)
 
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(log_hbar=st.floats(-100.0, 100.0), log_omega=st.floats(-100.0, 100.0))
+    def test_scaling_law_of_every_entry_point(self, log_hbar, log_omega):
+        # At a fixed eps' = eps hbar^(alpha-1) / omega^(alpha+1), energies scale
+        # by hbar omega, S_r by hbar, r_max by sqrt(hbar/omega) and tf_smooth by
+        # 1 / (hbar omega), with hbar and omega far apart in the float range.
+        eps_unit, log_eps = -2e-3, 3.0 * log_omega - log_hbar
+        assume(abs(log_eps) < 300.0)
+        hbar, omega = 10.0 ** log_hbar, 10.0 ** log_omega
+        params = SystemParams.single(3, eps_unit * 10.0 ** log_eps, 2, omega=omega, hbar=hbar)
+        unit = SystemParams.single(3, eps_unit, 2)
+        e0, rel = hbar * omega, dict(rtol=1e-12, atol=0.0)
+        assert ebk_energy(params, 2, 3).energy / e0 == pytest.approx(
+            ebk_energy(unit, 2, 3).energy, rel=1e-12)
+        levels, want = enumerate_levels(params, 8.0 * e0), enumerate_levels(unit, 8.0)
+        assert [(lev.n_r, lev.l) for lev in levels] == [(lev.n_r, lev.l) for lev in want]
+        np.testing.assert_allclose([lev.energy / e0 for lev in levels],
+                                   [lev.energy for lev in want], **rel)
+        e = np.array([2.0, 5.5, 9.0])
+        np.testing.assert_allclose(radial_action(params, e * e0, 1.5 * hbar) / hbar,
+                                   radial_action(unit, e, 1.5), **rel)
+        assert outer_turning_point(params, 5.5 * e0).r_max / math.sqrt(hbar / omega) == (
+            pytest.approx(outer_turning_point(unit, 5.5).r_max, rel=1e-12))
+        np.testing.assert_allclose(tf_smooth(params, e * e0) * e0, tf_smooth(unit, e), **rel)
+        # A cached level list passes this trap's quantization check.
+        grid = np.linspace(2.0, 6.0, 9)
+        g, smooth, _ = ebk_dos(params, grid * e0, 0.3 * e0, levels=levels)
+        g_unit, smooth_unit, _ = ebk_dos(unit, grid, 0.3, levels=want)
+        np.testing.assert_allclose(g * e0, g_unit, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(smooth * e0, smooth_unit, **rel)
+
+    def test_barrier_beyond_the_float_range(self):
+        # For eps = -1e-100 the barrier lies near E = 1e99 and is computed;
+        # further out, u^(alpha+1) at the barrier would overflow.
+        levels = enumerate_levels(SystemParams.single(3, -1e-100, 2), 5.0)
+        assert [lev.energy for lev in levels] == pytest.approx(
+            [lev.energy for lev in enumerate_levels(SystemParams.single(3, 0.0, 2), 5.0)],
+            rel=1e-12)
+        with pytest.raises(DomainError, match="barrier of strength -1e-165 lies beyond"):
+            enumerate_levels(SystemParams.single(3, -1e-165, 2), 5.0)
+
     def test_absorbed_harmonic_term(self):
         # An alpha = 1 term only shifts the frequency: omega'^2 = omega^2 + 2 eps1.
         mixed = SystemParams(dim=3, terms=((0.3, 1), (1e-3, 2)))
@@ -583,6 +626,14 @@ class TestTruncationParity:
             levels = enumerate_levels(SystemParams.single(3, 1e-3, 2), 30.0, l_max=6)
         assert str(rec[0].message) == "level enumeration truncated: l cap 6 reached"
         assert len(levels) == 89
+
+    def test_walk_end_below_the_barrier(self):
+        # Every l up to the first whose lowest level lies above e_max is
+        # complete, so nothing was truncated.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            levels = enumerate_levels(SystemParams.single(3, -1.25e-3, 2), 30.0)
+        assert levels
 
     def test_past_the_barrier(self):
         with pytest.warns(TruncationWarning) as rec:
