@@ -14,6 +14,7 @@ its effective potential: above the well bottom, below any barrier top.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -23,7 +24,7 @@ import numpy as np
 
 from .actionpoly import SystemParams, absorb_harmonic_terms
 from .errors import AccuracyError, DomainError, NoBoundStateError, TruncationWarning
-from .specfun import gauss_legendre
+from .specfun import QuadratureRule, gauss_legendre
 
 __all__ = [
     "EbkLevel",
@@ -95,6 +96,8 @@ def _resolve(params: SystemParams) -> tuple[_Trap, float, float]:
         raise DomainError("reference pipeline handles a single monomial term")
     hbar, unit = params.hbar, params.hbar * params.omega
     eps, alpha = params.terms[0] if params.terms else (0.0, 2)
+    if alpha > sys.float_info.max:  # an exact int/float comparison
+        raise DomainError("the order alpha leaves the float range")
     (m_e, x_e), (m_h, x_h), (m_w, x_w) = map(math.frexp, (eps, hbar, params.omega))
     try:  # the strength, or 2^y past alpha = 1000, can overflow
         y = (alpha - 1) * (math.log2(m_h) - math.log2(m_w)) - 2.0 * math.log2(m_w)
@@ -165,12 +168,18 @@ def _window(trap: _Trap, l2) -> _Window:
         return u + (a + 1) * eps * u ** a
 
     u_harm = np.sqrt(l2)
-    # For eps >= 0, g is convex and rising with g(u_harm) >= 0.
-    u_hump = u_harm if eps >= 0 else (1.0 / (a * (a + 1) * -eps)) ** (1.0 / (a - 1))
-    u_well = _safe_newton(g, 0.0, u_hump, np.minimum(u_harm, u_hump), True)
     if eps >= 0:
+        # g is convex and rising, and >= 0 at u_harm and at u_eps, where the
+        # strength term alone reaches L^2 (g = u_eps^2): Newton from the lower
+        # falls monotonically onto the root.
+        with np.errstate(over="ignore"):  # a tiny eps: inf loses the minimum
+            u_start = u_harm if eps == 0 else np.minimum(
+                u_harm, (l2 / (2.0 * a * eps)) ** (1.0 / (a + 1)))
+        u_well = _safe_newton(g, 0.0, u_start, u_start, True)
         inf = np.full(l2.shape, np.inf)
         return _Window(u_well, energy(u_well), inf, inf)
+    u_hump = (1.0 / (a * (a + 1) * -eps)) ** (1.0 / (a - 1))
+    u_well = _safe_newton(g, 0.0, u_hump, np.minimum(u_harm, u_hump), True)
     # g(u_zero) = -L^2 <= 0 past the hump
     u_zero = np.full(l2.shape, (1.0 / (2.0 * a * -eps)) ** (1.0 / (a - 1)))
     u_top = _safe_newton(g, u_hump, u_zero, u_zero, False)
@@ -190,8 +199,9 @@ def _turning_points(trap: _Trap, e, l2, win: _Window, start=None):
     u_plus = e + np.sqrt(np.maximum(e * e - l2, 0.0))
     u_minus = l2 / u_plus
     lo_in = u_minus if eps >= 0 else np.zeros_like(e)
-    hi_out = (u_top if eps < 0 else u_plus if eps == 0
-              else np.minimum(u_plus, (e / eps) ** (1.0 / a)))
+    with np.errstate(over="ignore"):  # a tiny eps > 0: inf loses the minimum
+        hi_out = (u_top if eps < 0 else u_plus if eps == 0
+                  else np.minimum(u_plus, (e / eps) ** (1.0 / a)))
     # Start from the given or the harmonic roots, clipped into the brackets;
     # the first n rows are the inner roots, where Q rises.
     x_in, x_out = (u_minus, u_plus) if start is None else start
@@ -212,22 +222,6 @@ def _turning_points(trap: _Trap, e, l2, win: _Window, start=None):
     return roots[:n], roots[n:]
 
 
-def _checked(sums, columns, tol: float, floor: float, what: str) -> np.ndarray:
-    """The 240-node results (k, rows) of sums(*columns, order), by row blocks;
-    the first must agree with the 120-node rule to tol * max(|result|, floor)
-    on every row."""
-    out = []
-    for start in range(0, columns[0].size, _ROW_CHUNK):
-        block = [c[start:start + _ROW_CHUNK] for c in columns]
-        coarse, fine = sums(*block, _ACTION_ORDER)[0], np.array(sums(*block, 2 * _ACTION_ORDER))
-        err = np.abs(fine[0] - coarse)
-        if np.any(err > tol * np.maximum(np.abs(fine[0]), floor)):
-            raise AccuracyError(f"{what} quadrature error {err.max():.3e} "
-                                f"exceeds {tol:g} relative")
-        out.append(fine)
-    return np.concatenate(out, axis=1) if out else np.empty((2, 0))
-
-
 def _frozen(*tables):
     """Node tables shared by every call through lru_cache: read-only, so a
     kernel working in place cannot corrupt them."""
@@ -236,30 +230,112 @@ def _frozen(*tables):
     return tables
 
 
+class _Pair(NamedTuple):
+    """Two quadrature rules on one node table, each node evaluated once: the
+    fine rule takes the first w.size nodes with weights w, the coarse rule the
+    nodes `coarse` with weights w_coarse."""
+
+    nodes: tuple
+    w: np.ndarray
+    coarse: slice
+    w_coarse: np.ndarray
+
+
+def _nested(w, *nodes) -> _Pair:
+    """A 3N-point midpoint rule and the N-point rule on its nodes [1::3]."""
+    return _Pair(nodes, w, slice(1, None, 3), _frozen(3.0 * w[1::3])[0])
+
+
+def _stacked(fine, coarse) -> _Pair:
+    """Two rules (w, *nodes) with nodes of their own, the fine one first."""
+    nodes = _frozen(*(np.concatenate(p) for p in zip(fine[1:], coarse[1:])))
+    return _Pair(nodes, fine[0], slice(fine[0].size, None), coarse[0])
+
+
+def _pair_sums(f, pair: _Pair):
+    """The fine and the coarse sums of integrand values f (rows, nodes).  Sums
+    run pairwise along each row (not a BLAS product), so a row's value ignores
+    the rows beside it."""
+    return ((f[:, :pair.w.size] * pair.w).sum(axis=1),
+            (f[:, pair.coarse] * pair.w_coarse).sum(axis=1))
+
+
+def _by_blocks(sums, columns, rule: _Pair):
+    """sums(*columns, rule) -> (*fine, coarse) by row blocks: (k, rows), (rows,)."""
+    out = np.concatenate([np.array(sums(*(c[i:i + _ROW_CHUNK] for c in columns), rule))
+                          for i in range(0, max(columns[0].size, 1), _ROW_CHUNK)], axis=1)
+    return out[:-1], out[-1]
+
+
+def _checked(sums, columns, tol: float, floor: float, what: str, pair: _Pair,
+             fallback: _Pair, direct=None) -> np.ndarray:
+    """The fine results (k, rows) of sums(*columns, rule) -> (*fine, coarse).
+    On every row the first must agree with its coarse sum to
+    tol * max(|result|, floor): on `pair`, or else on `fallback`, where the rows
+    that miss on `pair` and the rows marked `direct` are summed again."""
+    redo = np.zeros(columns[0].size, dtype=bool) if direct is None else direct.copy()
+    first = ~redo if redo.any() else slice(None)
+    fine, coarse = _by_blocks(sums, [c[first] for c in columns], pair)
+    out = np.empty((fine.shape[0], redo.size))
+    out[:, first] = fine
+    redo[first] = np.abs(fine[0] - coarse) > tol * np.maximum(np.abs(fine[0]), floor)
+    if redo.any():
+        fine, coarse = _by_blocks(sums, [c[redo] for c in columns], fallback)
+        err = np.abs(fine[0] - coarse)
+        if np.any(err > tol * np.maximum(np.abs(fine[0]), floor)):
+            raise AccuracyError(f"{what} quadrature error {err.max():.3e} "
+                                f"exceeds {tol:g} relative")
+        out[:, redo] = fine
+    return out
+
+
 @lru_cache(maxsize=None)
-def _angle_nodes(order: int):
+def _midpoints(order: int) -> QuadratureRule:
+    """The midpoint rule on [-1, 1].  For an integrand that extends to a smooth
+    periodic function it converges geometrically, and its nodes [1::3] are the
+    nodes of the rule of a third the order (Trefethen and Weideman, SIAM Rev.
+    56, 385 (2014))."""
+    nodes = (2.0 * np.arange(order) + 1.0) / order - 1.0
+    return QuadratureRule(*_frozen(nodes, np.full(order, 2.0 / order)), order)
+
+
+@lru_cache(maxsize=None)
+def _angle_nodes(order: int, rule=gauss_legendre):
     # Half-angle forms of 1 +- sin(theta) keep full relative precision at the
     # end points, where the plain expressions cancel catastrophically.
-    theta, w = gauss_legendre(order).on_interval(-0.5 * math.pi, 0.5 * math.pi)
+    theta, w = rule(order).on_interval(-0.5 * math.pi, 0.5 * math.pi)
     half_angle = 0.25 * math.pi - 0.5 * theta
     return _frozen(w, np.cos(theta), 2.0 * np.cos(half_angle) ** 2,
                    2.0 * np.sin(half_angle) ** 2)
 
 
-def _action_sums(trap: _Trap, e, l2, u_in, u_out, order: int):
+@lru_cache(maxsize=None)
+def _angle_pairs() -> tuple[_Pair, _Pair]:
+    """The action kernel's 16 midpoints nested in 48, and the Gauss-Legendre
+    120/240 pair it falls back on.  With both turning points simple roots,
+    S_r's integrand is cos^2(theta) g(sin theta) and T_r's G(sin theta), for g
+    and G smooth on [-1, 1]: smooth and periodic in theta."""
+    return (_nested(*_angle_nodes(48, _midpoints)),
+            _stacked(_angle_nodes(2 * _ACTION_ORDER), _angle_nodes(_ACTION_ORDER)))
+
+
+def _action_sums(trap: _Trap, e, l2, u_in, u_out, pair: _Pair):
     """S_r = integral sqrt(Q(u))/u du and T_r = dS_r/dE = integral
-    du/sqrt(Q(u)) over [u_in, u_out] on one rule in the mapped angle."""
+    du/sqrt(Q(u)) over [u_in, u_out] in the mapped angle: (S_r, T_r) on the
+    fine rule of the pair and S_r on its coarse one."""
     eps, a = trap.eps, trap.alpha
-    w, cos, plus, minus = _angle_nodes(order)
-    s, t = np.empty(e.size), np.empty(e.size)
-    origin, rest = u_in == 0.0, u_in != 0.0
-    # The integrand collapses to sqrt(mid (1-sin) (Q(u)/u)): smooth and
-    # cancellation-free despite the 1/u measure.
-    mid = 0.5 * u_out[origin, None]
-    u = mid * plus
-    q_over_u = 2.0 * e[origin, None] - u - 2.0 * eps * u ** a
-    f = np.sqrt(np.maximum(mid * minus * q_over_u, 0.0))
-    parts = [(origin, f, f, q_over_u)]
+    cos, plus, minus = pair.nodes
+    s, t, s_coarse = np.empty(e.size), np.empty(e.size), np.empty(e.size)
+    parts, origin = [], u_in == 0.0
+    if origin.any():
+        # The integrand collapses to sqrt(mid (1-sin) (Q(u)/u)): smooth and
+        # cancellation-free despite the 1/u measure.
+        mid = 0.5 * u_out[origin, None]
+        u = mid * plus
+        q_over_u = 2.0 * e[origin, None] - u - 2.0 * eps * u ** a
+        f = np.sqrt(np.maximum(mid * minus * q_over_u, 0.0))
+        parts.append((origin, f, f, q_over_u))
+    rest = ~origin if parts else slice(None)
     # Work in v = log u: the 1/u measure is absorbed, so wells with
     # u_in << u_out (small angular momentum, high energy) stay resolved.
     v_in = np.log(u_in[rest, None])
@@ -268,24 +344,27 @@ def _action_sums(trap: _Trap, e, l2, u_in, u_out, order: int):
     q = 2.0 * e[rest, None] * u - u * u - 2.0 * eps * u ** a * u - l2[rest, None]
     f = v_half * cos * np.sqrt(np.maximum(q, 0.0))
     parts.append((rest, f, f * u, q))
-    # T_r's integrand is S_r's times u / Q.  Sums run pairwise along each row
-    # (not a BLAS product), so a row's value ignores the rows beside it.
+    # T_r's integrand is S_r's times u / Q, on the fine nodes only.
+    fine = slice(pair.w.size)
     for rows, f, fu, q in parts:
-        s[rows] = np.sum(f * w, axis=1)
+        s[rows], s_coarse[rows] = _pair_sums(f, pair)
+        fu, q = fu[:, fine], q[:, fine]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t[rows] = np.sum(np.where(q > 0, fu / q, 0.0) * w, axis=1)
-    return s, t
+            t[rows] = (np.where(q > 0, fu / q, 0.0) * pair.w).sum(axis=1)
+    return s, t, s_coarse
 
 
 def _radial_action_rows(trap: _Trap, e, l2, win: _Window | None = None, start=None):
     """The action kernel, in oscillator units: (S_r, T_r, u_in, u_out) for rows
     (E, L^2) inside their window (checked unless given), turning points solved
     from `start` if given.  S_r is checked to 1e-10 max(S_r, pi) per row: it
-    vanishes at the well bottom, and pi is the least target.  T_r steers Newton."""
+    vanishes at the well bottom, and pi is the least target.  T_r steers Newton.
+    Rows at their barrier top, where u_out is a double root and the nested
+    rules converge only algebraically, go straight to the fallback pair."""
     win = _window_holding(trap, e, l2) if win is None else win
     u_in, u_out = _turning_points(trap, e, l2, win, start)
     s, t = _checked(partial(_action_sums, trap), (e, l2, u_in, u_out), 1e-10,
-                    math.pi, "radial action")
+                    math.pi, "radial action", *_angle_pairs(), e >= win.e_top)
     return s, t, u_in, u_out
 
 
@@ -336,9 +415,10 @@ def radial_action(params: SystemParams, energy, l_eff):
     """Radial action 2 * integral of sqrt(2E - omega^2 r^2 - 2 eps r^(2a) - L^2/r^2) dr
     between the turning points, with both square-root end points mapped away.
 
-    Equal to integral of sqrt(Q(u))/u du over [u_in, u_out]; the order-doubled
-    quadrature difference must stay below 1e-10 relative.  Arrays of E and
-    L_eff go through the kernel in one pass."""
+    Equal to integral of sqrt(Q(u))/u du over [u_in, u_out], summed on 48
+    midpoints in the mapped angle; the 16 among them must agree to
+    1e-10 max(S_r, pi hbar), or else the Gauss-Legendre 120/240 pair must.
+    Arrays of E and L_eff go through the kernel in one pass."""
     e, l_eff = np.broadcast_arrays(energy, l_eff)
     trap, hbar, unit = _resolve(params)
     s = _radial_action_rows(trap, e.ravel() / unit, (l_eff.ravel() / hbar) ** 2)[0]
@@ -478,9 +558,10 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
 
     Returns (g_ebk, g_smooth, levels); the oscillating part is their
     difference.  The grid must be 1-D, non-empty and strictly increasing.
-    Levels are enumerated out to 5 widths past the grid end so no Gaussian
-    weight is lost, unless a precomputed list is supplied; such a list must
-    hold levels of this system.
+    Levels are enumerated out to 6 widths past the grid end, unless a
+    precomputed list is supplied; such a list must hold levels of this system.
+    A level at the cut weighs exp(-36) = 2.3e-16 of its peak at the grid end,
+    so whether it falls inside the cut cannot show in g_ebk.
     """
     energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1 or not energies.size:
@@ -490,7 +571,7 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
         raise DomainError(f"smoothing width must be finite and > 0, got {width}")
     if np.any(np.diff(energies) <= 0):
         raise DomainError("energy grid must be strictly increasing")
-    e_cut = energies[-1] + 5.0 * width
+    e_cut = energies[-1] + 6.0 * width
     if levels is None:
         levels = enumerate_levels(params, e_cut, n_r_max=n_r_max, l_max=l_max)
     else:
@@ -510,21 +591,48 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
 
 
 @lru_cache(maxsize=None)
-def _tf_nodes(order: int, dim: int, alpha: int):
-    """s^2, s^(2 alpha) and the measure s^(D-1) cos(psi) w at the nodes of
+def _tf_nodes(order: int, dim: int, alpha: int, rule=gauss_legendre):
+    """The measure s^(D-1) cos(psi) w, s^2 and s^(2 alpha) at the nodes of
     r = r_max s, s = sin(psi), on [0, pi/2]."""
-    psi, w = gauss_legendre(order).on_interval(0.0, 0.5 * math.pi)
+    psi, w = rule(order).on_interval(0.0, 0.5 * math.pi)
     s = np.sin(psi)
-    return _frozen(s * s, s ** (2 * alpha), s ** (dim - 1) * np.cos(psi) * w)
+    return _frozen(s ** (dim - 1) * np.cos(psi) * w, s * s, s ** (2 * alpha))
 
 
-def _tf_sums(trap: _Trap, e, r_max, order: int):
-    """r_max^D * sum [E - a s^2 - b s^(2 alpha)]^(D/2-1) s^(D-1) cos(psi) w per
-    row, with a = r_max^2 / 2 and b = eps r_max^(2 alpha)."""
-    s2, s2a, measure = _tf_nodes(order, trap.dim, trap.alpha)
+@lru_cache(maxsize=None)
+def _tf_poly_nodes(order: int, dim: int, alpha: int):
+    """The measure t^(D/2-1) w / 2, t and t^alpha at the Gauss-Legendre nodes
+    of r = r_max sqrt(t) on [0, 1]."""
+    t, w = gauss_legendre(order).on_interval(0.0, 1.0)
+    return _frozen(t ** (dim // 2 - 1) * 0.5 * w, t, t ** alpha)
+
+
+@lru_cache(maxsize=None)
+def _tf_pairs(dim: int, alpha: int) -> tuple[_Pair, _Pair]:
+    """tf_smooth's rule pair and the Gauss-Legendre 120/240 pair in psi it falls
+    back on.  At odd D the integrand s^(D-1) cos(psi)^(D-1) h(s^2)^(D/2-1) is
+    smooth and periodic in psi: 16 midpoints nested in 48.  At even D it is a
+    polynomial in t = s^2 of degree (D/2-1)(alpha+1), which Gauss-Legendre in t
+    integrates exactly on n = degree // 2 + 1 nodes, and again on n + 1; where
+    those would take more nodes than the fallback, it is used alone."""
+    fallback = _stacked(_tf_nodes(2 * _ACTION_ORDER, dim, alpha),
+                        _tf_nodes(_ACTION_ORDER, dim, alpha))
+    if dim % 2:
+        return _nested(*_tf_nodes(48, dim, alpha, _midpoints)), fallback
+    n = (dim // 2 - 1) * (alpha + 1) // 2 + 1
+    if 2 * n + 1 > 3 * _ACTION_ORDER:
+        return fallback, fallback
+    return _stacked(_tf_poly_nodes(n + 1, dim, alpha), _tf_poly_nodes(n, dim, alpha)), fallback
+
+
+def _tf_sums(trap: _Trap, e, r_max, pair: _Pair):
+    """r_max^D * sum [E - a s^2 - b s^(2 alpha)]^(D/2-1) w per row on the fine
+    and the coarse rule of a pair, with a = r_max^2 / 2 and b = eps r_max^(2 alpha);
+    the weights w carry the measure."""
+    s2, s2a = pair.nodes
     power = 0.5 * trap.dim - 1.0
     if power == 0.0:  # D = 2: the bracket drops out
-        f = np.broadcast_to(measure, (e.size, measure.size))
+        f = np.broadcast_to(1.0, (e.size, s2.size))
     else:
         f = np.multiply.outer(0.5 * r_max ** 2, s2)
         np.subtract(e[:, None], f, out=f)
@@ -534,8 +642,9 @@ def _tf_sums(trap: _Trap, e, r_max, order: int):
             np.sqrt(f, out=f)
         elif power != 1.0:
             np.power(f, power, out=f)
-        f *= measure
-    return (np.sum(f, axis=1) * r_max ** trap.dim,)
+    scale = r_max ** trap.dim
+    fine, coarse = _pair_sums(f, pair)
+    return fine * scale, coarse * scale
 
 
 def tf_smooth(params: SystemParams, energy):
@@ -544,14 +653,17 @@ def tf_smooth(params: SystemParams, energy):
         (2 pi hbar^2)^(-D/2) * (2 pi^(D/2) / Gamma(D/2)^2)
             * integral_0^rmax [E - V(r)]^(D/2-1) r^(D-1) dr,
 
-    with the substitution r = rmax sin(psi) flattening the end point for odd D.
-    Takes a float or an array; each element has its own 1e-12 E turning-point
-    residual and 1e-11 coarse/fine check."""
+    summed at odd D on 48 midpoints in r = rmax sin(psi), which flattens the
+    end point, and at even D, where the integrand is a polynomial in
+    t = (r/rmax)^2, on a Gauss-Legendre rule in t that is exact.  Takes a float
+    or an array; each element has its own 1e-12 E turning-point residual and
+    1e-11 check against a coarse rule (16 of the midpoints, or another exact
+    rule), or else against the Gauss-Legendre 120/240 pair in psi."""
     trap, _, unit = _resolve(params)
     energies = np.asarray(energy, dtype=float)
     e = energies.ravel() / unit
     out = _checked(partial(_tf_sums, trap), (e, _outer_radius(trap, e)), 1e-11, 1e-300,
-                   "smooth DOS")[0]
+                   "smooth DOS", *_tf_pairs(trap.dim, trap.alpha))[0]
     out = _physical(out, (2.0 * math.pi) ** (-0.5 * trap.dim) * 2.0 * math.pi ** (0.5 * trap.dim)
                     / math.gamma(0.5 * trap.dim) ** 2 / unit, "smooth DOS")
     return float(out[0]) if energies.ndim == 0 else out.reshape(energies.shape)

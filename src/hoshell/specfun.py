@@ -208,7 +208,8 @@ def erf_sqrt_i(x):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Legendre nodes/weights on [-1, 1]; arrays are read-only."""
+    """Nodes/weights of a rule on [-1, 1], Gauss-Legendre or (in hoshell.ebk)
+    midpoints; arrays are read-only."""
 
     nodes: np.ndarray
     weights: np.ndarray

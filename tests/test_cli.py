@@ -409,6 +409,7 @@ def test_matching_level_cache_accepted(d3_cache: Path):
      "hbar omega=1e-200 or the strength eps hbar^(alpha-1) / omega^(alpha+1)=0 leaves the float"),
     (("modfactor", "--D", "3", "--alpha", "2", "--k", "10",
       "--sigma-over-hbar-range", "0:1e308:3"), "sigma / hbar must be finite"),
+    (("ebk", "--alpha", "1" + "0" * 400, "--e-max", "3"), "the order alpha leaves the float range"),
 ])
 def test_invalid_values_are_domain_errors(args, message):
     cp = run_cli(*args)
@@ -465,6 +466,26 @@ def test_hbar_1e_minus_300_dos_scales_with_hbar():
     # far tails at the last grid points depend on that cut's last bit.
     live = want[:, 1] > 1e-6 * want[:, 1].max()
     np.testing.assert_allclose(got[live, 1] * 1e-300, want[live, 1], rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("args,rows", [
+    # The strength term dominates g(u) = u^2 + 2 alpha eps u^(alpha+1) - L^2 at
+    # u = L, where Newton toward the well bottom took a step of about
+    # alpha/(alpha+1) of u each and ran out of steps.
+    (("--epsilon", "1e147"), 0), (("--alpha", "100", "--epsilon", "1e-3"), 1)])
+def test_strength_dominated_well_bottom(args, rows):
+    cp = run_cli("ebk", *args, "--e-max", "3")
+    assert cp.returncode == 0 and cp.stderr == "", cp.stderr
+    assert cp.stdout.count("\n") == 1 + rows
+
+
+def test_tiny_positive_strength_is_the_harmonic_trap():
+    # (E / eps)^(1/alpha) overflows, and the inf must lose its minimum quietly.
+    got = _columns(run_cli("ebk", "--D", "3", "--alpha", "3", "--epsilon=1.9e-308",
+                           "--e-max", "30"))
+    want = _columns(run_cli("ebk", "--D", "3", "--alpha", "3", "--e-max", "30"))
+    np.testing.assert_array_equal(got[:, [0, 1, 3]], want[:, [0, 1, 3]])
+    np.testing.assert_allclose(got[:, 2], want[:, 2], rtol=1e-12, atol=0.0)
 
 
 def test_level_cache_for_another_hbar_is_not_quantized(tmp_path: Path):

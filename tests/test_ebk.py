@@ -18,7 +18,7 @@ from hoshell.ebk import (
     radial_action,
     tf_smooth,
 )
-from hoshell.errors import DomainError, NoBoundStateError, TruncationWarning
+from hoshell.errors import AccuracyError, DomainError, NoBoundStateError, TruncationWarning
 
 
 class TestTurningPoint:
@@ -266,8 +266,15 @@ class TestSmoothDos:
         # into one would corrupt all later results.
         import hoshell.ebk as ebk
 
-        for tables in (ebk._angle_nodes(120), ebk._tf_nodes(240, 3, 2)):
+        for tables in (ebk._angle_nodes(120), ebk._tf_nodes(240, 3, 2),
+                       ebk._angle_nodes(48, ebk._midpoints), ebk._tf_nodes(48, 3, 2, ebk._midpoints),
+                       ebk._tf_poly_nodes(3, 4, 2),
+                       (ebk._midpoints(48).nodes, ebk._midpoints(48).weights)):
             for table in tables:
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = 1.0
+        for pair in (*ebk._angle_pairs(), *ebk._tf_pairs(3, 2), *ebk._tf_pairs(4, 2)):
+            for table in (*pair.nodes, pair.w, pair.w_coarse):
                 with pytest.raises(ValueError, match="read-only"):
                     table[0] = 1.0
 
@@ -644,3 +651,105 @@ class TestTruncationParity:
             "(n_r=1, l=3) above barrier; (n_r=0, l=4) above barrier")
         assert [(lev.n_r, lev.l) for lev in levels] == [
             (0, 0), (1, 0), (0, 1), (0, 2), (0, 3)]
+
+
+def _rows_by_order(monkeypatch, name, call):
+    """Rows each rule pair's fine rule summed during call(), keyed by its node count."""
+    import hoshell.ebk as ebk
+
+    rows = {}
+    kernel = getattr(ebk, name)
+
+    def counting(trap, e, *args):
+        rows[args[-1].w.size] = rows.get(args[-1].w.size, 0) + np.size(e)
+        return kernel(trap, e, *args)
+
+    monkeypatch.setattr(ebk, name, counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        call()
+    return rows
+
+
+class TestNestedRules:
+    def test_coarse_nodes_are_a_slice_of_the_fine_ones(self):
+        # Each nested pair evaluates 48 midpoints once; its coarse rule is the
+        # 16-point midpoint rule, bit for bit, on the nodes [1::3].
+        import hoshell.ebk as ebk
+
+        for pair, fine, coarse in (
+                (ebk._angle_pairs()[0], ebk._angle_nodes(48, ebk._midpoints),
+                 ebk._angle_nodes(16, ebk._midpoints)),
+                (ebk._tf_pairs(3, 2)[0], ebk._tf_nodes(48, 3, 2, ebk._midpoints),
+                 ebk._tf_nodes(16, 3, 2, ebk._midpoints)),
+                (ebk._tf_pairs(5, 3)[0], ebk._tf_nodes(48, 5, 3, ebk._midpoints),
+                 ebk._tf_nodes(16, 5, 3, ebk._midpoints))):
+            assert pair.w is fine[0] and pair.coarse == slice(1, None, 3)
+            for node, own, want in zip(pair.nodes, fine[1:], coarse[1:]):
+                assert node is own
+                np.testing.assert_array_equal(node[pair.coarse], want)
+            np.testing.assert_array_equal(pair.w_coarse, 3.0 * fine[0][1::3])
+            np.testing.assert_allclose(pair.w_coarse, coarse[0], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("dim,alpha", [(2, 2), (4, 2), (4, 3), (6, 4)])
+    def test_even_dimension_rules_are_exact(self, dim, alpha):
+        # Both rules of the pair integrate t^(D/2-1) (1 - t/2 - t^alpha/2)^(D/2-1) / 2
+        # exactly: a polynomial of the integrand's degree (D/2-1)(alpha+1).
+        import hoshell.ebk as ebk
+
+        mp = pytest.importorskip("mpmath")
+        pair = ebk._tf_pairs(dim, alpha)[0]
+        t, t_a = pair.nodes
+        p = dim // 2 - 1
+        f = (1.0 - 0.5 * t - 0.5 * t_a) ** p
+        with mp.workdps(30):
+            want = float(mp.quad(lambda x: x ** p * (1 - x / 2 - x ** alpha / 2) ** p / 2, [0, 1]))
+        fine, coarse = ebk._pair_sums(f[None, :], pair)
+        assert abs(fine[0] - want) <= 1e-14 * want and abs(coarse[0] - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("dim,eps,share", [
+        # 10.0% of the rows at D = 3 (barrier tops included) were measured
+        (3, 3e-4, 0.0), (4, 3e-4, 0.0), (3, -1.25e-3, 0.11)])
+    def test_fallback_rows(self, monkeypatch, dim, eps, share):
+        rows = _rows_by_order(monkeypatch, "_action_sums", lambda: enumerate_levels(
+            SystemParams.single(dim, eps, 2), 60.0))
+        assert set(rows) <= {48, 240}
+        assert rows.get(240, 0) <= share * sum(rows.values())
+
+    def test_barrier_tops_go_straight_to_the_fallback(self, monkeypatch):
+        import hoshell.ebk as ebk
+
+        trap = ebk._resolve(SystemParams.single(3, -1.25e-3, 2))[0]
+        l2 = trap.l_eff(np.arange(30)) ** 2
+        rows = _rows_by_order(monkeypatch, "_action_sums", lambda: ebk._separatrix_action(trap, l2))
+        assert rows == {48: 0, 240: 30}
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("eps", [1.2e-3, -1.2e-3])
+    def test_tf_smooth_needs_no_fallback(self, monkeypatch, dim, eps):
+        # Up to 95% of the barrier top (E = 52.1), for eps < 0
+        grid = np.linspace(0.5, 49.5, 2001)
+        rows = _rows_by_order(monkeypatch, "_tf_sums", lambda: tf_smooth(
+            SystemParams.single(dim, eps, 2), grid))
+        assert rows == {3 if dim == 4 else 2 if dim == 2 else 48: grid.size}
+
+    def test_missed_rows_are_summed_again_on_the_fallback(self):
+        # A fake kernel whose coarse sum misses on rows 1 and 3 of the first
+        # pair; row 4 is marked direct, and a miss on the fallback raises.
+        import hoshell.ebk as ebk
+
+        first, fallback = ebk._angle_pairs()
+        calls = []
+
+        def sums(x, miss, rule):
+            calls.append((rule is first, x.tolist()))
+            fine = x + (rule is first)
+            return fine, fine + miss * (rule is first or x > 9)
+
+        x, miss = np.arange(6.0), np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
+        out = ebk._checked(sums, (x, miss), 1e-10, 1.0, "test", first, fallback,
+                           np.arange(6) == 4)
+        np.testing.assert_array_equal(out, [[1.0, 1.0, 3.0, 3.0, 4.0, 6.0]])
+        assert calls == [(True, [0.0, 1.0, 2.0, 3.0, 5.0]), (False, [1.0, 3.0, 4.0])]
+        with pytest.raises(AccuracyError, match="test quadrature error 1.000e"):
+            ebk._checked(sums, (x + 10.0, miss), 1e-10, 1.0, "test", first, fallback)
