@@ -39,10 +39,11 @@ __all__ = [
 ]
 
 _ACTION_ORDER = 120
-# Rows per quadrature block: bounds every (rows x nodes) temporary.  At 240
-# nodes a 128-row temporary is 240 KB; with 256 rows, freeing two of them let
-# glibc trim the heap top on every block of tf_smooth, which then faulted its
-# pages back in (about 7,000 minor faults per 8,001-energy call, against 500).
+# Rows per quadrature block: bounds every (rows x nodes) temporary, to 368 KB
+# on the 360 nodes of the 120/240 fallback.  Blocks of 256 rows at 240 nodes,
+# two such temporaries freed per block, let glibc trim the heap top on every
+# block of tf_smooth, which then faulted its pages back in (about 7,000 minor
+# faults per 8,001-energy call, against 500).
 _ROW_CHUNK = 128
 _MAX_STEPS = 200
 _ULP = float(np.finfo(float).eps)
