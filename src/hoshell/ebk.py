@@ -24,7 +24,7 @@ import numpy as np
 
 from .actionpoly import SystemParams, absorb_harmonic_terms
 from .errors import AccuracyError, DomainError, NoBoundStateError, TruncationWarning
-from .specfun import QuadratureRule, gauss_legendre
+from .specfun import QuadratureRule, chebyshev_lobatto, gauss_legendre, rising_roots
 
 __all__ = [
     "EbkLevel",
@@ -111,7 +111,8 @@ def _resolve(params: SystemParams) -> tuple[_Trap, float, float]:
     # No kernel forms a power above u^(alpha+1) at the zero of g past the barrier.
     if eps_u < 0 and (alpha + 1) / (alpha - 1) * -math.log(2.0 * alpha * -eps_u) > 709.0:
         raise DomainError(f"the barrier of strength {eps_u:g} lies beyond the float range")
-    return _Trap(params.dim, eps_u, alpha), hbar, unit
+    # A harmonic trap takes alpha = 2, so that no kernel forms 0 * u^alpha = 0 * inf.
+    return _Trap(params.dim, eps_u, alpha) if eps else _Trap(params.dim, 0.0, 2), hbar, unit
 
 
 def _physical(values, unit: float, what: str) -> np.ndarray:
@@ -427,12 +428,12 @@ def radial_action(params: SystemParams, energy, l_eff):
     return float(s[0]) if l_eff.ndim == 0 else s.reshape(l_eff.shape)
 
 
-def _quantize(trap: _Trap, l2, win: _Window, target: float, guess):
-    """(E, T_r(E)) with S_r(E, L) = target for rows whose level exists, by
-    Newton in E inside [E_well, E_top) that bisects when a step leaves the
-    bracket.  Accepts |S_r - target| <= 1e-12 target, or the 1e-11 contract
-    once the bracket has collapsed.  Each step solves its turning points from
-    the previous step's roots."""
+def _quantize(trap: _Trap, l2, win: _Window, target, guess):
+    """(E, T_r(E)) with S_r(E, L) = target, one target per row, for rows whose
+    level exists, by Newton in E inside [E_well, E_top) that bisects when a
+    step leaves the bracket.  Accepts |S_r - target| <= 1e-12 target, or the
+    1e-11 contract once the bracket has collapsed.  Each step solves its
+    turning points from the previous step's roots."""
     lo, hi = win.e_well.copy(), win.e_top.copy()
     # Out of the window, start mid-window or (eps >= 0) a harmonic step up.
     e = np.where((guess > lo) & (guess < hi), guess,
@@ -441,11 +442,11 @@ def _quantize(trap: _Trap, l2, win: _Window, target: float, guess):
     rows, start = np.arange(l2.size), None
     for _ in range(_MAX_STEPS):
         s, t, u_in, u_out = _radial_action_rows(trap, e, l2[rows], win.take(rows), start)
-        resid = s - target
+        resid = s - target[rows]
         lo[rows] = np.where(resid < 0, e, lo[rows])
         hi[rows] = np.where(resid < 0, hi[rows], e)
         stalled = hi[rows] - lo[rows] <= 4.0 * _ULP * e
-        ok = np.abs(resid) <= np.where(stalled, 1e-11, 1e-12) * target
+        ok = np.abs(resid) <= np.where(stalled, 1e-11, 1e-12) * target[rows]
         energy[rows[ok]], period[rows[ok]] = e[ok], t[ok]
         if ok.all():
             return energy, period
@@ -466,24 +467,85 @@ def ebk_energy(params: SystemParams, n_r: int, l: int) -> EbkLevel:
     trap, _, unit = _resolve(params)
     l2 = np.array([trap.l_eff(l) ** 2])
     win, s_top = _separatrix_action(trap, l2)
-    if not s_top[0] > trap.target(n_r):
+    target = trap.target(np.array([n_r]))
+    if not s_top[0] > target[0]:
         raise NoBoundStateError(f"level (n_r={n_r}, l={l}) has no bound solution")
-    energy, _ = _quantize(trap, l2, win, trap.target(n_r),
-                          np.array([2 * n_r + l + trap.dim / 2.0]))
+    energy, _ = _quantize(trap, l2, win, target, np.array([2 * n_r + l + trap.dim / 2.0]))
     return EbkLevel(n_r=n_r, l=l, energy=float(_physical(energy, unit, "energy")[0]),
                     degeneracy=angular_degeneracy(trap.dim, l))
+
+
+_TABLE_NODES = 12  # Chebyshev-Lobatto nodes in E per l of the action table
+
+
+def _level_bound(trap: _Trap, n_r: int, l2) -> np.ndarray:
+    """An energy at or above level n_r's, per row.  Inside u = r^2 <= u*, an
+    eps > 0 trap lies below the oscillator of frequency w, w^2 = 1 +
+    2 eps u*^(alpha-1); so at E = V(u*), S_r >= pi (E / w - L), and u* puts
+    that at the target.  For eps <= 0 the harmonic level lies at or above."""
+    m = 2.0 * n_r + 1.0 + np.sqrt(l2)
+    if trap.eps <= 0:
+        return m
+    a, eps = trap.alpha, trap.eps
+    u = np.minimum(2.0 * m, (2.0 * m * m) ** (1.0 / (a + 1)) / eps ** (1.0 / (a + 1)))
+    return 0.5 * u + (eps ** (1.0 / a) * u) ** a
+
+
+def _level_set(trap: _Trap, l2, win: _Window, s_top, e_max: float, n_r_max: int):
+    """Candidate levels (l, n_r) and their starts, from one table of S_r per l
+    whose well bottom lies below e_max.
+
+    S_r rises across each window, so (n_r, l) is a candidate when
+    2 pi (n_r + 1/2) <= S_r(min(e_max, E_top)) (1 + 1e-9) and lies below the
+    separatrix action.  The table spans [E_well, top] on Chebyshev-Lobatto
+    nodes in E; top is the lowest of E_top, the bound of level n_r_max + 1
+    and the power of two at or above e_max, so that an l's table, and each
+    start, is the same for every e_max up to that power of two.  At a barrier
+    top S_r has the term (E_top - E) log(E_top - E) / w_b, for
+    w_b^2 = -V_eff''(r_top) = 2 (alpha - 1) - 2 (alpha + 1) L^2 / u_top^2,
+    which the interpolant takes as known."""
+    rows = np.flatnonzero(win.e_well < e_max)
+    w, l2 = win.take(rows), l2[rows]
+    mant, expo = math.frexp(e_max)
+    cap = e_max if mant == 0.5 or math.isinf(e_max) else math.ldexp(1.0, expo)
+    top = np.minimum(np.minimum(w.e_top, cap), _level_bound(trap, n_r_max + 1, l2))
+    closed, width, probe = top == w.e_top, top - w.e_well, e_max < top
+    x = chebyshev_lobatto(_TABLE_NODES)[0][1:-1]
+    nodes = w.e_well[:, None] + width[:, None] * (0.5 + 0.5 * x)
+    # One kernel call: the inner nodes, top unless it is a barrier top, and e_max.
+    which = np.concatenate([np.repeat(np.arange(rows.size), _TABLE_NODES - 2),
+                            np.flatnonzero(~closed), np.flatnonzero(probe)])
+    e = np.concatenate([nodes.ravel(), top[~closed], np.full(np.count_nonzero(probe), e_max)])
+    s = iter(np.split(_radial_action_rows(trap, e, l2[which], w.take(which))[0],
+                      np.cumsum([nodes.size, rows.size - np.count_nonzero(closed)])))
+    table = np.zeros((rows.size, _TABLE_NODES))
+    table[:, 1:-1], table[:, -1] = next(s).reshape(nodes.shape), s_top[rows]
+    table[~closed, -1] = next(s)
+    s_max = table[:, -1].copy()
+    s_max[probe] = next(s)
+    count = np.floor(np.minimum(s_max * (1.0 + 1e-9) / (2.0 * math.pi) + 0.5, n_r_max + 1.0))
+    count = (count - (trap.target(count - 1.0) >= s_top[rows])).astype(int)
+    row = np.repeat(np.arange(rows.size), count)
+    n_r = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    # w_b^2 > 0 on a closed well; the floor only keeps rounding at its edge finite.
+    k, a, u = np.zeros(rows.size), trap.alpha, w.u_top[closed]
+    wb2 = 2.0 * (a - 1) - 2.0 * (a + 1) * l2[closed] / u ** 2
+    k[closed] = width[closed] / np.sqrt(np.maximum(wb2, _ULP))
+    x = rising_roots(table[row], trap.target(n_r), k[row])
+    return rows[row], n_r, w.e_well[row] + width[row] * (0.5 + 0.5 * x)
 
 
 def enumerate_levels(params: SystemParams, e_max: float,
                      n_r_max: int = 200, l_max: int = 400) -> list[EbkLevel]:
     """All torus-quantized levels with E <= e_max, ordered by l, then n_r.
 
-    Walks l outward, and n_r upward within each l, until the energy exceeds
-    e_max; warns with a weight bound if the caps cut the enumeration short.
-    Levels above a barrier (eps < 0) are skipped and reported in the warning.
-    All active l of one n_r are solved at once.  With the level spacing
-    s = dE/dn = 2 pi hbar / T_r, each starts from the Adams-Bashforth step
-    E(n_r-1) + 1.5 s(n_r-1) - 0.5 s(n_r-2), or E(n_r-1) + s(n_r-1) at n_r = 1.
+    One table of S_r per l, on Chebyshev-Lobatto nodes in E, gives the
+    candidate levels: S_r rises across each window, so (n_r, l) is one when
+    2 pi hbar (n_r + 1/2) <= S_r(min(e_max, E_top)) (1 + 1e-9).  Each starts
+    from the root of the table's interpolant, one batched Newton solve
+    quantizes them all, and the levels with E <= e_max are kept.  Warns if
+    the caps cut the enumeration short, and names levels above a barrier
+    (eps < 0).
     """
     if math.isnan(e_max):
         raise DomainError("e_max must not be nan")
@@ -493,29 +555,15 @@ def enumerate_levels(params: SystemParams, e_max: float,
     e_max = e_max / unit
     l2 = trap.l_eff(np.arange(l_max + 1)) ** 2
     win, s_top = _separatrix_action(trap, l2)
-    found, top = [], np.full(l2.size, -1)
-    step_before = np.full(l2.size, np.nan)  # s(n_r - 2) per l; nan until n_r = 2
-    # n_r = 0 for every l whose well bottom lies below e_max.
-    rows = np.flatnonzero(win.e_well <= e_max)
-    guess = rows + trap.dim / 2.0
-    for n_r in range(n_r_max + 1):
-        target = trap.target(n_r)
-        exists = s_top[rows] > target
-        rows = rows[exists]
-        e_rows, t_rows = _quantize(trap, l2[rows], win.take(rows), target, guess[exists])
-        kept = e_rows <= e_max
-        rows, e_rows, t_rows = rows[kept], e_rows[kept], t_rows[kept]
-        top[rows] = n_r
-        found += zip(rows.tolist(), [n_r] * rows.size, _physical(e_rows, unit, "energy").tolist())
-        if not rows.size:
-            break
-        step = 2.0 * math.pi / t_rows
-        guess = e_rows + np.where(np.isnan(step_before[rows]), step,
-                                  1.5 * step - 0.5 * step_before[rows])
-        step_before[rows] = step
-    # The walk ended at the first l whose lowest level exists but was not kept.
+    l, n_r, start = _level_set(trap, l2, win, s_top, e_max, n_r_max)
+    energy, _ = _quantize(trap, l2[l], win.take(l), trap.target(n_r), start)
+    kept = energy <= e_max
+    l, n_r, energy = l[kept], n_r[kept], _physical(energy[kept], unit, "energy")
+    top = np.full(l2.size, -1)
+    np.maximum.at(top, l, n_r)
+    # Levels are complete up to the first l whose lowest level exists but was not kept.
     l_end = int(np.argmax(np.append((s_top > trap.target(0)) & (top < 0), True)))
-    # Why the walk in n_r stopped, per l: the cap, the barrier, or e_max.
+    # Why each l stopped in n_r: the cap, the barrier, or e_max.
     truncated = [f"n_r cap {n_r_max} reached at l={l}" if n > n_r_max
                  else f"(n_r={n}, l={l}) above barrier"
                  for l, n in enumerate(top[:l_end] + 1)
@@ -525,8 +573,9 @@ def enumerate_levels(params: SystemParams, e_max: float,
     if truncated:
         warnings.warn("level enumeration truncated: " + "; ".join(truncated[:5]),
                       TruncationWarning)
-    return [EbkLevel(n_r=n_r, l=l, energy=e, degeneracy=angular_degeneracy(trap.dim, l))
-            for l, n_r, e in sorted(found)]
+    degeneracy = {k: angular_degeneracy(trap.dim, k) for k in set(l.tolist())}
+    return [EbkLevel(n_r=n, l=k, energy=e, degeneracy=degeneracy[k])
+            for k, n, e in zip(l.tolist(), n_r.tolist(), energy.tolist())]
 
 
 def _check_levels(params: SystemParams, levels: list[EbkLevel]) -> None:

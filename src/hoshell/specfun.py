@@ -1,6 +1,7 @@
 """Numerical kernels: factorial families, Legendre polynomials, the confluent
 hypergeometric function 1F1(1; b; i y) on the imaginary axis for b = (D+1)/2,
-erf along the sqrt(i) ray, and Gauss-Legendre quadrature rules.
+erf along the sqrt(i) ray, Gauss-Legendre quadrature rules, and the roots
+of a rising Chebyshev-Lobatto interpolant.
 
 Everything here is pure and reentrant; quadrature rules are immutable.
 """
@@ -18,6 +19,7 @@ from .errors import DomainError
 
 __all__ = [
     "QuadratureRule",
+    "chebyshev_lobatto",
     "double_factorial",
     "erf_sqrt_i",
     "gauss_legendre",
@@ -26,6 +28,7 @@ __all__ = [
     "legendre_coefficients",
     "legendre_p",
     "legendre_p_derivative",
+    "rising_roots",
 ]
 
 
@@ -236,3 +239,64 @@ def gauss_legendre(order: int) -> QuadratureRule:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev-Lobatto interpolation
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def chebyshev_lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n >= 2 Chebyshev-Lobatto nodes, rising from -1 to 1, and the matrix
+    that takes values at them to the coefficients of their Chebyshev
+    interpolant; both read-only."""
+    if n < 2:
+        raise DomainError(f"Chebyshev-Lobatto interpolation needs n >= 2 nodes, got {n}")
+    x = np.polynomial.chebyshev.chebpts2(n)
+    to_coef = np.linalg.inv(np.polynomial.chebyshev.chebvander(x, n - 1))
+    x.setflags(write=False)
+    to_coef.setflags(write=False)
+    return x, to_coef
+
+
+def _log_term(x, k):
+    """k d log(d) for d = (1 - x) / 2, and its derivative in x (0 where k = 0)."""
+    d = 0.5 - 0.5 * x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log = np.log(d)
+        return np.where(d > 0, k * d * log, 0.0), np.where(k > 0, -0.5 * k * (log + 1.0), 0.0)
+
+
+def rising_roots(values, target, log_term=0.0) -> np.ndarray:
+    """x in [-1, 1] where f(x) = target, per row of values of f at the
+    Chebyshev-Lobatto nodes, rising along the row.  f is the interpolant of
+    f - k d log(d), d = (1 - x) / 2, plus that term, for k = log_term per row:
+    an end point where f has that logarithmic singularity leaves the
+    interpolant smooth.  Newton steps start between the nodes around the
+    target and stay in a bracket, bisecting where they would leave it; a row
+    stops at a step of 1e-14, all rows after 12 steps.  A target outside the
+    row's values gives the nearer end.  Each row's coefficients are summed on
+    their own (no matrix product), so a root ignores the rows beside it."""
+    values, target = np.asarray(values, dtype=float), np.asarray(target, dtype=float)
+    x_nodes, to_coef = chebyshev_lobatto(values.shape[1])
+    k = np.broadcast_to(log_term, target.shape)
+    smooth = values - _log_term(x_nodes, k[:, None])[0]
+    coef = np.array([(smooth * row).sum(axis=1) for row in to_coef])
+    deriv = np.polynomial.chebyshev.chebder(coef)
+    j = np.clip(np.count_nonzero(values <= target[:, None], axis=1), 1, x_nodes.size - 1)
+    lo, hi = x_nodes[j - 1], x_nodes[j]
+    f_lo, f_hi = np.take_along_axis(values, np.stack([j - 1, j], axis=1), axis=1).T
+    x = lo + (hi - lo) * np.clip((target - f_lo) / (f_hi - f_lo), 0.0, 1.0)
+    for _ in range(12):
+        g, dg = _log_term(x, k)
+        resid = np.polynomial.chebyshev.chebval(x, coef, tensor=False) + g - target
+        lo, hi = np.where(resid < 0, x, lo), np.where(resid < 0, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - resid / (np.polynomial.chebyshev.chebval(x, deriv, tensor=False) + dg)
+        done = np.abs(newton - x) <= 1e-14  # a converged row keeps its step, even onto an end
+        x = np.where(done, np.clip(newton, lo, hi),
+                     np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi)))
+        if done.all():
+            break
+    return x

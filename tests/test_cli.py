@@ -488,6 +488,14 @@ def test_tiny_positive_strength_is_the_harmonic_trap():
     np.testing.assert_allclose(got[:, 2], want[:, 2], rtol=1e-12, atol=0.0)
 
 
+def test_harmonic_trap_at_a_large_order():
+    # At eps = 0 the order must not matter: 0 * u^1000 was 0 * inf = nan.
+    levels = _columns(run_cli("ebk", "--D", "3", "--alpha", "1000", "--e-max", "6"))
+    assert len(levels) == 9  # 2 n_r + l <= 4
+    want = 2 * levels[:, 0] + levels[:, 1] + 1.5
+    np.testing.assert_allclose(levels[:, 2], want, rtol=1e-12, atol=0.0)
+
+
 def test_level_cache_for_another_hbar_is_not_quantized(tmp_path: Path):
     # At hbar = 1e-300 the oscillator-unit strength is 1.25e-303: another trap.
     cache = tmp_path / "levels.csv"

@@ -617,6 +617,97 @@ class TestLevelWalk:
         assert np.all(np.abs(action - target) <= 1e-11 * target)
 
 
+def _kernel_calls(monkeypatch, params, e_max):
+    """Action-kernel calls of one enumerate_levels call."""
+    import hoshell.ebk as ebk
+
+    calls = []
+    kernel = ebk._radial_action_rows
+
+    def counting(trap, e, *args):
+        calls.append(np.size(e))
+        return kernel(trap, e, *args)
+
+    monkeypatch.setattr(ebk, "_radial_action_rows", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        ebk.enumerate_levels(params, e_max)
+    return len(calls)
+
+
+def _barrier_top(params, l_eff):
+    """E_top of V_eff(r) = r^2/2 + eps r^(2 alpha) + L^2/(2 r^2) for eps < 0, from
+    brentq on r^3 dV_eff/dr = r^4 + 2 alpha eps r^(2 alpha + 2) - L^2 past its
+    hump, where it falls below -L^2 by twice the hump radius; nan where the
+    hump stays below L^2 (no well)."""
+    from scipy.optimize import brentq
+
+    (eps, alpha), = params.terms
+    r_hump = (-1.0 / (alpha * (alpha + 1) * eps)) ** (0.5 / (alpha - 1))
+
+    def slope(r):
+        return r ** 4 + 2.0 * alpha * eps * r ** (2 * alpha + 2) - l_eff ** 2
+
+    if not slope(r_hump) > 0:
+        return math.nan
+    r = brentq(slope, r_hump, 2.0 * r_hump, xtol=1e-15)
+    return 0.5 * r * r + eps * r ** (2 * alpha) + 0.5 * l_eff ** 2 / (r * r)
+
+
+class TestLevelSet:
+    @pytest.mark.parametrize("dim,eps,bound", [(3, 3e-4, 3), (2, -1.25e-3, 8), (4, -1.25e-3, 8)])
+    def test_kernel_calls(self, monkeypatch, dim, eps, bound):
+        # The walk made 111 (eps > 0) and 204 (eps < 0) calls of about 30 rows.
+        e_max = 113.5 if eps > 0 else 60.0
+        assert _kernel_calls(monkeypatch, SystemParams.single(dim, eps, 2), e_max) <= bound
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("alpha,eps", [(2, 1e-3), (3, 1e-5), (4, 2e-7)])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_each_l_stops_where_the_cold_start_action_does(self, dim, alpha, eps, sign):
+        # Per l the set holds n_r = 0, 1, ... up to the last level at or below
+        # e_max, and radial_action puts the next one above e_max or beyond
+        # the barrier; the same for every l without levels.
+        e_max, l_max = 40.0, 60
+        params = SystemParams.single(dim, sign * eps, alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            levels = enumerate_levels(params, e_max, l_max=l_max)
+        count = np.zeros(l_max + 1, dtype=int)
+        for lev in levels:
+            assert lev.n_r == count[lev.l] and lev.energy <= e_max
+            count[lev.l] += 1
+        for l in range(l_max + 1):
+            l_eff = l + 0.5 * (dim - 2)
+            e_top = _barrier_top(params, l_eff) if sign < 0 else math.inf
+            if not e_top > l_eff:  # no well
+                assert count[l] == 0
+                continue
+            # Just below a barrier top, S_r lies within 1e-7 of the separatrix action.
+            try:
+                action = radial_action(params, min(e_max, e_top * (1.0 - 1e-9)), l_eff)
+            except NoBoundStateError:  # e_max at or below the well bottom
+                action = 0.0
+            assert 2.0 * math.pi * (count[l] - 0.5) <= action * (1.0 + 1e-9)
+            assert action * (1.0 + 1e-7) < 2.0 * math.pi * (count[l] + 0.5)
+
+    def test_strength_far_above_one(self):
+        # With eps' >> 1 the levels scale as eps^(1/3); turning points solved
+        # from a previous Newton step's roots did not converge at 1e60.
+        def scaled(s):
+            levels = enumerate_levels(SystemParams.single(3, s, 2), 20.0 * s ** (1.0 / 3.0),
+                                      l_max=40, n_r_max=20)
+            return ([(lev.n_r, lev.l) for lev in levels],
+                    np.array([lev.energy for lev in levels]) / s ** (1.0 / 3.0))
+
+        keys, want = scaled(1e30)
+        assert len(keys) == 15
+        for s in (1e60, 1e90, 1e147):
+            got_keys, got = scaled(s)
+            assert got_keys == keys
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
 class TestTruncationParity:
     # Warning texts and level sets as produced by the bracket-search
     # implementation this kernel replaced.

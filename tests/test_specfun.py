@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hoshell.errors import DomainError
 from hoshell.specfun import (
+    chebyshev_lobatto,
     double_factorial,
     erf_sqrt_i,
     gauss_legendre,
@@ -17,6 +18,7 @@ from hoshell.specfun import (
     legendre_coefficients,
     legendre_p,
     legendre_p_derivative,
+    rising_roots,
 )
 
 
@@ -258,3 +260,39 @@ class TestQuadrature:
         rule = gauss_legendre(12)
         with pytest.raises(ValueError):
             rule.nodes[0] = 0.0
+
+
+class TestChebyshevLobatto:
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_coefficients_of_a_polynomial(self, n):
+        # The interpolant of a degree n-1 polynomial is that polynomial.
+        x, to_coef = chebyshev_lobatto(n)
+        assert x[0] == -1.0 and x[-1] == 1.0 and np.all(np.diff(x) > 0)
+        want = np.arange(1.0, n + 1.0)
+        values = np.polynomial.chebyshev.chebval(x, want)
+        np.testing.assert_allclose(to_coef @ values, want, rtol=0.0, atol=1e-13 * n)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(DomainError):
+            chebyshev_lobatto(1)
+
+    def test_roots_of_a_smooth_row(self):
+        x, _ = chebyshev_lobatto(16)
+        target = np.array([1.0 / math.e + 1e-9, 0.5, 1.0, 2.0, math.e - 1e-9])
+        got = rising_roots(np.tile(np.exp(x), (target.size, 1)), target)
+        np.testing.assert_allclose(got, np.log(target), rtol=0.0, atol=1e-14)
+
+    def test_roots_next_to_a_logarithmic_end(self):
+        # f = x + k d log(d), d = (1 - x) / 2, rises to f(1) = 1 with an
+        # infinite slope; with k given, the interpolant is exact.
+        k = 0.7
+        x, _ = chebyshev_lobatto(8)
+        d = 0.5 - 0.5 * x
+        values = x + k * np.where(d > 0, d * np.log(np.where(d > 0, d, 1.0)), 0.0)
+        want = np.array([-0.5, 0.9, 1.0 - 2e-6, 1.0 - 2e-12])
+        dw = 0.5 - 0.5 * want
+        target = want + k * dw * np.log(dw)
+        got = rising_roots(np.tile(values, (want.size, 1)), target, k)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        # A target past the last value gives that end.
+        assert rising_roots(values[None, :], np.array([1.5]), k)[0] == 1.0
