@@ -5,7 +5,8 @@ Three mutually checking evaluations of
     M_k = (D-1) * integral_0^1  l^(D-2) exp(-i k sigma P(l) / hbar) dl,
 
 where P(l) = sum_j a_j l^(2j) is the scaled action polynomial: direct
-panel-split Gauss-Legendre quadrature, a hypergeometric closed form for
+Gauss-Legendre quadrature on equal panels sized by the fastest local phase
+k sigma max |P'(l)| / hbar, a hypergeometric closed form for
 two-coefficient polynomials, and the end-point stationary-phase asymptotics.
 All formulas are written in terms of the dimensionless x = k sigma / hbar.
 
@@ -47,13 +48,19 @@ __all__ = [
 
 Method = Literal["quadrature", "closed_form", "spa"]
 
-DEFAULT_ORDER = 200
-_NODES_PER_CYCLE = 10.0
+DEFAULT_ORDER = 32
+# Panels of the 32-node Gauss-Legendre rule resolve a phase at pi nodes per
+# wavelength, 0.5 nodes per radian of its fastest local rate, plus half a
+# panel: a panel that spans much of [0, 1] sees the rate climb from slow to
+# fast (alpha >= 9) or the weight l^(D-2) peak at l = 1 (D = 170), and at
+# 0.5 nodes per radian alone its coarse/fine estimate reached 40 * 1e-8.
+_NODES_PER_RADIAN = 0.5
 _QUAD_TOL = 1e-8
 _CHUNK_ENTRIES = 1 << 13  # (row, node) entries per quadrature work buffer
-# Coarse panels per row at most: the fine grid then holds 2 * 1024 * order
-# nodes, and the three work buffers 16 MB at order 200.
-_MAX_PANELS = 1 << 10
+# Coarse nodes per row at most, 1024 panels of 200 nodes: the fine grid then
+# holds twice as many, and the three work buffers 16 MB.
+_BUDGET_ORDER = 200
+_MAX_NODES = (1 << 10) * _BUDGET_ORDER
 # (row, k) entries per closed-form / SPA block: each complex temporary stays
 # at 32 kB.  Whole-grid temporaries (20,010 entries for 2001 energies and
 # k_max = 10) raised the peak RSS of a `dos --method closed` run by ~4 MB.
@@ -115,17 +122,17 @@ def _harmonic_sums(s: np.ndarray, values: np.ndarray, weights: np.ndarray,
 def _quadrature(poly: ActionPolynomial, s: np.ndarray, dim: int, k_max: int,
                 rule: QuadratureRule) -> np.ndarray:
     out = np.ones((len(s), k_max), dtype=complex)
-    # Total phase swing across [0, 1]; dense sampling is robust for combined
-    # polynomials whose scaled profile need not be monotone.
+    # Fastest local phase rate k_max |sigma / hbar| max |P'(l)|, with |P'| read
+    # from chords of a dense probe: robust for combined polynomials whose
+    # scaled profile need not be monotone.
     probe = poly.scaled_value(np.linspace(0.0, 1.0, 513))
-    swing = np.abs(k_max * s) * (float(np.max(probe)) - float(np.min(probe)))
-    cycles = swing / (2.0 * math.pi)
-    panels = np.maximum(1, np.ceil(cycles * _NODES_PER_CYCLE / rule.order))
-    if not np.all(panels <= _MAX_PANELS):  # also catches nan, before any buffer exists
+    rate = np.abs(k_max * s) * (512.0 * float(np.max(np.abs(np.diff(probe)))))
+    panels = np.maximum(1, np.ceil(rate * _NODES_PER_RADIAN / rule.order + 0.5))
+    if not np.all(panels * rule.order <= _MAX_NODES):  # also catches nan, before any buffer
         raise AccuracyError(
             f"modulation quadrature needs {np.max(panels):.4g} panels of order {rule.order} "
             f"(k_max={k_max}, max |sigma/hbar|={np.max(np.abs(s)):.6g}), over the budget "
-            f"of {_MAX_PANELS}"
+            f"of {_MAX_NODES // _BUDGET_ORDER} panels of {_BUDGET_ORDER} nodes"
         )
     panels = panels.astype(int)
     active = s != 0.0
@@ -163,9 +170,10 @@ def modulation_quadrature(poly: ActionPolynomial, sigma_over_hbar: float,
     """M_k by Gauss-Legendre quadrature of the one-dimensional integral: the
     one-point view of `modulation` at x = k sigma / hbar.
 
-    The interval is split into equal panels so that each panel sees at most
-    order / 10 phase cycles; the returned value uses doubled panels and the
-    difference between the two resolutions serves as the error estimate.
+    The interval is split into equal panels, 0.5 nodes per radian of the
+    fastest local phase x max |P'(l)| plus half a panel; the returned value
+    uses doubled panels and the difference between the two resolutions
+    serves as the error estimate.
     """
     _check_dk(dim, k)
     value = modulation(poly, k * sigma_over_hbar, dim, 1, "quadrature", rule)[0, 0]
@@ -253,10 +261,11 @@ def modulation(poly: ActionPolynomial, sigma_over_hbar, dim: int, k_max: int,
 
     Returns a complex array of shape (len(sigma_over_hbar), k_max); rows with
     sigma = 0 are exactly 1 for every method.  "quadrature" sizes the panels
-    of each row for its highest harmonic, evaluates exp(-i sigma P / hbar)
-    once per (row, node) and reaches harmonic k by repeated multiplication;
-    the coarse/fine error estimate is checked for every (row, k), and a row
-    that needs more than 1024 panels is an AccuracyError.
+    of each row for the fastest local phase of its highest harmonic,
+    evaluates exp(-i sigma P / hbar) once per (row, node) and reaches
+    harmonic k by repeated multiplication; the coarse/fine error estimate is
+    checked for every (row, k), and a row that needs more coarse nodes than
+    1024 panels of 200 is an AccuracyError.
     "closed_form" and "spa" evaluate their formulas as array expressions
     over the (row, k) grid x = k sigma / hbar, in blocks of rows.  `rule`
     applies to the quadrature only.

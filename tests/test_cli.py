@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import subprocess
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -641,3 +644,53 @@ def test_parser_surface():
         for name, parser in sub.choices.items()
     }
     assert surface == {name: sorted(options) for name, options in PARSER_SURFACE.items()}
+
+
+def _signed_magnitude(low: float, high: float):
+    """0, or +-10^u for u uniform in [low, high]."""
+    return st.one_of(st.just(0.0), st.builds(lambda sign, u: sign * 10.0 ** u,
+                                             st.sampled_from([-1.0, 1.0]),
+                                             st.floats(low, high)))
+
+
+def _range(low: float, high: float, start=st.floats):
+    """A:B:N text with A from `start(low, high)`, B - A in (-0.1, 1.1) (high - low)
+    and N in [0, 201]: valid in most draws, and never more than 201 points."""
+    return st.builds(lambda lo, frac, n: f"{lo!r}:{lo + frac * (high - low)!r}:{n}",
+                     start(low, high), st.floats(-0.1, 1.1), st.integers(0, 201))
+
+
+_DIMS = st.one_of(st.integers(1, 8), st.sampled_from([60, 170]))
+_QUAD_ARGV = st.one_of(
+    st.builds(lambda dim, alpha, eps, k_max, grid: [
+        "dos", "--method", "quad", "--D", str(dim), "--alpha", str(alpha),
+        f"--epsilon={eps!r}", "--k-max", str(k_max), "--e-range", grid],
+        _DIMS, st.integers(0, 12), _signed_magnitude(-8, -1), st.integers(0, 10),
+        _range(-5.0, 100.0)),
+    st.builds(lambda dim, alpha, k, grid: [
+        "modfactor", "--method", "quad", "--D", str(dim), "--alpha", str(alpha),
+        "--k", str(k), f"--sigma-over-hbar-range={grid}"],
+        _DIMS, st.integers(0, 12), st.integers(-10, 10),
+        _range(-10.0, 10.0, lambda low, high: _signed_magnitude(-3, 1))),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=_QUAD_ARGV)
+def test_quadrature_cli_gives_a_result_or_a_documented_exit(argv):
+    # In-process: any exception but SystemExit, a RuntimeWarning included,
+    # fails the example with its traceback.
+    from hoshell.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 2, 3, 64), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        text = out.getvalue().lower()
+        assert text.count("\n") >= 2 and "nan" not in text and "inf" not in text, text[:500]

@@ -119,6 +119,19 @@ class TestPertDos:
             assert np.allclose(other.oscillating, base.oscillating,
                                atol=1e-7 * scale)
 
+    @pytest.mark.parametrize("dim", [170, 171])
+    @pytest.mark.parametrize("eps,grid", [(1.25e-3, np.linspace(1.0, 70.0, 200)),
+                                          (0.1, np.array([60.0, 65.0, 70.0]))])
+    def test_closed_form_meets_quadrature_at_large_dimension(self, dim, eps, grid):
+        # 1F1(1; (D+1)/2; iy) lost digits just past |y| = b/2 at large b
+        # (2.05e-7 smooth at D = 170, E = 60.29), and at eps = 0.1 its even-D
+        # branch overflowed to nan.  The quadrature contract bounds the gap.
+        params = SystemParams.single(dim, eps, 2)
+        quad = pert_dos(params, grid, k_max=10, method="quadrature")
+        closed = pert_dos(params, grid, k_max=10, method="closed_form")
+        assert np.all(np.abs(closed.oscillating - quad.oscillating)
+                      <= 2 * 10 * 1e-8 * quad.smooth)
+
     def test_damping_factor_ratio_is_exact_gaussian(self):
         params = SystemParams.single(3, 1e-3, 2)
         grid = np.array([10.0])

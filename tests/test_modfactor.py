@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from hoshell.actionpoly import SystemParams, action_coefficients, polynomial_delta_s
+from hoshell.dos import pert_dos
 from hoshell.errors import AccuracyError, DomainError, UnsupportedMethodError
 from hoshell.modfactor import (
     _CHUNK_ENTRIES,
@@ -135,6 +136,110 @@ class TestArrayKernel:
             modulation(poly, [[1.0, 2.0]], 3, 2, "quadrature")
         with pytest.raises(UnsupportedMethodError):
             modulation(poly, [1.0], 3, 2, "simpson")
+
+
+def _mpmath_modulation(poly, x: float, dim: int) -> complex:
+    """M_1 at x by mpmath's Gauss-Legendre quadrature on panels of at most
+    two phase cycles, sized from max |P'| on a dense grid."""
+    mp = pytest.importorskip("mpmath")
+    coeffs = [float(c) for c in poly.coeffs]
+    ell = np.linspace(0.0, 1.0, 4097)
+    slope = np.max(np.abs(sum(2 * j * c * ell ** (2 * j - 1) for j, c in enumerate(coeffs) if j)))
+    panels = int(abs(x) * slope / (4.0 * math.pi)) + 2
+
+    def integrand(ell):
+        phase = sum(c * ell ** (2 * j) for j, c in enumerate(coeffs))
+        return (dim - 1) * ell ** (dim - 2) * mp.expj(-x * phase)
+
+    with mp.workdps(17):
+        return complex(mp.quad(integrand, mp.linspace(0, 1, panels + 1),
+                               method="gauss-legendre"))
+
+
+# Coarse nodes per row at most, 1024 panels of 200 nodes, at 0.5 nodes per
+# radian of the fastest local phase.
+_BUDGET_PHASE = 1024 * 200 / 0.5
+
+
+class TestPanelSizing:
+    """The 32-node rule, placed by the fastest local phase, against oracles
+    that share none of its nodes."""
+
+    @pytest.mark.parametrize("alpha,slope", [(2, 1.0), (3, 3.0)])  # max |P'| at l = 1
+    @pytest.mark.parametrize("dim", [*range(2, 9), 60, 170])
+    def test_against_closed_form_out_to_the_node_budget(self, alpha, slope, dim):
+        poly = action_coefficients(alpha)
+        sigmas = np.linspace(-40.0, 40.0, 41)  # k sigma / hbar up to 400
+        quad = modulation(poly, sigmas, dim, 10, "quadrature")
+        closed = modulation(poly, sigmas, dim, 10, "closed_form")
+        assert np.all(np.abs(quad - closed) <= 1e-10 * np.maximum(1.0, np.abs(closed)))
+        edge = 0.99 * _BUDGET_PHASE / slope
+        xs = [0.5 * edge, -edge, edge]
+        quad = modulation(poly, xs, dim, 1, "quadrature")
+        closed = modulation(poly, xs, dim, 1, "closed_form")
+        assert np.all(np.abs(quad - closed) <= 1e-10 * np.maximum(1.0, np.abs(closed)))
+
+    @pytest.mark.parametrize("alpha,xs", [(4, (0.7, -13.0, 45.0, -100.0)),
+                                          (10, (0.05, -0.9, 1.3, -2.5))])
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_against_mpmath(self, alpha, xs, dim):
+        poly = action_coefficients(alpha)
+        got = modulation(poly, xs, dim, 1, "quadrature")[:, 0]
+        for x, value in zip(xs, got):
+            want = _mpmath_modulation(poly, x, dim)
+            assert abs(value - want) <= 1e-10 * max(1.0, abs(want)), x
+
+    def test_combined_polynomial_at_large_x(self):
+        params = SystemParams(dim=3, terms=((1e-3, 2), (1e-5, 3)))
+        poly, sigma = polynomial_delta_s(params, 10.0)
+        for dim in (2, 3, 7):
+            for sigmas, k_max in ((sigma * np.geomspace(10.0, 4e3, 25), 10), ([3e5, -3e5], 1)):
+                quad = modulation(poly, sigmas, dim, k_max, "quadrature")
+                closed = modulation(poly, sigmas, dim, k_max, "closed_form")
+                assert np.all(np.abs(quad - closed)
+                              <= 1e-10 * np.maximum(1.0, np.abs(closed)))
+
+    @pytest.mark.parametrize("alpha", [2, 4, 10, 16, 40])
+    @pytest.mark.parametrize("dim", [2, 3, 170])
+    def test_wide_panels_pass_their_check(self, alpha, dim):
+        # One or two panels span most of [0, 1], where the phase rate climbs
+        # from slow to fast (high alpha) or the weight l^(D-2) peaks at l = 1.
+        # At 0.5 nodes per radian alone the estimate reached 40 * 1e-8 here
+        # (alpha = 40, D = 2); the 200-node rule computed every row.
+        poly = action_coefficients(alpha)
+        probe = poly.scaled_value(np.linspace(0.0, 1.0, 513))
+        slope = 512.0 * float(np.max(np.abs(np.diff(probe))))
+        got = modulation(poly, np.linspace(0.0, 200.0 / slope, 201), dim, 1, "quadrature")
+        assert np.all(np.abs(got) <= 1.0 + 1e-9)
+
+    @pytest.mark.parametrize("alpha", [2, 3, 4, 10])
+    @pytest.mark.parametrize("k_max", [1, 10])
+    def test_the_old_panel_budget_still_computes(self, alpha, k_max):
+        # The 200-node rule took 10 nodes per cycle of the swing max P - min P
+        # and stopped at 1024 panels; every row below that edge still computes.
+        poly = action_coefficients(alpha)
+        probe = poly.scaled_value(np.linspace(0.0, 1.0, 513))
+        edge = 1024 * 200 / 10 * 2 * math.pi / (k_max * float(np.ptp(probe)))
+        got = modulation(poly, [-0.999 * edge, 0.5 * edge, 0.999 * edge], 3, k_max, "quadrature")
+        assert np.all(np.abs(got) <= 1.0 + 1e-9)
+
+    def test_readme_job_work(self, monkeypatch):
+        # The README dos job (D = 3, alpha = 2, eps = 1.25e-3, 3451 energies
+        # on [1, 70], k_max = 10) put 2,473,800 (row, node) entries through
+        # the harmonic sums with 200-node panels sized by the average swing.
+        import hoshell.modfactor as modfactor
+
+        entries = []
+        sums = modfactor._harmonic_sums
+
+        def counting(s, values, *args):
+            entries.append(len(s) * len(values))
+            return sums(s, values, *args)
+
+        monkeypatch.setattr(modfactor, "_harmonic_sums", counting)
+        pert_dos(SystemParams.single(3, 1.25e-3, 2), np.linspace(1.0, 70.0, 3451),
+                 k_max=10, width=0.1, method="quadrature")
+        assert sum(entries) <= 1.0e6
 
 
 class TestClosedForm:

@@ -159,16 +159,19 @@ class TestKummer:
             assert abs(got - ref) <= 5e-12 * abs(ref), (b, z)
 
 
-    @pytest.mark.parametrize("dim", [*range(2, 13), 20, 40, 41])
+    @pytest.mark.parametrize("dim", [*range(2, 13), 20, 40, 41, 60, 100, 170, 171])
     def test_axis_oracle_every_dimension(self, dim):
         # b = (D+1)/2 on the imaginary axis is the whole domain the package
         # reaches: the array kernel and its scalar view both meet the oracle.
-        # D = 20, 40, 41 straddle b/2 = 10, where the series' reach turns
-        # from |y| <= 10 to |y| <= b/2; the edge is probed from both sides.
+        # From D = 20 on, b > 10 and the series' reach is |y| <= b rather
+        # than 10.  That edge is probed from both sides, and so is b/2, the
+        # reach before: just past it the far branches lost digits at large b
+        # (6.2e-7 at D = 170, y = 42.75).
         mp = pytest.importorskip("mpmath")
         b = (dim + 1) / 2.0
-        edge = max(10.0, b / 2.0)
-        mags = np.concatenate([np.geomspace(1e-4, 1e4, 41), [edge, edge * (1 - 1e-12)]])
+        edges = [max(10.0, b), max(10.0, b / 2.0)]
+        mags = np.concatenate([np.geomspace(1e-4, 1e4, 41),
+                               [e * f for e in edges for f in (1 - 1e-12, 1.0, 1 + 1e-12)]])
         ys = np.concatenate([-mags, mags])
         values = kummer_1f1_axis(b, ys)
         with mp.workdps(40):
