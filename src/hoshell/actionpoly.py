@@ -255,7 +255,10 @@ def polynomial_delta_s(params: SystemParams, energy):
     coeffs = np.zeros((len(energies), max_alpha // 2 + 1))
     for w, (_, alpha) in zip(weights, params.terms):
         coeffs[:, : alpha // 2 + 1] += w[:, None] * action_coefficients(alpha).float_coeffs
-    rows, index = np.unique(coeffs[live], axis=0, return_inverse=True)
+    if len(params.terms) == 1:  # every live row is the same; skip unique's sort
+        rows, index = coeffs[live][:1], np.zeros(np.count_nonzero(live), dtype=np.intp)
+    else:
+        rows, index = np.unique(coeffs[live], axis=0, return_inverse=True)
     polys = [ActionPolynomial(alpha=max_alpha, coeffs=tuple(row)) for row in rows]
     full_index = np.full(len(energies), len(polys))
     full_index[live] = index.reshape(-1)

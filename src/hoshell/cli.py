@@ -37,7 +37,8 @@ from .actionpoly import (
     verify_legendre_form,
 )
 from .dos import envelope_nodes, pert_dos, supershell_nodes
-from .ebk import EbkLevel, ebk_dos, enumerate_levels
+from .ebk import EbkLevel, _level_table, ebk_dos
+from .ebk import enumerate_levels  # noqa: F401  perfbench/tracer.py wraps cli.enumerate_levels
 from .errors import AccuracyError, DomainError, UnsupportedMethodError
 from .modfactor import modulation
 from .oracle import (
@@ -103,12 +104,17 @@ def _open_out(path: str | None):
     return open(out, "w", newline="\n"), True
 
 
+_WRITE_BLOCK = 1024  # lines joined per write
+
+
 def _write_text(path: str | None, lines) -> None:
-    """Write the strings of `lines` in order, one at a time, so a long CSV
-    never exists as one string."""
+    """Write the strings of `lines` in order, joined in blocks of
+    _WRITE_BLOCK, so a long CSV never exists as one string."""
     stream, close = _open_out(path)
+    lines = iter(lines)
     try:
-        stream.writelines(lines)
+        while block := list(itertools.islice(lines, _WRITE_BLOCK)):
+            stream.write("".join(block))
     finally:
         if close:
             stream.close()
@@ -196,11 +202,10 @@ def _cmd_ebk(args) -> int:
     params = _system_params(args)
     # An e_max of inf enumerates up to the caps; nan is the library's to reject.
     scale = _scale(args, args.e_max if math.isfinite(args.e_max) else 1.0)
-    levels = enumerate_levels(params, e_max=args.e_max * scale,
-                              n_r_max=args.nr_max, l_max=args.l_max)
-    levels.sort(key=lambda lev: (lev.energy, lev.l))
-    text = "".join(_csv(_LEVEL_HEADER, "%d,%d,%.17g,%d\n", [
-        (lev.n_r, lev.l, lev.energy / scale, lev.degeneracy) for lev in levels]))
+    levels = _level_table(params, args.e_max * scale, args.nr_max, args.l_max).by_energy()
+    text = "".join(_csv(_LEVEL_HEADER, "%d,%d,%.17g,%d\n", zip(
+        levels.n_r.tolist(), levels.l.tolist(), (levels.energy / scale).tolist(),
+        levels.degeneracy)))
     if args.levels_out:
         _write_text(args.levels_out, [text])
     _write_text(args.out, [text])
@@ -208,17 +213,17 @@ def _cmd_ebk(args) -> int:
 
 
 def _read_levels_csv(path: str, scale: float) -> list[EbkLevel]:
+    """The levels of a file written by `ebk --levels-out`, read in one pass;
+    int() and float() take the line end of the last field as white space."""
     try:
         with open(path, errors="replace") as fh:  # bad bytes fail the checks below
             header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh]
+            if header != _LEVEL_HEADER:
+                raise DomainError(f"{path}: unexpected level file header: {header}")
+            return [EbkLevel(int(n_r), int(l), float(e) * scale, int(deg))
+                    for n_r, l, e, deg in (line.split(",") for line in fh)]
     except OSError as exc:
         raise DomainError(f"{path}: cannot read level file: {exc.strerror}") from None
-    if header != _LEVEL_HEADER:
-        raise DomainError(f"{path}: unexpected level file header: {header}")
-    try:
-        return [EbkLevel(n_r=int(n_r), l=int(l), energy=float(e) * scale,
-                         degeneracy=int(deg)) for n_r, l, e, deg in rows]
     except ValueError:
         raise DomainError(f"{path}: level rows must be n_r,l,E,degeneracy") from None
 

@@ -39,12 +39,16 @@ __all__ = [
 ]
 
 _ACTION_ORDER = 120
-# Rows per quadrature block: bounds every (rows x nodes) temporary, to 368 KB
-# on the 360 nodes of the 120/240 fallback.  Blocks of 256 rows at 240 nodes,
-# two such temporaries freed per block, let glibc trim the heap top on every
-# block of tf_smooth, which then faulted its pages back in (about 7,000 minor
-# faults per 8,001-energy call, against 500).
+# Rows per block of the action kernel: bounds every (rows x nodes) temporary,
+# to 368 KB on the 360 nodes of the 120/240 fallback.  Blocks of 256 rows at
+# 240 nodes, two such temporaries freed per block, let glibc trim the heap top
+# on every block, which then faulted its pages back in (about 7,000 minor
+# faults per 8,001-energy tf_smooth call, against 500).  Wider action blocks
+# raise the peak memory of an enumeration and do not run faster.
 _ROW_CHUNK = 128
+# tf_smooth's blocks hold the same (rows x nodes) entries at any node count:
+# 960 rows on the 48 midpoints, 128 on the fallback.
+_TF_BLOCK_ENTRIES = _ROW_CHUNK * 3 * _ACTION_ORDER
 _MAX_STEPS = 200
 _ULP = float(np.finfo(float).eps)
 
@@ -190,28 +194,9 @@ def _window(trap: _Trap, l2) -> _Window:
     return _Window(u_well, energy(u_well), u_top, energy(u_top))
 
 
-def _turning_points(trap: _Trap, e, l2, win: _Window, start=None):
-    """Roots u_in below the well bottom and u_out between it and the barrier
-    top, in one pass.  For eps >= 0, Q is concave and below its harmonic part,
-    so Newton from the harmonic roots moves monotonically onto the true ones.
-    `start`, the roots (u_in, u_out) at a nearby energy, replaces the
-    harmonic roots as the starting point; the brackets stay the same."""
+def _momentum(trap: _Trap, e, l2):
+    """Q(u) = 2 E u - u^2 - 2 eps u^(alpha+1) - L^2 per row, with its slope."""
     eps, a = trap.eps, trap.alpha
-    e, l2, u_well, u_top = np.broadcast_arrays(e, l2, win.u_well, win.u_top)
-    u_plus = e + np.sqrt(np.maximum(e * e - l2, 0.0))
-    u_minus = l2 / u_plus
-    lo_in = u_minus if eps >= 0 else np.zeros_like(e)
-    with np.errstate(over="ignore"):  # a tiny eps > 0: inf loses the minimum
-        hi_out = (u_top if eps < 0 else u_plus if eps == 0
-                  else np.minimum(u_plus, (e / eps) ** (1.0 / a)))
-    # Start from the given or the harmonic roots, clipped into the brackets;
-    # the first n rows are the inner roots, where Q rises.
-    x_in, x_out = (u_minus, u_plus) if start is None else start
-    n = e.size
-    e, l2 = np.tile(e, 2), np.tile(l2, 2)
-    lo, hi, x = (np.concatenate(p) for p in (
-        (lo_in, u_well), (u_well, hi_out),
-        (np.clip(x_in, lo_in, u_well), np.clip(x_out, u_well, hi_out))))
 
     def q(u):
         # u ** a * u, not u ** (a + 1): numpy squares fast but takes the
@@ -219,8 +204,40 @@ def _turning_points(trap: _Trap, e, l2, win: _Window, start=None):
         ua = u ** a
         return (2.0 * e * u - u * u - 2.0 * eps * ua * u - l2,
                 2.0 * e - 2.0 * u - 2.0 * eps * (a + 1) * ua)
+    return q
 
-    roots = _safe_newton(q, lo, hi, x, np.arange(2 * n) < n)
+
+def _outer_bracket(trap: _Trap, e, l2, u_top):
+    """The harmonic outer root u_plus of Q, and the top of the outer root's
+    bracket: the barrier top, or (eps > 0) where the strength term alone
+    reaches E."""
+    eps, a = trap.eps, trap.alpha
+    u_plus = e + np.sqrt(np.maximum(e * e - l2, 0.0))
+    with np.errstate(over="ignore"):  # a tiny eps > 0: inf loses the minimum
+        hi_out = (u_top if eps < 0 else u_plus if eps == 0
+                  else np.minimum(u_plus, (e / eps) ** (1.0 / a)))
+    return u_plus, hi_out
+
+
+def _turning_points(trap: _Trap, e, l2, win: _Window, start=None):
+    """Roots u_in below the well bottom and u_out between it and the barrier
+    top, in one pass.  For eps >= 0, Q is concave and below its harmonic part,
+    so Newton from the harmonic roots moves monotonically onto the true ones.
+    `start`, the roots (u_in, u_out) at a nearby energy, replaces the
+    harmonic roots as the starting point; the brackets stay the same."""
+    e, l2, u_well, u_top = np.broadcast_arrays(e, l2, win.u_well, win.u_top)
+    u_plus, hi_out = _outer_bracket(trap, e, l2, u_top)
+    u_minus = l2 / u_plus
+    lo_in = u_minus if trap.eps >= 0 else np.zeros_like(e)
+    # Start from the given or the harmonic roots, clipped into the brackets;
+    # the first n rows are the inner roots, where Q rises.
+    x_in, x_out = (u_minus, u_plus) if start is None else start
+    n = e.size
+    lo, hi, x = (np.concatenate(p) for p in (
+        (lo_in, u_well), (u_well, hi_out),
+        (np.clip(x_in, lo_in, u_well), np.clip(x_out, u_well, hi_out))))
+    roots = _safe_newton(_momentum(trap, np.tile(e, 2), np.tile(l2, 2)), lo, hi, x,
+                         np.arange(2 * n) < n)
     return roots[:n], roots[n:]
 
 
@@ -262,27 +279,31 @@ def _pair_sums(f, pair: _Pair):
             (f[:, pair.coarse] * pair.w_coarse).sum(axis=1))
 
 
-def _by_blocks(sums, columns, rule: _Pair):
-    """sums(*columns, rule) -> (*fine, coarse) by row blocks: (k, rows), (rows,)."""
-    out = np.concatenate([np.array(sums(*(c[i:i + _ROW_CHUNK] for c in columns), rule))
-                          for i in range(0, max(columns[0].size, 1), _ROW_CHUNK)], axis=1)
+def _by_blocks(sums, columns, rule: _Pair, entries: int | None):
+    """sums(*columns, rule) -> (*fine, coarse) by row blocks: (k, rows), (rows,).
+    A block takes entries // (nodes of the rule) rows, or _ROW_CHUNK rows if
+    `entries` is None."""
+    step = _ROW_CHUNK if entries is None else max(1, entries // rule.nodes[0].size)
+    out = np.concatenate([np.array(sums(*(c[i:i + step] for c in columns), rule))
+                          for i in range(0, max(columns[0].size, 1), step)], axis=1)
     return out[:-1], out[-1]
 
 
 def _checked(sums, columns, tol: float, floor: float, what: str, pair: _Pair,
-             fallback: _Pair, direct=None) -> np.ndarray:
+             fallback: _Pair, direct=None, entries: int | None = None) -> np.ndarray:
     """The fine results (k, rows) of sums(*columns, rule) -> (*fine, coarse).
     On every row the first must agree with its coarse sum to
     tol * max(|result|, floor): on `pair`, or else on `fallback`, where the rows
-    that miss on `pair` and the rows marked `direct` are summed again."""
+    that miss on `pair` and the rows marked `direct` are summed again.  Blocks
+    are sized as `_by_blocks` says."""
     redo = np.zeros(columns[0].size, dtype=bool) if direct is None else direct.copy()
     first = ~redo if redo.any() else slice(None)
-    fine, coarse = _by_blocks(sums, [c[first] for c in columns], pair)
+    fine, coarse = _by_blocks(sums, [c[first] for c in columns], pair, entries)
     out = np.empty((fine.shape[0], redo.size))
     out[:, first] = fine
     redo[first] = np.abs(fine[0] - coarse) > tol * np.maximum(np.abs(fine[0]), floor)
     if redo.any():
-        fine, coarse = _by_blocks(sums, [c[redo] for c in columns], fallback)
+        fine, coarse = _by_blocks(sums, [c[redo] for c in columns], fallback, entries)
         err = np.abs(fine[0] - coarse)
         if np.any(err > tol * np.maximum(np.abs(fine[0]), floor)):
             raise AccuracyError(f"{what} quadrature error {err.max():.3e} "
@@ -395,9 +416,15 @@ def _window_holding(trap: _Trap, e, l2) -> _Window:
 
 
 def _outer_radius(trap: _Trap, e: np.ndarray) -> np.ndarray:
-    """Outer turning radius of the l = 0 motion, |V(r_max) - E| <= 1e-12 E."""
-    l2 = np.zeros(e.size)
-    r_max = np.sqrt(_turning_points(trap, e, l2, _window_holding(trap, e, l2))[1])
+    """Outer turning radius of the l = 0 motion, |V(r_max) - E| <= 1e-12 E.
+    Every row has the window of L = 0, whose well bottom u = 0 is also the
+    inner root, so one window row serves all and only the outer roots are
+    solved, from the harmonic root in the bracket [0, top]."""
+    win = _window_holding(trap, e, np.zeros(1))
+    u_plus, hi = _outer_bracket(trap, e, 0.0, win.u_top)
+    u_out = _safe_newton(_momentum(trap, e, 0.0), win.u_well, hi,
+                         np.clip(u_plus, win.u_well, hi), False)
+    r_max = np.sqrt(u_out)
     resid = np.abs(0.5 * r_max ** 2 + trap.eps * r_max ** (2 * trap.alpha) - e)
     if np.any(resid > 1e-12 * e):
         raise AccuracyError(f"turning point residual {np.max(resid):.3e} exceeds 1e-12 * E")
@@ -535,18 +562,39 @@ def _level_set(trap: _Trap, l2, win: _Window, s_top, e_max: float, n_r_max: int)
     return rows[row], n_r, w.e_well[row] + width[row] * (0.5 + 0.5 * x)
 
 
-def enumerate_levels(params: SystemParams, e_max: float,
-                     n_r_max: int = 200, l_max: int = 400) -> list[EbkLevel]:
-    """All torus-quantized levels with E <= e_max, ordered by l, then n_r.
+class _Levels(NamedTuple):
+    """Levels as columns: n_r, l and energy as arrays, and the degeneracies
+    as exact ints (a D = 170 shell outgrows int64)."""
 
-    One table of S_r per l, on Chebyshev-Lobatto nodes in E, gives the
-    candidate levels: S_r rises across each window, so (n_r, l) is one when
-    2 pi hbar (n_r + 1/2) <= S_r(min(e_max, E_top)) (1 + 1e-9).  Each starts
-    from the root of the table's interpolant, one batched Newton solve
-    quantizes them all, and the levels with E <= e_max are kept.  Warns if
-    the caps cut the enumeration short, and names levels above a barrier
-    (eps < 0).
-    """
+    n_r: np.ndarray
+    l: np.ndarray
+    energy: np.ndarray
+    degeneracy: list
+
+    @classmethod
+    def of(cls, levels: list[EbkLevel]) -> "_Levels":
+        """The columns of a level list, with n_r and l as floats."""
+        try:
+            n_r, l, e = np.array([(lev.n_r, lev.l, lev.energy) for lev in levels],
+                                 dtype=float).reshape(-1, 3).T
+        except OverflowError:
+            raise DomainError("level quantum numbers leave the float range") from None
+        return cls(n_r, l, e, [lev.degeneracy for lev in levels])
+
+    def records(self) -> list[EbkLevel]:
+        return list(map(EbkLevel, self.n_r.tolist(), self.l.tolist(), self.energy.tolist(),
+                        self.degeneracy))
+
+    def by_energy(self) -> "_Levels":
+        """The levels ordered by (E, l, n_r), equal keys kept in their order:
+        the order of sorted() with that key."""
+        order = np.lexsort((self.n_r, self.l, self.energy))
+        return _Levels(self.n_r[order], self.l[order], self.energy[order],
+                       [self.degeneracy[i] for i in order.tolist()])
+
+
+def _level_table(params: SystemParams, e_max: float, n_r_max: int, l_max: int) -> _Levels:
+    """enumerate_levels' levels as columns, ordered by l, then n_r."""
     if math.isnan(e_max):
         raise DomainError("e_max must not be nan")
     if n_r_max < 0 or l_max < 0:
@@ -574,23 +622,40 @@ def enumerate_levels(params: SystemParams, e_max: float,
         warnings.warn("level enumeration truncated: " + "; ".join(truncated[:5]),
                       TruncationWarning)
     degeneracy = {k: angular_degeneracy(trap.dim, k) for k in set(l.tolist())}
-    return [EbkLevel(n_r=n, l=k, energy=e, degeneracy=degeneracy[k])
-            for k, n, e in zip(l.tolist(), n_r.tolist(), energy.tolist())]
+    return _Levels(n_r, l, energy, [degeneracy[k] for k in l.tolist()])
 
 
-def _check_levels(params: SystemParams, levels: list[EbkLevel]) -> None:
-    """Each degeneracy must match its l in this dimension, and each energy must
+def enumerate_levels(params: SystemParams, e_max: float,
+                     n_r_max: int = 200, l_max: int = 400) -> list[EbkLevel]:
+    """All torus-quantized levels with E <= e_max, ordered by l, then n_r.
+
+    One table of S_r per l, on Chebyshev-Lobatto nodes in E, gives the
+    candidate levels: S_r rises across each window, so (n_r, l) is one when
+    2 pi hbar (n_r + 1/2) <= S_r(min(e_max, E_top)) (1 + 1e-9).  Each starts
+    from the root of the table's interpolant, one batched Newton solve
+    quantizes them all, and the levels with E <= e_max are kept.  Warns if
+    the caps cut the enumeration short, and names levels above a barrier
+    (eps < 0).
+    """
+    return _level_table(params, e_max, n_r_max, l_max).records()
+
+
+def _check_levels(params: SystemParams, levels: list[EbkLevel]) -> _Levels:
+    """The columns of `levels`, each of which must be a level of this system:
+    its degeneracy must match its l in this dimension, and its energy must
     quantize this trap's radial action to 1e-9 of its target (one pass)."""
     trap, _, unit = _resolve(params)
+    shells = {}
     for lev in levels:
-        if lev.n_r < 0 or lev.degeneracy != angular_degeneracy(trap.dim, lev.l):
+        if lev.n_r >= 0 and lev.l not in shells:
+            shells[lev.l] = angular_degeneracy(trap.dim, lev.l)
+        if lev.n_r < 0 or lev.degeneracy != shells[lev.l]:
             raise DomainError(f"level (n_r={lev.n_r}, l={lev.l}) with degeneracy "
                               f"{lev.degeneracy} is not a D={trap.dim} level")
-    n_r, l, e = (np.array([getattr(lev, k) for lev in levels], dtype=float)
-                 for k in ("n_r", "l", "energy"))
-    target = trap.target(n_r)
+    table = _Levels.of(levels)
+    target = trap.target(table.n_r)
     try:
-        action = _radial_action_rows(trap, e / unit, trap.l_eff(l) ** 2)[0]
+        action = _radial_action_rows(trap, table.energy / unit, trap.l_eff(table.l) ** 2)[0]
     except NoBoundStateError as exc:
         raise DomainError(f"a given level lies outside this system's well: {exc}") from exc
     bad = np.flatnonzero(~(np.abs(action - target) <= 1e-9 * target))
@@ -598,6 +663,7 @@ def _check_levels(params: SystemParams, levels: list[EbkLevel]) -> None:
         lev = levels[bad[0]]
         raise DomainError(f"level (n_r={lev.n_r}, l={lev.l}) at E={lev.energy} is not quantized "
                           f"in this system ({bad.size} of {len(levels)} levels do not match)")
+    return table
 
 
 def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
@@ -612,6 +678,14 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
     precomputed list is supplied; such a list must hold levels of this system.
     A level at the cut weighs exp(-36) = 2.3e-16 of its peak at the grid end,
     so whether it falls inside the cut cannot show in g_ebk.
+
+    The levels are read into columns once, which the check and the sum share.
+    They are summed in the order of (E, l, n_r), so g_ebk does not depend on
+    the order of the list.  Past 27.5 widths exp(-x^2) is exactly 0.0
+    (x^2 > 745.14), so each level is added on its grid slice only, in one
+    buffer, and g_ebk has the bits of the full-grid sum.  From about 26.6
+    widths out the terms are subnormal, where exp and the product run many
+    times slower; they are kept, since they are part of those bits.
     """
     energies = np.asarray(energies, dtype=float)
     if energies.ndim != 1 or not energies.size:
@@ -624,18 +698,22 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
     e_cut = energies[-1] + 6.0 * width
     if levels is None:
         levels = enumerate_levels(params, e_cut, n_r_max=n_r_max, l_max=l_max)
+        table = _Levels.of(levels)
     else:
-        _check_levels(params, levels)
+        table = _check_levels(params, levels)
+    table = table.by_energy()
+    lo = np.searchsorted(energies, table.energy - 27.5 * width)
+    hi = np.searchsorted(energies, table.energy + 27.5 * width, side="right")
     g = np.zeros_like(energies)
-    # fixed accumulation order keeps the sum independent of enumeration order;
-    # past 27.5 widths exp(-x^2) is exactly 0.0 (x^2 > 745.14), so each level
-    # is added on its grid slice only and g is the same as the full-grid sum
-    ordered = sorted(levels, key=lambda lev: (lev.energy, lev.l, lev.n_r))
-    centres = np.array([lev.energy for lev in ordered])
-    lo = np.searchsorted(energies, centres - 27.5 * width)
-    hi = np.searchsorted(energies, centres + 27.5 * width, side="right")
-    for level, a, b in zip(ordered, lo, hi):
-        g[a:b] += level.degeneracy * np.exp(-((energies[a:b] - level.energy) / width) ** 2)
+    for centre, weight, a, b in zip(table.energy.tolist(), map(float, table.degeneracy),
+                                    lo.tolist(), hi.tolist()):
+        # weight * exp(-((E - centre) / width)^2), bit for bit, without temporaries
+        t = energies[a:b] - centre
+        t /= width
+        t *= -t
+        np.exp(t, out=t)
+        t *= weight
+        g[a:b] += t
     g /= width * math.sqrt(math.pi)
     return g, tf_smooth(params, energies), levels
 
@@ -681,8 +759,8 @@ def _tf_sums(trap: _Trap, e, r_max, pair: _Pair):
     the weights w carry the measure."""
     s2, s2a = pair.nodes
     power = 0.5 * trap.dim - 1.0
-    if power == 0.0:  # D = 2: the bracket drops out
-        f = np.broadcast_to(1.0, (e.size, s2.size))
+    if power == 0.0:  # D = 2: the bracket drops out, so every row sums the same
+        f = np.ones((1, s2.size))
     else:
         f = np.multiply.outer(0.5 * r_max ** 2, s2)
         np.subtract(e[:, None], f, out=f)
@@ -713,7 +791,8 @@ def tf_smooth(params: SystemParams, energy):
     energies = np.asarray(energy, dtype=float)
     e = energies.ravel() / unit
     out = _checked(partial(_tf_sums, trap), (e, _outer_radius(trap, e)), 1e-11, 1e-300,
-                   "smooth DOS", *_tf_pairs(trap.dim, trap.alpha))[0]
+                   "smooth DOS", *_tf_pairs(trap.dim, trap.alpha),
+                   entries=_TF_BLOCK_ENTRIES)[0]
     out = _physical(out, (2.0 * math.pi) ** (-0.5 * trap.dim) * 2.0 * math.pi ** (0.5 * trap.dim)
                     / math.gamma(0.5 * trap.dim) ** 2 / unit, "smooth DOS")
     return float(out[0]) if energies.ndim == 0 else out.reshape(energies.shape)

@@ -247,6 +247,25 @@ class TestPolynomialDeltaS:
         assert polys[0].alpha == alpha
         assert np.array_equal(polys[0].float_coeffs, want)
 
+    @pytest.mark.parametrize("alpha", [2, 3, 4, 10])
+    @pytest.mark.parametrize("eps", [-1.25e-3, 0.0, 5e-324])
+    def test_single_term_skips_unique_with_the_same_result(self, alpha, eps):
+        # One term takes every live row as the same polynomial without
+        # np.unique; adding a zero-strength term of the same order leaves the
+        # rows' bits as they are but goes through np.unique.  eps = 0 gives
+        # no live rows, and the least subnormal eps leaves sigma = 0 at the
+        # low energies only.
+        grid = np.geomspace(1e-3, 70.0, 2001)
+        single = SystemParams(dim=3, terms=((eps, alpha),))
+        padded = SystemParams(dim=3, terms=((eps, alpha), (0.0, alpha)))
+        polys, index, sigma = polynomial_delta_s(single, grid)
+        want_polys, want_index, want_sigma = polynomial_delta_s(padded, grid)
+        assert np.array_equal(sigma, want_sigma)
+        assert np.array_equal(index, want_index) and index.dtype == want_index.dtype
+        assert [(p.alpha, p.coeffs) for p in polys] == [(p.alpha, p.coeffs) for p in want_polys]
+        if eps == 5e-324:
+            assert 0 < np.count_nonzero(sigma) < grid.size
+
     def test_linearity_in_strength(self):
         whole = SystemParams.single(3, 0.08, 2)
         split = SystemParams(dim=3, terms=((0.04, 2), (0.04, 2)))

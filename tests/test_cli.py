@@ -225,6 +225,34 @@ def test_integer_columns_are_exact():
     assert lines == ["n,x\n", *(f"{n},0.5\n" for n in big)]
 
 
+@pytest.mark.parametrize("eps,omega", [(0.0, 1.0), (1.25e-3, 1.0), (-1.25e-3, 0.7)])
+def test_ebk_rows_are_the_level_list_sorted_by_energy_then_l(tmp_path: Path, eps, omega):
+    # `ebk` writes its table from arrays ordered by np.lexsort; the rows must
+    # be the library's level list sorted by (E, l), which is stable, so equal
+    # keys keep its n_r order.  At eps = 0 whole shells tie in E.
+    from hoshell.actionpoly import SystemParams
+    from hoshell.ebk import enumerate_levels
+
+    out = tmp_path / "levels.csv"
+    code, _, err = _in_process(["ebk", "--D", "4", f"--epsilon={eps!r}", f"--omega={omega!r}",
+                                "--e-max", "30", "--out", str(out)])
+    assert code == 0, err
+    levels = enumerate_levels(SystemParams.single(4, eps, 2, omega=omega), 30.0 * omega)
+    levels.sort(key=lambda lev: (lev.energy, lev.l))
+    assert out.read_text() == "n_r,l,E_over_hbar_omega,degeneracy\n" + "".join(
+        f"{lev.n_r},{lev.l},{lev.energy / omega:.17g},{lev.degeneracy}\n" for lev in levels)
+
+
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 3000])
+def test_block_writes_keep_every_line(tmp_path: Path, count):
+    from hoshell.cli import _write_text
+
+    lines = [f"{i},{i * 0.5}\n" for i in range(count)]
+    out = tmp_path / "lines.csv"
+    _write_text(str(out), iter(lines))
+    assert out.read_text() == "".join(lines)
+
+
 @pytest.mark.parametrize("dim,alpha", [("3", "2"), ("4", "2"), ("3", "4"), ("4", "4")])
 def test_modfactor_abs_is_abs_of_the_row(dim, alpha):
     # Each abs_* value is abs() of that row's complex value; np.abs over the
@@ -694,3 +722,65 @@ def test_quadrature_cli_gives_a_result_or_a_documented_exit(argv):
     if code == 0:
         text = out.getvalue().lower()
         assert text.count("\n") >= 2 and "nan" not in text and "inf" not in text, text[:500]
+
+
+def _in_process(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `main(argv)` run in this process."""
+    from hoshell.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_documented(code: int, out: str, err: str, min_lines: int) -> None:
+    assert code in (0, 2, 3, 64), (code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        text = out.lower()
+        assert text.count("\n") >= min_lines and "nan" not in text and "inf" not in text, text[:500]
+
+
+# The system of a torus-pipeline command: D, alpha, eps of both signs, and
+# omega and hbar log-uniform over six decades.
+_TORUS_SYSTEM = st.builds(
+    lambda dim, alpha, eps, omega, hbar: [
+        "--D", str(dim), "--alpha", str(alpha), f"--epsilon={eps!r}",
+        f"--omega={omega!r}", f"--hbar={hbar!r}"],
+    _DIMS, st.integers(1, 12), _signed_magnitude(-8, -1),
+    st.floats(-3.0, 3.0).map(lambda u: 10.0 ** u), st.floats(-3.0, 3.0).map(lambda u: 10.0 ** u))
+_TORUS_CAPS = st.builds(lambda n_r, l: ["--nr-max", str(n_r), "--l-max", str(l)],
+                        st.integers(-1, 30), st.integers(-1, 30))
+_WIDTH = st.floats(0.0, 2.0)
+# A:B:N with B - A in [-1, 40] and at most 201 points: valid in most draws.
+_TORUS_GRID = st.builds(lambda lo, span, n: f"{lo!r}:{lo + span!r}:{n}",
+                        st.floats(0.0, 40.0), st.floats(-1.0, 40.0), st.integers(0, 201))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(system=_TORUS_SYSTEM, caps=_TORUS_CAPS, e_max=st.floats(-5.0, 40.0),
+       grid=_TORUS_GRID, width=_WIDTH,
+       source=st.sampled_from(["ebk", "ebk-dos", "ebk-dos --levels-in"]))
+def test_torus_cli_gives_a_result_or_a_documented_exit(tmp_path_factory, system, caps, e_max,
+                                                       grid, width, source):
+    # `ebk`, and `ebk-dos` with the levels enumerated or read from a cache
+    # that `ebk --levels-out` wrote for the same system out to e_max.
+    if source == "ebk":
+        code, out, err = _in_process(["ebk", *system, *caps, f"--e-max={e_max!r}"])
+        event(f"ebk exit {code}")
+        _assert_documented(code, out, err, 1)
+        return
+    argv = ["ebk-dos", *system, *caps, f"--e-range={grid}", f"--width={width!r}"]
+    if source.endswith("--levels-in"):
+        cache = tmp_path_factory.mktemp("levels") / "levels.csv"
+        code, out, err = _in_process(["ebk", *system, *caps, f"--e-max={e_max!r}",
+                                      "--levels-out", str(cache)])
+        _assert_documented(code, out, err, 1)
+        argv += ["--levels-in", str(cache)]
+    code, out, err = _in_process(argv)
+    event(f"{source} exit {code}")
+    _assert_documented(code, out, err, 2)

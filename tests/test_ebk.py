@@ -10,6 +10,7 @@ from scipy.linalg import eigh_tridiagonal
 from hoshell.actionpoly import SystemParams, action_coefficients, delta_s, sigma_alpha
 from hoshell.dos import envelope_nodes, pert_dos
 from hoshell.ebk import (
+    EbkLevel,
     angular_degeneracy,
     ebk_dos,
     ebk_energy,
@@ -261,6 +262,49 @@ class TestSmoothDos:
                         energies)
         np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("alpha", [2, 3, 4])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_bracketing_root_and_adaptive_quadrature(self, dim, alpha, sign):
+        # outer_turning_point against a bracketing root in r (Anderson-Bjorck
+        # on [0, r_hi]) and tf_smooth against tanh-sinh quadrature in r, both
+        # at 30 digits, up to a millionth of the eps < 0 barrier top below it
+        # (the same energies for eps > 0), where the outer root is nearly double.
+        mp = pytest.importorskip("mpmath")
+        eps = sign * 1e-2
+        r_top = (1.0 / (2.0 * alpha * 1e-2)) ** (1.0 / (2 * alpha - 2))
+        e_top = 0.5 * r_top ** 2 - 1e-2 * r_top ** (2 * alpha)
+        energies = np.array([0.05, 0.6, 1.0 - 1e-6]) * e_top
+        params = SystemParams.single(dim, eps, alpha)
+        got = tf_smooth(params, energies)
+        with mp.workdps(30):
+            pref = ((2 * mp.pi) ** (-mp.mpf(dim) / 2) * 2 * mp.pi ** (mp.mpf(dim) / 2)
+                    / mp.gamma(mp.mpf(dim) / 2) ** 2)
+            for energy, smooth in zip(energies, got):
+                def excess(r, energy=mp.mpf(energy)):
+                    return energy - r ** 2 / 2 - mp.mpf(eps) * r ** (2 * alpha)
+
+                r_hi = mp.mpf(r_top) if eps < 0 else mp.sqrt(2 * mp.mpf(energy))
+                r_max = mp.findroot(excess, (mp.mpf(0), r_hi), solver="anderson")
+                assert outer_turning_point(params, energy).r_max == pytest.approx(
+                    float(r_max), rel=1e-13)
+                integral = mp.quad(lambda r: max(excess(r), 0) ** (mp.mpf(dim) / 2 - 1)
+                                   * r ** (dim - 1), [0, r_max / 2, r_max])
+                assert smooth == pytest.approx(float(pref * integral), rel=1e-11)
+
+    @pytest.mark.parametrize("dim,eps", [(2, 1e-3), (3, 1e-3), (3, -1.25e-3), (4, -1.25e-3),
+                                         (5, 2e-2)])
+    def test_halves_of_a_grid_give_the_same_bits(self, dim, eps):
+        # Blocks of 960 rows at 48 nodes split this grid at rows 960 and 1920,
+        # and its halves at 960 and 40: each row's value is its own.
+        params = SystemParams.single(dim, eps, 2)
+        grid = np.linspace(0.01, 39.0, 2000)
+        whole = tf_smooth(params, grid)
+        assert np.array_equal(whole, np.concatenate([tf_smooth(params, grid[:1000]),
+                                                     tf_smooth(params, grid[1000:])]))
+        assert np.array_equal(whole[[0, 959, 960, 1999]],
+                              [tf_smooth(params, e) for e in grid[[0, 959, 960, 1999]]])
+
     def test_node_tables_are_read_only(self):
         # lru_cache hands the same arrays to every call; a kernel that wrote
         # into one would corrupt all later results.
@@ -367,6 +411,31 @@ class TestEbkDos:
         for grid in ([30.0, 1.0], [1.0, 2.0, 2.0]):
             with pytest.raises(DomainError, match="strictly increasing"):
                 ebk_dos(params, grid, 0.1)
+
+
+    def test_shuffled_level_list_gives_the_same_bits(self):
+        # Levels are summed in (E, l, n_r) order whatever the list's order;
+        # at eps = 0 whole shells share one energy, so l and n_r break ties.
+        for eps in (0.0, 1.25e-3):
+            params = SystemParams.single(3, eps, 2)
+            grid = np.linspace(0.5, 14.0, 1201)
+            levels = enumerate_levels(params, 16.0)
+            shuffled = list(levels)
+            np.random.default_rng(7).shuffle(shuffled)
+            assert shuffled != levels
+            g, smooth, _ = ebk_dos(params, grid, 0.2, levels=levels)
+            g2, smooth2, back = ebk_dos(params, grid, 0.2, levels=shuffled)
+            assert np.array_equal(g, g2) and np.array_equal(smooth, smooth2)
+            assert back is shuffled
+
+    def test_quantum_numbers_past_the_float_range_rejected(self):
+        # l = 10^400 with its D = 3 degeneracy passes the degeneracy check but
+        # has no float value; it must be a domain error, not an OverflowError.
+        huge = 10 ** 400
+        level = EbkLevel(n_r=0, l=huge, energy=1.5, degeneracy=2 * huge + 1)
+        with pytest.raises(DomainError, match="leave the float range"):
+            ebk_dos(SystemParams.single(3, 0.0, 2), np.arange(1.0, 3.0, 0.5), 0.3,
+                    levels=[level])
 
 
 class TestCrossPipeline:
