@@ -674,6 +674,29 @@ def test_parser_surface():
     assert surface == {name: sorted(options) for name, options in PARSER_SURFACE.items()}
 
 
+def _in_process(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `main(argv)` run in this process.  Any
+    exception but SystemExit, a RuntimeWarning included, fails the caller's
+    example with its traceback."""
+    from hoshell.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_documented(code: int, out: str, err: str, min_lines: int) -> None:
+    assert code in (0, 2, 3, 64), (code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        text = out.lower()
+        assert text.count("\n") >= min_lines and "nan" not in text and "inf" not in text, text[:500]
+
+
 def _signed_magnitude(low: float, high: float):
     """0, or +-10^u for u uniform in [low, high]."""
     return st.one_of(st.just(0.0), st.builds(lambda sign, u: sign * 10.0 ** u,
@@ -722,27 +745,6 @@ def test_quadrature_cli_gives_a_result_or_a_documented_exit(argv):
     if code == 0:
         text = out.getvalue().lower()
         assert text.count("\n") >= 2 and "nan" not in text and "inf" not in text, text[:500]
-
-
-def _in_process(argv: list[str]) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of `main(argv)` run in this process."""
-    from hoshell.cli import main
-
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-def _assert_documented(code: int, out: str, err: str, min_lines: int) -> None:
-    assert code in (0, 2, 3, 64), (code, err)
-    assert "Traceback" not in err
-    if code == 0:
-        text = out.lower()
-        assert text.count("\n") >= min_lines and "nan" not in text and "inf" not in text, text[:500]
 
 
 # The system of a torus-pipeline command: D, alpha, eps of both signs, and
