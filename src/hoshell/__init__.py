@@ -46,6 +46,7 @@ from .ebk import (
 from .errors import (
     AccuracyError,
     DomainError,
+    ForeignLevelsError,
     NoBoundStateError,
     PropertyViolationError,
     StepSizeError,

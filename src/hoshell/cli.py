@@ -39,7 +39,7 @@ from .actionpoly import (
 from .dos import envelope_nodes, pert_dos, supershell_nodes
 from .ebk import EbkLevel, _level_table, ebk_dos
 from .ebk import enumerate_levels  # noqa: F401  perfbench/tracer.py wraps cli.enumerate_levels
-from .errors import AccuracyError, DomainError, UnsupportedMethodError
+from .errors import AccuracyError, DomainError, ForeignLevelsError, UnsupportedMethodError
 from .modfactor import modulation
 from .oracle import (
     EllipseOrbit,
@@ -235,9 +235,7 @@ def _cmd_ebk_dos(args) -> int:
     try:
         g, smooth, _ = ebk_dos(params, shell * scale, width=args.width * scale,
                                n_r_max=args.nr_max, l_max=args.l_max, levels=levels)
-    except DomainError as exc:
-        if levels is None:
-            raise
+    except ForeignLevelsError as exc:  # the cache's fault, not the grid's
         raise DomainError(f"{args.levels_in}: {exc}") from exc
     _write_text(args.out, _csv(["E_over_hbar_omega", "g_ebk", "g_smooth", "dg_ebk"],
                                "%.17g,%.17g,%.17g,%.17g\n",

@@ -23,7 +23,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .actionpoly import SystemParams, absorb_harmonic_terms
-from .errors import AccuracyError, DomainError, NoBoundStateError, TruncationWarning
+from .errors import (
+    AccuracyError,
+    DomainError,
+    ForeignLevelsError,
+    NoBoundStateError,
+    TruncationWarning,
+)
 from .specfun import QuadratureRule, chebyshev_lobatto, gauss_legendre, rising_roots
 
 __all__ = [
@@ -51,6 +57,10 @@ _ROW_CHUNK = 128
 _TF_BLOCK_ENTRIES = _ROW_CHUNK * 3 * _ACTION_ORDER
 _MAX_STEPS = 200
 _ULP = float(np.finfo(float).eps)
+# Below this energy (in hbar omega) the terms 2 E u and u^2 ~ 4 E^2 of Q(u) at
+# the outer turning point leave the normal float range, and the root cannot
+# meet its 1e-12 E residual (it failed up to 1.3e-155).
+_E_NORMAL = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -416,11 +426,15 @@ def _window_holding(trap: _Trap, e, l2) -> _Window:
 
 
 def _outer_radius(trap: _Trap, e: np.ndarray) -> np.ndarray:
-    """Outer turning radius of the l = 0 motion, |V(r_max) - E| <= 1e-12 E.
-    Every row has the window of L = 0, whose well bottom u = 0 is also the
-    inner root, so one window row serves all and only the outer roots are
-    solved, from the harmonic root in the bracket [0, top]."""
+    """Outer turning radius of the l = 0 motion, |V(r_max) - E| <= 1e-12 E,
+    for energies from `_E_NORMAL` (a DomainError below).  Every row has the
+    window of L = 0, whose well bottom u = 0 is also the inner root, so one
+    window row serves all and only the outer roots are solved, from the
+    harmonic root in the bracket [0, top]."""
     win = _window_holding(trap, e, np.zeros(1))
+    if np.any(e < _E_NORMAL):
+        raise DomainError(f"energy {np.min(e):g} hbar omega lies below {_E_NORMAL:.3g}, where "
+                          "the turning-point terms leave the normal float range")
     u_plus, hi = _outer_bracket(trap, e, 0.0, win.u_top)
     u_out = _safe_newton(_momentum(trap, e, 0.0), win.u_well, hi,
                          np.clip(u_plus, win.u_well, hi), False)
@@ -578,7 +592,7 @@ class _Levels(NamedTuple):
             n_r, l, e = np.array([(lev.n_r, lev.l, lev.energy) for lev in levels],
                                  dtype=float).reshape(-1, 3).T
         except OverflowError:
-            raise DomainError("level quantum numbers leave the float range") from None
+            raise ForeignLevelsError("level quantum numbers leave the float range") from None
         return cls(n_r, l, e, [lev.degeneracy for lev in levels])
 
     def records(self) -> list[EbkLevel]:
@@ -643,26 +657,29 @@ def enumerate_levels(params: SystemParams, e_max: float,
 def _check_levels(params: SystemParams, levels: list[EbkLevel]) -> _Levels:
     """The columns of `levels`, each of which must be a level of this system:
     its degeneracy must match its l in this dimension, and its energy must
-    quantize this trap's radial action to 1e-9 of its target (one pass)."""
+    quantize this trap's radial action to 1e-9 of its target (one pass).
+    Raises ForeignLevelsError otherwise."""
     trap, _, unit = _resolve(params)
     shells = {}
     for lev in levels:
-        if lev.n_r >= 0 and lev.l not in shells:
+        if lev.l >= 0 and lev.l not in shells:
             shells[lev.l] = angular_degeneracy(trap.dim, lev.l)
-        if lev.n_r < 0 or lev.degeneracy != shells[lev.l]:
-            raise DomainError(f"level (n_r={lev.n_r}, l={lev.l}) with degeneracy "
-                              f"{lev.degeneracy} is not a D={trap.dim} level")
+        if lev.n_r < 0 or lev.degeneracy != shells.get(lev.l):
+            raise ForeignLevelsError(f"level (n_r={lev.n_r}, l={lev.l}) with degeneracy "
+                                     f"{lev.degeneracy} is not a D={trap.dim} level")
     table = _Levels.of(levels)
     target = trap.target(table.n_r)
     try:
         action = _radial_action_rows(trap, table.energy / unit, trap.l_eff(table.l) ** 2)[0]
-    except NoBoundStateError as exc:
-        raise DomainError(f"a given level lies outside this system's well: {exc}") from exc
+    except DomainError as exc:  # no bound state, or E <= 0
+        raise ForeignLevelsError(f"a given level lies outside this system's well: {exc}") \
+            from exc
     bad = np.flatnonzero(~(np.abs(action - target) <= 1e-9 * target))
     if bad.size:
         lev = levels[bad[0]]
-        raise DomainError(f"level (n_r={lev.n_r}, l={lev.l}) at E={lev.energy} is not quantized "
-                          f"in this system ({bad.size} of {len(levels)} levels do not match)")
+        raise ForeignLevelsError(f"level (n_r={lev.n_r}, l={lev.l}) at E={lev.energy} is not "
+                                 f"quantized in this system ({bad.size} of {len(levels)} levels "
+                                 "do not match)")
     return table
 
 

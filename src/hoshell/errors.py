@@ -9,6 +9,10 @@ class NoBoundStateError(DomainError):
     """No classically bounded motion exists (e.g. energy above the barrier)."""
 
 
+class ForeignLevelsError(DomainError):
+    """A supplied level list is not a level set of this system."""
+
+
 class AccuracyError(RuntimeError):
     """A numerical routine could not reach its accuracy target."""
 

@@ -227,12 +227,17 @@ def _spa(poly: ActionPolynomial, x: np.ndarray, dim: int) -> np.ndarray:
     slope = float(np.sum(2.0 * np.arange(1, len(coeffs)) * coeffs[1:]))
     if slope == 0.0:
         raise DomainError("degenerate upper end point: sum_j 2j a_j vanishes")
-    upper = 1j * np.exp(-1j * x * tail) / (x * slope)
     s = 0.5 * (dim - 1)
     w = x * a1
-    lower = (0.5 * math.gamma(s) * np.abs(w) ** (-s)
-             * np.exp(-1j * np.sign(w) * s * math.pi / 2.0))
-    return (dim - 1) * np.exp(-1j * x * a0) * (upper + lower)
+    with np.errstate(over="ignore", invalid="ignore"):  # |w|^(-s) at a tiny x; checked below
+        upper = 1j * np.exp(-1j * x * tail) / (x * slope)
+        lower = (0.5 * math.gamma(s) * np.abs(w) ** (-s)
+                 * np.exp(-1j * np.sign(w) * s * math.pi / 2.0))
+        out = (dim - 1) * np.exp(-1j * x * a0) * (upper + lower)
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"SPA end-point terms leave the float range at x = k sigma / hbar = "
+                          f"{x[~np.isfinite(out)].flat[0]:g}")
+    return out
 
 
 def modulation_spa(poly: ActionPolynomial, sigma_over_hbar: float,

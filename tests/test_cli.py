@@ -331,8 +331,9 @@ def _cold_start(*argvs: list[str]) -> list[list[str]]:
 
 
 def test_cold_start_loads_no_scipy(tmp_path: Path):
-    # scipy is imported only by the even-D closed form (erf along the sqrt(i)
-    # ray); importing the CLI and running the other commands must not load it.
+    # The package does not use scipy: importing the CLI and running any
+    # command, the even-D closed form (erf along the sqrt(i) ray) included,
+    # must not load it.
     system = ["--alpha", "2", "--epsilon", "1.25e-3"]
     loaded = _cold_start(
         ["dos", "--D", "3", *system, "--method", "quad", "--e-range", "1:30:301",
@@ -341,23 +342,91 @@ def test_cold_start_loads_no_scipy(tmp_path: Path):
          "--out", str(tmp_path / "closed3.csv")],
         ["dos", "--D", "5", *system, "--method", "closed", "--e-range", "1:70:301",
          "--out", str(tmp_path / "closed5.csv")],
+        ["dos", "--D", "2", *system, "--method", "closed", "--e-range", "1:70:301",
+         "--out", str(tmp_path / "closed2.csv")],
+        ["dos", "--D", "4", *system, "--method", "closed", "--e-range", "1:70:301",
+         "--out", str(tmp_path / "closed4.csv")],
         ["ebk", "--D", "2", *system, "--e-max", "10", "--out", str(tmp_path / "levels.csv")],
         ["coeffs", "--alpha-max", "6", "--out", str(tmp_path / "coeffs.csv")],
     )
-    assert loaded == [[]] * 6
+    assert loaded == [[]] * 8
 
 
-def test_even_dimension_closed_form_reaches_erf(tmp_path: Path):
-    # At E = 70, |x a1| = k sigma / (2 hbar) reaches 190 > max(10, b/2): the
-    # half-integer recursion, seeded by erf, which loads scipy.special.
+def test_even_dimension_closed_form_reaches_erf(tmp_path: Path, monkeypatch):
+    # At E = 70, |x a1| = k sigma / (2 hbar) reaches 190 > max(10, b): the
+    # half-integer recurrence, seeded by 1F1(1; 3/2; iy) from the erfc
+    # fraction.  The 1F1 values it gives there meet mpmath.
+    mp = pytest.importorskip("mpmath")
+    import hoshell.modfactor
+    from hoshell.cli import main
+    from hoshell.specfun import kummer_1f1_axis
+
+    calls = []
+
+    def recorded(b, y):
+        value = kummer_1f1_axis(b, y)
+        calls.append((b, np.ravel(y), np.ravel(value)))
+        return value
+
+    monkeypatch.setattr(hoshell.modfactor, "kummer_1f1_axis", recorded)
     out = tmp_path / "closed4.csv"
-    loaded = _cold_start(
-        ["dos", "--D", "4", "--alpha", "2", "--epsilon", "1.25e-3", "--method", "closed",
-         "--e-range", "1:70:301", "--out", str(out)],
-    )
-    assert loaded[0] == []
-    assert "scipy.special" in loaded[1]
+    assert main(["dos", "--D", "4", "--alpha", "2", "--epsilon", "1.25e-3", "--method",
+                 "closed", "--e-range", "1:70:301", "--out", str(out)]) == 0
     assert out.read_text().count("\n") == 302
+    assert {b for b, _, _ in calls} == {2.5}
+    y = np.concatenate([y for _, y, _ in calls])
+    value = np.concatenate([v for _, _, v in calls])
+    far = np.flatnonzero(np.abs(y) > 10.0)
+    assert far.size and np.max(np.abs(y)) > 150.0
+    with mp.workdps(40):
+        for i in far[::max(1, far.size // 200)]:
+            ref = complex(mp.hyp1f1(1, 2.5, mp.mpc(0, float(y[i]))))
+            assert abs(value[i] - ref) <= 1e-15 * abs(ref), y[i]
+
+
+NO_SCIPY = """
+import importlib.abc, json, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is not installed")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+    blocked = False
+except ImportError:
+    blocked = True
+import hoshell.cli
+print(json.dumps([blocked] + [hoshell.cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_package_runs_without_scipy(tmp_path: Path):
+    # scipy is a test dependency only: with it unimportable, the even-D
+    # closed form, every modulation method, and the torus pipeline still run.
+    system = ["--alpha", "2", "--epsilon", "1.25e-3"]
+    cache = str(tmp_path / "levels.csv")
+    argvs = [
+        ["dos", "--D", "2", *system, "--method", "closed", "--e-range", "1:70:301",
+         "--out", str(tmp_path / "closed2.csv")],
+        ["dos", "--D", "4", *system, "--method", "closed", "--e-range", "1:70:301",
+         "--out", str(tmp_path / "closed4.csv")],
+        ["modfactor", "--D", "2", "--alpha", "2", "--method", "all",
+         "--sigma-over-hbar-range", "0:200:41", "--out", str(tmp_path / "mod.csv")],
+        ["ebk", "--D", "2", *system, "--e-max", "12", "--levels-out", cache,
+         "--out", str(tmp_path / "levels_out.csv")],
+        ["ebk-dos", "--D", "2", *system, "--e-range", "1:10:91", "--width", "0.3",
+         "--out", str(tmp_path / "g.csv")],
+        ["ebk-dos", "--D", "2", *system, "--e-range", "1:10:91", "--width", "0.3",
+         "--levels-in", cache, "--out", str(tmp_path / "g_cached.csv")],
+    ]
+    cp = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(argvs)],
+                        capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout.splitlines()[-1]) == [True] + [0] * len(argvs)
 
 
 def test_ebk_writes_identical_out_and_cache(tmp_path: Path):
@@ -396,6 +465,21 @@ def test_foreign_level_cache_rejected(d3_cache: Path, dim, eps):
                  "--e-range", "2:8:13", "--width", "0.3", "--levels-in", str(d3_cache))
     assert cp.returncode == 2, cp.stdout
     assert "d3.csv" in cp.stderr
+
+
+def test_grid_error_is_not_blamed_on_the_level_cache(d3_cache: Path):
+    # The cache holds levels of this system; the grid start E = 0 is at fault.
+    cp = run_cli("ebk-dos", "--D", "3", "--alpha", "2", "--epsilon", "1.25e-3",
+                 "--e-range", "0:5:11", "--width", "0.3", "--levels-in", str(d3_cache))
+    assert cp.returncode == 2, cp.stdout
+    assert cp.stderr == "hoshell: domain error: energy must be > 0, got 0.0\n"
+
+
+def test_grid_energies_just_above_the_normal_range_are_computed():
+    # From 1.49e-154 the turning-point terms 2 E u and u^2 are normal floats.
+    cp = run_cli("ebk-dos", "--D", "3", "--e-range=1.5e-154:1:3")
+    assert cp.returncode == 0, cp.stderr
+    assert len(cp.stdout.splitlines()) == 4
 
 
 def test_matching_level_cache_accepted(d3_cache: Path):
@@ -441,6 +525,17 @@ def test_matching_level_cache_accepted(d3_cache: Path):
     (("modfactor", "--D", "3", "--alpha", "2", "--k", "10",
       "--sigma-over-hbar-range", "0:1e308:3"), "sigma / hbar must be finite"),
     (("ebk", "--alpha", "1" + "0" * 400, "--e-max", "3"), "the order alpha leaves the float range"),
+    # Below 1.49e-154 hbar omega, 2 E u and u^2 in the turning-point equation
+    # leave the normal float range, and no root meets the 1e-12 E residual.
+    (("ebk-dos", "--D", "3", "--e-range=2.2250738585072014e-308:0.018:145"),
+     "energy 2.22507e-308 hbar omega lies below 1.49e-154, where the turning-point terms leave"),
+    (("ebk-dos", "--D", "3", "--e-range=1e-155:1:3"), "energy 1e-155 hbar omega lies below"),
+    # |x a1|^(-(D-1)/2) overflows: the SPA wrote nan and inf with exit 0.
+    (("modfactor", "--D", "8", "--alpha", "2", "--method", "spa",
+      "--sigma-over-hbar-range=0:7.3654061175364826e-96:2"),
+     "SPA end-point terms leave the float range at x = k sigma / hbar = 7.36541e-96"),
+    (("dos", "--D", "12", "--epsilon", "1e-300", "--method", "spa", "--e-range", "1:5:3"),
+     "SPA end-point terms leave the float range"),
 ])
 def test_invalid_values_are_domain_errors(args, message):
     cp = run_cli(*args)
@@ -745,6 +840,30 @@ def test_quadrature_cli_gives_a_result_or_a_documented_exit(argv):
     if code == 0:
         text = out.getvalue().lower()
         assert text.count("\n") >= 2 and "nan" not in text and "inf" not in text, text[:500]
+
+
+_CLOSED_DIMS = st.integers(2, 12)
+_CLOSED_ARGV = st.one_of(
+    st.builds(lambda method, dim, alpha, eps, k_max, grid: [
+        "dos", "--method", method, "--D", str(dim), "--alpha", str(alpha),
+        f"--epsilon={eps!r}", "--k-max", str(k_max), "--e-range", grid],
+        st.sampled_from(["closed", "spa"]), _CLOSED_DIMS, st.integers(0, 12),
+        _signed_magnitude(-8, -1), st.integers(0, 10), _range(-5.0, 100.0)),
+    st.builds(lambda method, dim, alpha, k, grid: [
+        "modfactor", "--method", method, "--D", str(dim), "--alpha", str(alpha),
+        "--k", str(k), f"--sigma-over-hbar-range={grid}"],
+        st.sampled_from(["closed", "spa", "all"]), _CLOSED_DIMS, st.integers(0, 12),
+        st.integers(-10, 10), _range(-10.0, 10.0, lambda low, high: _signed_magnitude(-3, 3))),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(argv=_CLOSED_ARGV)
+def test_closed_form_cli_gives_a_result_or_a_documented_exit(argv):
+    # Even D reaches the half-integer 1F1 recurrence and its erfc seed.
+    code, out, err = _in_process(argv)
+    event(f"{argv[0]} {argv[2]} exit {code}")
+    _assert_documented(code, out, err, 2)
 
 
 # The system of a torus-pipeline command: D, alpha, eps of both signs, and

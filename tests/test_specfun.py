@@ -180,6 +180,21 @@ class TestKummer:
                 for got in (value, kummer_1f1(b, 1j * y)):
                     assert abs(got - ref) <= 5e-12 * abs(ref), (dim, y)
 
+    @pytest.mark.parametrize("b", [1.5, 2.5, 4.5, 10.5])
+    def test_half_integer_recurrence_oracle(self, b):
+        # Past max(10, b), even D runs the recurrence upward from
+        # 1F1(1; 3/2; iy), seeded straight from the erfc fraction: a few ulp
+        # at both signs of y (the erf route gave 1.1e-13 at b = 1.5).
+        mp = pytest.importorskip("mpmath")
+        edge = max(10.0, b)
+        mags = np.concatenate([[np.nextafter(edge, np.inf)], np.geomspace(edge, 1e6, 151)[1:]])
+        ys = np.concatenate([-mags, mags])
+        values = kummer_1f1_axis(b, ys)
+        with mp.workdps(40):
+            for y, value in zip(ys, values):
+                ref = complex(mp.hyp1f1(1, b, mp.mpc(0, float(y))))
+                assert abs(value - ref) <= 1e-15 * abs(ref), (b, y)
+
     @pytest.mark.parametrize("b,z", [(2.0, 1.0), (3.5, 3 + 4j), (4.0, -1e-9 + 20j),
                                      (3.3, 5j), (7.9, 40j)])
     def test_rejects_off_axis_and_non_half_integer_b(self, b, z):
@@ -212,6 +227,22 @@ class TestErfSqrtI:
         ref = (2.0 / math.sqrt(math.pi)) * np.exp(1j * math.pi / 4) \
             * simpson(vals, x=s)
         assert abs(erf_sqrt_i(x) - ref) < 1e-10
+
+    def test_high_precision_oracle(self):
+        # The Taylor series up to 3, then the erfc fraction at depth 80, 50
+        # and 18 past 3, 5 and 10, probed on both sides of each edge.  Past 10
+        # the bound is the worst error of scipy's Fresnel integrals there.
+        mp = pytest.importorskip("mpmath")
+        edges = [np.nextafter(e, d) for e in (3.0, 5.0, 10.0) for d in (0.0, np.inf)]
+        near = np.concatenate([np.geomspace(1e-12, 1e-2, 11), np.linspace(0.01, 10.0, 334),
+                               edges[:-1]])
+        far = np.concatenate([[edges[-1]], np.geomspace(10.0, 1e8, 301)[1:]])
+        for xs, bound in ((near, 1e-14), (far, 6.3e-15)):
+            values = erf_sqrt_i(xs)
+            with mp.workdps(40):
+                for x, value in zip(xs, values):
+                    ref = complex(mp.erf(mp.sqrt(mp.mpc(0, float(x)))))
+                    assert abs(value - ref) <= bound * abs(ref), x
 
     def test_schwarz_reflection_structure(self):
         # The conjugate ray integral flips the imaginary part.
