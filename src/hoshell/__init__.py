@@ -34,7 +34,6 @@ from .dos import (
 )
 from .ebk import (
     EbkLevel,
-    TurningPoint,
     angular_degeneracy,
     ebk_dos,
     ebk_energy,
@@ -58,7 +57,6 @@ from .modfactor import (
     modulation,
     modulation_closed_form,
     modulation_quadrature,
-    modulation_spa,
     spa_stationary_point_audit,
 )
 from .oracle import (
@@ -72,7 +70,6 @@ from .oracle import (
 from .specfun import (
     QuadratureRule,
     double_factorial,
-    erf_sqrt_i,
     gauss_legendre,
     kummer_1f1,
     legendre_p,

@@ -75,10 +75,6 @@ class SystemParams:
         return cls(dim=dim, omega=omega, hbar=hbar,
                    terms=(PerturbationTerm(epsilon, alpha),))
 
-    def r0(self, energy: float) -> float:
-        """Classical amplitude sqrt(2E)/omega of the unperturbed oscillator."""
-        return math.sqrt(2.0 * energy) / self.omega
-
 
 @dataclass(frozen=True)
 class ActionPolynomial:
@@ -209,7 +205,10 @@ def delta_s(poly: ActionPolynomial, sigma: float, ltilde: float) -> float:
 def effective_frequency(params: SystemParams) -> float:
     """Trap frequency absorbing all harmonic (alpha=1) perturbation terms."""
     eps1 = sum(t.epsilon for t in params.terms if t.alpha == 1)
-    radicand = params.omega ** 2 + 2.0 * eps1
+    try:
+        radicand = params.omega ** 2 + 2.0 * eps1
+    except OverflowError:
+        raise DomainError(f"omega^2 leaves the float range at omega={params.omega:g}") from None
     if radicand <= 0:
         raise DomainError(
             f"harmonic terms invert the trap: omega^2 + 2*eps = {radicand}"

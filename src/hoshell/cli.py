@@ -326,8 +326,12 @@ def _cmd_compare(args) -> int:
     g, smooth, _ = ebk_dos(params, energies, width=args.width * scale,
                            n_r_max=args.nr_max, l_max=args.l_max)
     dg_ebk = g - smooth
-    rms = float(np.sqrt(np.mean((curve.oscillating - dg_ebk) ** 2)))
-    pearson = float(np.corrcoef(curve.oscillating, dg_ebk)[0, 1])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        rms = float(np.sqrt(np.mean((curve.oscillating - dg_ebk) ** 2)))
+        pearson = float(np.corrcoef(curve.oscillating, dg_ebk)[0, 1]) if shell.size > 1 else math.nan
+    if not (math.isfinite(rms) and math.isfinite(pearson)):
+        raise DomainError(f"RMS difference {rms:g} and Pearson correlation {pearson:g} need 2 or "
+                          "more grid energies on which both oscillating densities vary in float range")
     pert_nodes = envelope_nodes(energies, curve.oscillating, scale) / scale
     ebk_nodes = envelope_nodes(energies, dg_ebk, scale) / scale
     offsets, unmatched_pert, unmatched_ebk = _pair_nodes(pert_nodes, ebk_nodes)

@@ -61,8 +61,7 @@ def ho_spectrum(dim: int, omega: float, hbar: float, n_max: int) -> list[HoLevel
     """Unperturbed levels hbar omega (n + D/2) with binomial degeneracies."""
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    if dim < 2:
-        raise DomainError(f"spatial dimension must be >= 2, got {dim}")
+    SystemParams(dim=dim, omega=omega, hbar=hbar)  # checks D >= 2, finite omega, hbar > 0
     return [
         HoLevel(n=n, energy=hbar * omega * (n + dim / 2.0),
                 degeneracy=math.comb(n + dim - 1, dim - 1))
@@ -89,6 +88,7 @@ def ho_dos(dim: int, omega: float, hbar: float, energies: np.ndarray,
     Uses the full product prefactor, so the k-sum reproduces the quantum
     spectrum as a train of Gaussians of weight equal to the degeneracies.
     """
+    SystemParams(dim=dim, omega=omega, hbar=hbar)  # checks D >= 2, finite omega, hbar > 0
     energies = np.asarray(energies, dtype=float)
     shell = energies / (hbar * omega)
     pref = np.ones_like(shell)
@@ -235,6 +235,9 @@ def envelope_profile(energies: np.ndarray, oscillating: np.ndarray,
     """Shell-oscillation envelope: max |oscillating| over consecutive windows
     of one shell spacing.  Returns (window centers, envelope samples)."""
     energies = np.asarray(energies, dtype=float)
+    if energies.size == 0 or not 0.0 < shell_spacing < math.inf:
+        raise DomainError(f"envelope needs energies and a finite spacing > 0, got "
+                          f"{energies.size} energies and spacing {shell_spacing}")
     oscillating = np.asarray(oscillating, dtype=float)
     lo, hi = energies[0], energies[-1]
     n_windows = max(3, int(round((hi - lo) / shell_spacing)))

@@ -34,7 +34,6 @@ from .specfun import QuadratureRule, chebyshev_lobatto, gauss_legendre, rising_r
 
 __all__ = [
     "EbkLevel",
-    "TurningPoint",
     "angular_degeneracy",
     "ebk_dos",
     "ebk_energy",
@@ -69,12 +68,6 @@ class EbkLevel:
     l: int
     energy: float
     degeneracy: int
-
-
-@dataclass(frozen=True)
-class TurningPoint:
-    r_max: float
-    inner: float = 0.0
 
 
 def angular_degeneracy(dim: int, l: int) -> int:
@@ -445,13 +438,13 @@ def _outer_radius(trap: _Trap, e: np.ndarray) -> np.ndarray:
     return r_max
 
 
-def outer_turning_point(params: SystemParams, energy: float) -> TurningPoint:
-    """Outer classical turning point of V(r) = omega^2 r^2 / 2 + eps r^(2 alpha)
-    at the given energy (the l = 0 radial problem)."""
+def outer_turning_point(params: SystemParams, energy: float) -> float:
+    """Outer turning radius of V(r) = omega^2 r^2 / 2 + eps r^(2 alpha) at the
+    given energy, for l = 0, whose inner turning point is r = 0."""
     trap, hbar, unit = _resolve(params)
     r_max = _physical(_outer_radius(trap, np.array([float(energy) / unit])),
                       hbar / math.sqrt(unit), "turning point")
-    return TurningPoint(r_max=float(r_max[0]), inner=0.0)
+    return float(r_max[0])
 
 
 def radial_action(params: SystemParams, energy, l_eff):
@@ -503,8 +496,8 @@ def ebk_energy(params: SystemParams, n_r: int, l: int) -> EbkLevel:
     """Torus-quantized level: solve S_r(E) = 2 pi hbar (n_r + 1/2) with the
     half-integer angular shift L_eff = hbar (l + (D-2)/2) from the unperturbed
     energy.  It exists when S_r at the barrier top (if any) exceeds the target."""
-    if n_r < 0 or l < 0:
-        raise DomainError(f"quantum numbers must be >= 0, got ({n_r}, {l})")
+    if not (0 <= n_r < 2 ** 53 and 0 <= l < 2 ** 53):  # the integers floats hold exactly
+        raise DomainError(f"quantum numbers must lie in [0, 2**53), got ({n_r}, {l})")
     trap, _, unit = _resolve(params)
     l2 = np.array([trap.l_eff(l) ** 2])
     win, s_top = _separatrix_action(trap, l2)

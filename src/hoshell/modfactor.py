@@ -42,7 +42,6 @@ __all__ = [
     "modulation",
     "modulation_closed_form",
     "modulation_quadrature",
-    "modulation_spa",
     "spa_stationary_point_audit",
 ]
 
@@ -73,9 +72,6 @@ class ModulationFactor:
     value: complex
     method: Method
     sigma_over_hbar: float
-
-    def __abs__(self) -> float:
-        return abs(self.value)
 
 
 def _check_dk(dim: int, k: int) -> None:
@@ -216,6 +212,11 @@ def modulation_closed_form(poly: ActionPolynomial, sigma_over_hbar: float,
 
 
 def _spa(poly: ActionPolynomial, x: np.ndarray, dim: int) -> np.ndarray:
+    """End-point stationary-phase asymptotics.  The circular end point l=1
+    contributes i exp(-i x sum_{j>=1} a_j)/(x B) with B = sum_{j>=1} 2j a_j;
+    the diameter end point l=0 contributes the Fresnel-type moment
+    Gamma((D-1)/2)/2 |x a1|^(-s) exp(-i sign(x a1) s pi/2) with s = (D-1)/2,
+    the principal branch of (1/(x a1))^s."""
     coeffs = poly.float_coeffs
     if len(coeffs) < 2:
         raise UnsupportedMethodError("SPA needs a non-constant action polynomial")
@@ -238,23 +239,6 @@ def _spa(poly: ActionPolynomial, x: np.ndarray, dim: int) -> np.ndarray:
         raise DomainError(f"SPA end-point terms leave the float range at x = k sigma / hbar = "
                           f"{x[~np.isfinite(out)].flat[0]:g}")
     return out
-
-
-def modulation_spa(poly: ActionPolynomial, sigma_over_hbar: float,
-                   dim: int, k: int) -> ModulationFactor:
-    """End-point stationary-phase asymptotics.
-
-    The circular end point l=1 contributes i exp(-i x sum_{j>=1} a_j)/(x B)
-    with B = sum_{j>=1} 2j a_j; the diameter end point l=0 contributes the
-    Fresnel-type moment Gamma((D-1)/2)/2 |x a1|^(-s) exp(-i sign(x a1) s pi/2)
-    with s = (D-1)/2, the principal branch of (1/(x a1))^s.  The one-point
-    view of the kernel behind `modulation`; unlike `modulation`, which gives
-    exactly 1 there, sigma = 0 is a DomainError.
-    """
-    _check_dk(dim, k)
-    value = _spa(poly, np.array([k * sigma_over_hbar]), dim)[0]
-    return ModulationFactor(k=k, value=complex(value), method="spa",
-                            sigma_over_hbar=sigma_over_hbar)
 
 
 _KERNELS = {"closed_form": _closed_form, "spa": _spa}

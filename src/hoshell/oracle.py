@@ -118,8 +118,8 @@ def integrate_orbit(params: SystemParams, initial: PhaseState, t_end: float,
     weights, preserving the splitting structure of the Hamiltonian; the
     force closing one substep opens the next, so a step costs three forces.
     """
-    if dt <= 0:
-        raise DomainError(f"time step must be > 0, got {dt}")
+    if not (0 < dt < math.inf and math.isfinite(t_end / dt)):
+        raise DomainError(f"need a finite dt > 0 and t_end / dt, got t_end={t_end}, dt={dt}")
     n_steps = max(1, int(round(t_end / dt)))
     q = initial.q.copy()
     p = initial.p.copy()

@@ -28,9 +28,9 @@ from hoshell.dos import envelope_nodes, ho_dos, pert_dos, supershell_nodes
 from hoshell.ebk import angular_degeneracy, ebk_dos, ebk_energy, tf_smooth
 from hoshell.errors import TruncationWarning
 from hoshell.modfactor import (
+    modulation,
     modulation_closed_form,
     modulation_quadrature,
-    modulation_spa,
 )
 from hoshell.oracle import (
     EllipseOrbit,
@@ -107,7 +107,7 @@ def test_criterion_04_spa_exactness_dimension_three():
         poly = action_coefficients(alpha)
         for x in (0.1, 1.0, 5.0, 20.0):
             for k in (1, 2, 3):
-                spa = modulation_spa(poly, x, 3, k).value
+                spa = modulation(poly, k * x, 3, 1, "spa")[0, 0]
                 closed = modulation_closed_form(poly, x, 3, k).value
                 worst = max(worst, abs(spa - closed) / abs(closed))
     ok = worst <= 1e-12
@@ -123,14 +123,14 @@ def test_criterion_05_spa_asymptotics():
             rel = {}
             for x in (5.0, 50.0):
                 quad = modulation_quadrature(poly, x, dim, 1).value
-                spa = modulation_spa(poly, x, dim, 1).value
+                spa = modulation(poly, x, dim, 1, "spa")[0, 0]
                 rel[x] = abs(spa - quad) / abs(quad)
             # exact cases (D=3, alpha=2) sit at the quadrature noise floor
             case_ok = rel[50.0] <= 0.5 * rel[5.0] or rel[50.0] <= 1e-10
             ok = ok and case_ok
             details.append(f"D{dim}a{alpha}:{rel[50.0]:.1e}/{rel[5.0]:.1e}")
     for x in (1.0, 5.0, 20.0):
-        value = modulation_spa(action_coefficients(10), x, 3, 1).value
+        value = modulation(action_coefficients(10), x, 3, 1, "spa")[0, 0]
         ok = ok and np.isfinite(value.real) and np.isfinite(value.imag)
     assert _report(5, ok, "SPA error halves from sigma/hbar 5 to 50 "
                           "(alpha=10 finite only); " + " ".join(details))

@@ -360,7 +360,3 @@ class TestSystemParams:
         system = {"dim": 3, "epsilon": 1e-3, "alpha": 2, field: value}
         with pytest.raises(DomainError, match="finite"):
             SystemParams.single(**system)
-
-    def test_r0(self):
-        params = SystemParams(dim=3, omega=2.0)
-        assert params.r0(2.0) == 1.0

@@ -869,14 +869,19 @@ def test_closed_form_cli_gives_a_result_or_a_documented_exit(argv):
     _assert_documented(code, out, err, 2)
 
 
-# The system of a torus-pipeline command: D, alpha, eps of both signs, and
-# omega and hbar log-uniform over six decades.
-_TORUS_SYSTEM = st.builds(
-    lambda dim, alpha, eps, omega, hbar: [
-        "--D", str(dim), "--alpha", str(alpha), f"--epsilon={eps!r}",
-        f"--omega={omega!r}", f"--hbar={hbar!r}"],
-    _DIMS, st.integers(1, 12), _signed_magnitude(-8, -1),
-    st.floats(-3.0, 3.0).map(lambda u: 10.0 ** u), st.floats(-3.0, 3.0).map(lambda u: 10.0 ** u))
+def _system(dims):
+    """The system of a torus-pipeline command: D from `dims`, alpha, eps of
+    both signs, and omega and hbar log-uniform over six decades."""
+    return st.builds(
+        lambda dim, alpha, eps, omega, hbar: [
+            "--D", str(dim), "--alpha", str(alpha), f"--epsilon={eps!r}",
+            f"--omega={omega!r}", f"--hbar={hbar!r}"],
+        dims, st.integers(1, 12), _signed_magnitude(-8, -1),
+        st.floats(-3.0, 3.0).map(lambda u: 10.0 ** u),
+        st.floats(-3.0, 3.0).map(lambda u: 10.0 ** u))
+
+
+_TORUS_SYSTEM = _system(_DIMS)
 _TORUS_CAPS = st.builds(lambda n_r, l: ["--nr-max", str(n_r), "--l-max", str(l)],
                         st.integers(-1, 30), st.integers(-1, 30))
 _WIDTH = st.floats(0.0, 2.0)
@@ -908,3 +913,77 @@ def test_torus_cli_gives_a_result_or_a_documented_exit(tmp_path_factory, system,
     code, out, err = _in_process(argv)
     event(f"{source} exit {code}")
     _assert_documented(code, out, err, 2)
+
+
+# Hypothesis draws the simplest values (0) most often; compare's k_max, grid
+# and width are mapped so that those give a valid command.
+_COMPARE_GRID = st.builds(
+    lambda lo, span, n: f"{40.0 - lo!r}:{40.0 - lo + 39.0 - span!r}:{201 - n}",
+    st.floats(0.0, 40.0), st.floats(-1.0, 40.0), st.integers(0, 201))
+# omega or hbar: log-uniform over six decades, or over the whole float range.
+_SCALE = st.one_of(st.floats(-3.0, 3.0), st.floats(-300.0, 300.0)).map(lambda u: 10.0 ** u)
+_REPORT_ARGV = st.one_of(
+    st.builds(lambda system, caps, method, k_max, grid, width: [
+        "compare", *system, *caps, "--method", method, "--k-max", str(k_max),
+        f"--e-range={grid}", f"--width={width!r}"],
+        _system(st.one_of(st.integers(2, 6), st.sampled_from([1, 60, 170]))), _TORUS_CAPS,
+        st.sampled_from(["quad", "closed", "spa"]), st.integers(0, 10).map(lambda k: 10 - k),
+        _COMPARE_GRID, _WIDTH.map(lambda w: 2.0 - w)),
+    st.builds(lambda alpha, eps, omega, hbar, s_max: [
+        "supershell", "--alpha", str(alpha), f"--epsilon={eps!r}", f"--omega={omega!r}",
+        f"--hbar={hbar!r}", "--s-max", str(s_max)],
+        st.integers(0, 4), st.one_of(_signed_magnitude(-8, -1), _signed_magnitude(-300, 300)),
+        _SCALE, _SCALE, st.integers(-1, 50)),
+    st.builds(lambda alpha_max, exact: ["coeffs", "--alpha-max", str(alpha_max), *exact],
+              st.integers(-2, 40), st.sampled_from([[], ["--exact"]])),
+    st.builds(lambda alpha_max: ["verify-legendre", "--alpha-max", str(alpha_max)],
+              st.integers(-2, 40)),
+    st.builds(lambda seed: ["oracle", "--check", "delta-s", "--seed", str(seed)],
+              st.one_of(st.integers(-3, 3), st.integers(0, 2 ** 80))),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(argv=_REPORT_ARGV)
+def test_report_cli_gives_a_result_or_a_documented_exit(argv):
+    # compare, supershell, coeffs, verify-legendre and the delta-s oracle;
+    # the oracle's conservation run (about 2 s) is left to its own test.
+    code, out, err = _in_process(argv)
+    event(f"{argv[0]} exit {code}")
+    _assert_documented(code, out, err, 2)
+
+
+@pytest.mark.parametrize("argv,message", [
+    # One grid energy, no oscillation left after exp(-(w k pi)^2) underflows,
+    # and differences whose squares overflow: compare wrote NaN or inf here
+    # with exit 0.
+    (["compare", "--e-range", "5:6:1"], "RMS difference 0.000147261 and Pearson correlation nan"),
+    (["compare", "--width", "20", "--e-range", "5:6:3", "--nr-max", "1", "--l-max", "1"],
+     "RMS difference 15.1538 and Pearson correlation nan"),
+    (["compare", "--D", "60", "--epsilon=-0.1", "--omega", "100", "--hbar", "0.1", "--nr-max",
+      "0", "--l-max", "0", "--method", "spa", "--k-max", "1", "--e-range", "1:2:3"],
+     "RMS difference inf"),
+    # omega^2 of a harmonic term's effective frequency raised OverflowError.
+    (["supershell", "--alpha", "1", "--omega", "1e155", "--s-max", "1"],
+     "omega^2 leaves the float range at omega=1e+155"),
+    (["dos", "--alpha", "1", "--omega", "1e155"], "omega^2 leaves the float range"),
+], ids=["one-energy", "no-oscillation", "rms-overflow", "supershell-omega", "dos-omega"])
+def test_report_values_past_their_domain_are_domain_errors(argv, message):
+    code, out, err = _in_process(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"hoshell: domain error: {message}"), err
+
+
+HELP_DIR = Path(__file__).resolve().parent / "help"
+
+
+@pytest.mark.parametrize("command", [None, "coeffs", "verify-legendre", "modfactor", "dos",
+                                     "supershell", "ebk", "ebk-dos", "oracle", "compare"])
+def test_help_text_is_pinned(monkeypatch, command):
+    # argparse wraps at the terminal width, read from COLUMNS.  A golden is
+    # the output of `COLUMNS=80 hoshell [<command>] --help`; argparse's layout
+    # differs between Python versions, and these are written by Python 3.11.
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _in_process([command, "--help"] if command else ["--help"])
+    assert (code, err) == (0, "")
+    assert out == (HELP_DIR / f"{command or 'hoshell'}.txt").read_text()

@@ -66,6 +66,16 @@ class TestHoDos:
             DosCurve(energies=grid[::-1], smooth=curve.smooth,
                      oscillating=curve.oscillating, k_max=1, width=0.0)
 
+    @pytest.mark.parametrize("dim,omega,hbar", [(0, 1.0, 1.0), (1, 1.0, 1.0), (3, 0.0, 1.0),
+                                                (3, math.inf, 1.0), (3, 1.0, 0.0),
+                                                (3, 1.0, math.nan)])
+    def test_rejects_bad_system(self, dim, omega, hbar):
+        # The same checks as SystemParams, for the spectrum and its trace formula.
+        with pytest.raises(DomainError):
+            ho_dos(dim, omega, hbar, np.array([5.0, 6.0]))
+        with pytest.raises(DomainError):
+            ho_spectrum(dim, omega, hbar, 4)
+
     @pytest.mark.parametrize("width", [-0.1, math.nan, math.inf])
     def test_rejects_bad_width(self, width):
         # the width enters squared: a negative one must not pass as its absolute value
@@ -361,6 +371,13 @@ class TestSupershell:
         nodes = envelope_nodes(grid, curve.oscillating, 1.0)
         assert len(nodes) == 1
         assert abs(nodes[0] - 40.0) < 1.0
+
+    @pytest.mark.parametrize("size,spacing", [(0, 1.0), (1500, 0.0), (1500, -1.0),
+                                              (1500, math.nan), (1500, math.inf)])
+    def test_envelope_rejects_empty_grid_and_bad_spacing(self, size, spacing):
+        grid = np.linspace(25.0, 55.0, size)
+        with pytest.raises(DomainError):
+            envelope_nodes(grid, np.sin(grid), spacing)
 
     @pytest.mark.parametrize("eps,alpha", [(1.25e-3, 2), (1.1e-5, 3)])
     def test_node_depth_below_five_percent(self, eps, alpha):

@@ -25,26 +25,24 @@ from hoshell.errors import AccuracyError, DomainError, NoBoundStateError, Trunca
 class TestTurningPoint:
     def test_harmonic_limit(self):
         params = SystemParams.single(3, 0.0, 2)
-        tp = outer_turning_point(params, 1.0)
-        assert tp.r_max == pytest.approx(math.sqrt(2.0), rel=1e-14)
-        assert tp.inner == 0.0
+        assert outer_turning_point(params, 1.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
     def test_quadratic_in_r_squared_oracle(self):
         # 0.1 r^4 + 0.5 r^2 - 1 = 0 solved exactly in u = r^2
         params = SystemParams.single(3, 0.1, 2)
         u = (-0.5 + math.sqrt(0.25 + 0.4)) / 0.2
-        assert outer_turning_point(params, 1.0).r_max == pytest.approx(
+        assert outer_turning_point(params, 1.0) == pytest.approx(
             math.sqrt(u), rel=1e-13)
 
     def test_positive_strength_shrinks_radius(self):
-        base = outer_turning_point(SystemParams.single(3, 0.0, 2), 2.0).r_max
-        tight = outer_turning_point(SystemParams.single(3, 0.3, 2), 2.0).r_max
+        base = outer_turning_point(SystemParams.single(3, 0.0, 2), 2.0)
+        tight = outer_turning_point(SystemParams.single(3, 0.3, 2), 2.0)
         assert tight < base
 
     def test_energy_residual(self):
         params = SystemParams.single(4, 0.02, 3)
         energy = 5.0
-        r = outer_turning_point(params, energy).r_max
+        r = outer_turning_point(params, energy)
         assert abs(0.5 * r ** 2 + 0.02 * r ** 6 - energy) <= 1e-12 * energy
 
     def test_above_barrier_rejected(self):
@@ -52,12 +50,12 @@ class TestTurningPoint:
         # barrier of 0.5 r^2 - 0.05 r^4 peaks at V = 1.25
         with pytest.raises(NoBoundStateError):
             outer_turning_point(params, 1.5)
-        assert outer_turning_point(params, 1.0).r_max > 0
+        assert outer_turning_point(params, 1.0) > 0
 
     def test_momentum_sign_flips_at_boundary(self):
         params = SystemParams.single(3, 0.05, 2)
         energy = 3.0
-        r = outer_turning_point(params, energy).r_max
+        r = outer_turning_point(params, energy)
 
         def p_squared(rr):
             return 2.0 * (energy - 0.5 * rr ** 2 - 0.05 * rr ** 4)
@@ -180,6 +178,12 @@ class TestEbkEnergy:
         with pytest.raises(DomainError):
             ebk_energy(SystemParams.single(3, 0.0, 2), -1, 0)
 
+    @pytest.mark.parametrize("n_r,l", [(10 ** 400, 0), (0, 10 ** 400), (2 ** 53, 0), (10 ** 30, 5)],
+                             ids=["n_r=1e400", "l=1e400", "n_r=2**53", "n_r=1e30"])
+    def test_rejects_quantum_numbers_past_exact_floats(self, n_r, l):
+        with pytest.raises(DomainError, match="2\\*\\*53"):
+            ebk_energy(SystemParams.single(3, 1e-3, 2), n_r, l)
+
 
 class TestDegeneracy:
     def test_three_dimensional_form(self):
@@ -217,7 +221,7 @@ class TestSmoothDos:
     def test_riemann_sum_oracle(self):
         params = SystemParams.single(3, 0.01, 2)
         energy = 10.0
-        r_max = outer_turning_point(params, energy).r_max
+        r_max = outer_turning_point(params, energy)
         n = 1_000_000
         r = (np.arange(n) + 0.5) * r_max / n
         body = np.maximum(energy - 0.5 * r ** 2 - 0.01 * r ** 4, 0.0)
@@ -286,7 +290,7 @@ class TestSmoothDos:
 
                 r_hi = mp.mpf(r_top) if eps < 0 else mp.sqrt(2 * mp.mpf(energy))
                 r_max = mp.findroot(excess, (mp.mpf(0), r_hi), solver="anderson")
-                assert outer_turning_point(params, energy).r_max == pytest.approx(
+                assert outer_turning_point(params, energy) == pytest.approx(
                     float(r_max), rel=1e-13)
                 integral = mp.quad(lambda r: max(excess(r), 0) ** (mp.mpf(dim) / 2 - 1)
                                    * r ** (dim - 1), [0, r_max / 2, r_max])
@@ -585,8 +589,8 @@ class TestArrayKernel:
         e = np.array([2.0, 5.5, 9.0])
         np.testing.assert_allclose(radial_action(params, e * e0, 1.5 * hbar) / hbar,
                                    radial_action(unit, e, 1.5), **rel)
-        assert outer_turning_point(params, 5.5 * e0).r_max / math.sqrt(hbar / omega) == (
-            pytest.approx(outer_turning_point(unit, 5.5).r_max, rel=1e-12))
+        assert outer_turning_point(params, 5.5 * e0) / math.sqrt(hbar / omega) == (
+            pytest.approx(outer_turning_point(unit, 5.5), rel=1e-12))
         np.testing.assert_allclose(tf_smooth(params, e * e0) * e0, tf_smooth(unit, e), **rel)
         # A cached level list passes this trap's quantization check.
         grid = np.linspace(2.0, 6.0, 9)

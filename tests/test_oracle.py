@@ -100,6 +100,13 @@ class TestIntegrator:
             integrate_orbit(params, PhaseState(q=[1.0, 0.0], p=[0.0, 0.0]),
                             1.0, 0.0)
 
+    @pytest.mark.parametrize("t_end,dt", [(math.nan, 0.01), (math.inf, 0.01), (1.0, math.nan),
+                                          (1.0, math.inf), (1e300, 1e-300)])
+    def test_rejects_non_finite_times(self, t_end, dt):
+        params = SystemParams.single(2, 0.0, 2)
+        with pytest.raises(DomainError):
+            integrate_orbit(params, PhaseState(q=[1.0, 0.0], p=[0.0, 0.0]), t_end, dt)
+
 
 class TestAngularMomentum:
     def test_parallel_vectors_vanish(self):
