@@ -50,6 +50,7 @@ from .oracle import (
 )
 
 USAGE_EXIT = 64
+_PROG = "hoshell"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,27 +105,31 @@ def _open_out(path: str | None):
     return open(out, "w", newline="\n"), True
 
 
-_WRITE_BLOCK = 1024  # lines joined per write
-
-
-def _write_text(path: str | None, lines) -> None:
-    """Write the strings of `lines` in order, joined in blocks of
-    _WRITE_BLOCK, so a long CSV never exists as one string."""
+def _write_text(path: str | None, chunks) -> None:
+    """Write the strings of `chunks` in order.  _csv yields one string per
+    block of rows, so a long CSV never exists as one string."""
     stream, close = _open_out(path)
-    lines = iter(lines)
     try:
-        while block := list(itertools.islice(lines, _WRITE_BLOCK)):
-            stream.write("".join(block))
+        stream.writelines(chunks)
     finally:
         if close:
             stream.close()
 
 
+_CSV_BLOCK = 1024  # rows formatted by one % call
+
+
 def _csv(header: list[str], row: str, rows):
-    """CSV lines: the header, then `row % values` for each tuple of `rows`.
-    `row` has %d for integer columns, exact for Python ints of any size, and
-    %.17g for float columns; memoryviews of numpy columns yield Python floats."""
-    return itertools.chain([",".join(header) + "\n"], (row % values for values in rows))
+    """CSV text: the header line, then one string per block of up to
+    _CSV_BLOCK tuples of `rows`, formatted by one `%` of `row` repeated once
+    per tuple.  Every tuple has len(header) values.  `row` has %d for integer
+    columns, exact for Python ints of any size, and %.17g for float columns;
+    memoryviews of numpy columns yield Python floats."""
+    yield ",".join(header) + "\n"
+    width = len(header)
+    values = itertools.chain.from_iterable(rows)
+    while block := tuple(itertools.islice(values, width * _CSV_BLOCK)):
+        yield (row * (len(block) // width)) % block
 
 
 def _system_params(args, dim=None) -> SystemParams:
@@ -380,9 +385,83 @@ def _add_alpha_max(p: _Parser) -> None:
     p.add_argument("--alpha-max", type=int, required=True, help="highest order, >= 1")
 
 
+def _add_out(p: _Parser) -> None:
+    p.add_argument("--out", default=None, help="output file (default stdout)")
+
+
+def _add_coeffs(p: _Parser) -> None:
+    p.add_argument("--exact", action="store_true",
+                   help="emit exact numerator/denominator columns")
+
+
+def _add_modfactor(p: _Parser) -> None:
+    p.add_argument("--D", type=int, required=True)
+    p.add_argument("--alpha", type=int, required=True)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--sigma-over-hbar-range", required=True, metavar="A:B:N")
+    p.add_argument("--method", choices=["quad", "closed", "spa", "all"], default="all")
+
+
+def _add_supershell(p: _Parser) -> None:
+    p.add_argument("--s-max", type=int, required=True)
+
+
+def _add_ebk(p: _Parser) -> None:
+    p.add_argument("--e-max", type=float, default=30.0,
+                   help="enumerate levels up to this E/hbar*omega (default 30)")
+    p.add_argument("--levels-out", default=None,
+                   help="also cache the level list to this CSV file")
+
+
+def _add_ebk_dos(p: _Parser) -> None:
+    p.add_argument("--levels-in", default=None,
+                   help="reuse a level list cached by `ebk --levels-out`")
+
+
+def _add_oracle(p: _Parser) -> None:
+    p.add_argument("--check", choices=["all", "delta-s", "conservation"], default="all")
+    p.add_argument("--seed", type=int, default=0)
+
+
+# name -> (handler, help, option groups in --help order)
+_COMMANDS = {
+    "coeffs": (_cmd_coeffs, "action polynomial coefficients per order",
+               (_add_alpha_max, _add_out, _add_coeffs)),
+    "verify-legendre": (_cmd_verify, "check the Legendre closed form of the coefficients",
+                        (_add_alpha_max, _add_out)),
+    "modfactor": (_cmd_modfactor, "modulation factor sweeps", (_add_out, _add_modfactor)),
+    "dos": (_cmd_dos, "oscillating density of states",
+            (_add_system, partial(_add_grid, e_range="1:70:3451"), _add_sum, _add_out)),
+    "supershell": (_cmd_supershell, "super-shell node positions (D=3)",
+                   (partial(_add_system, with_dim=False), _add_out, _add_supershell)),
+    "ebk": (_cmd_ebk, "torus-quantized levels", (_add_system, _add_caps, _add_out, _add_ebk)),
+    "ebk-dos": (_cmd_ebk_dos, "Gaussian-smoothed torus-quantized DOS",
+                (_add_system, partial(_add_grid, e_range="1:30:1451"), _add_caps, _add_out,
+                 _add_ebk_dos)),
+    "oracle": (_cmd_oracle, "classical-mechanics cross checks", (_add_out, _add_oracle)),
+    "compare": (_cmd_compare, "perturbative vs torus-quantized oscillating DOS",
+                (_add_system, partial(_add_grid, e_range="5:50:2251"), _add_sum, _add_caps,
+                 _add_out)),
+}
+
+def _fill(p: _Parser, name: str) -> _Parser:
+    """Add the options of command `name` to `p`, and its handler."""
+    func, _, groups = _COMMANDS[name]
+    for add in groups:
+        add(p)
+    p.set_defaults(func=func)
+    return p
+
+
+def _command_parser(name: str) -> _Parser:
+    """The parser of command `name` alone, with the class and prog of its
+    subparser in build_parser(), so its --help and errors are the same text."""
+    return _fill(_Parser(prog=f"{_PROG} {name}"), name)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
-        prog="hoshell",
+        prog=_PROG,
         description="Semiclassical shell structure of radially perturbed "
                     "isotropic harmonic traps: action coefficients, modulation "
                     "factors, oscillating level densities, torus-quantized "
@@ -390,59 +469,29 @@ def build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help, *groups) -> _Parser:
-        p = sub.add_parser(name, help=help)
-        for add in groups:
-            add(p)
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.set_defaults(func=func)
-        return p
-
-    p = command("coeffs", _cmd_coeffs, "action polynomial coefficients per order",
-                _add_alpha_max)
-    p.add_argument("--exact", action="store_true",
-                   help="emit exact numerator/denominator columns")
-    command("verify-legendre", _cmd_verify,
-            "check the Legendre closed form of the coefficients", _add_alpha_max)
-
-    p = command("modfactor", _cmd_modfactor, "modulation factor sweeps")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--sigma-over-hbar-range", required=True, metavar="A:B:N")
-    p.add_argument("--method", choices=["quad", "closed", "spa", "all"], default="all")
-
-    command("dos", _cmd_dos, "oscillating density of states",
-            _add_system, partial(_add_grid, e_range="1:70:3451"), _add_sum)
-
-    p = command("supershell", _cmd_supershell, "super-shell node positions (D=3)",
-                partial(_add_system, with_dim=False))
-    p.add_argument("--s-max", type=int, required=True)
-
-    p = command("ebk", _cmd_ebk, "torus-quantized levels", _add_system, _add_caps)
-    p.add_argument("--e-max", type=float, default=30.0,
-                   help="enumerate levels up to this E/hbar*omega (default 30)")
-    p.add_argument("--levels-out", default=None,
-                   help="also cache the level list to this CSV file")
-
-    p = command("ebk-dos", _cmd_ebk_dos, "Gaussian-smoothed torus-quantized DOS",
-                _add_system, partial(_add_grid, e_range="1:30:1451"), _add_caps)
-    p.add_argument("--levels-in", default=None,
-                   help="reuse a level list cached by `ebk --levels-out`")
-
-    p = command("oracle", _cmd_oracle, "classical-mechanics cross checks")
-    p.add_argument("--check", choices=["all", "delta-s", "conservation"], default="all")
-    p.add_argument("--seed", type=int, default=0)
-
-    command("compare", _cmd_compare, "perturbative vs torus-quantized oscillating DOS",
-            _add_system, partial(_add_grid, e_range="5:50:2251"), _add_sum, _add_caps)
+    for name, (_, text, _) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=text), name)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The parsed command line.  A known command name first builds only that
+    command's parser.  The full tree of build_parser() is built for no or an
+    unknown command, a top-level option such as --help or --version, and for
+    arguments the command's parser leaves over, whose "unrecognized
+    arguments" error is the top-level parser's."""
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (sys.argv[1:] by default) and return its exit
+    code.  Only the named command's parser is built; see _parse for when the
+    full tree is."""
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (DomainError, UnsupportedMethodError) as exc:

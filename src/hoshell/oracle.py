@@ -120,7 +120,13 @@ def integrate_orbit(params: SystemParams, initial: PhaseState, t_end: float,
     """
     if not (0 < dt < math.inf and math.isfinite(t_end / dt)):
         raise DomainError(f"need a finite dt > 0 and t_end / dt, got t_end={t_end}, dt={dt}")
-    n_steps = max(1, int(round(t_end / dt)))
+    n_steps = max(1, round(t_end / dt))
+    # the most steps whose (n_steps + 1) x D float trajectory numpy can shape,
+    # that is, hold in np.intp bytes; past it numpy raises its own ValueError
+    n_max = np.iinfo(np.intp).max // (np.dtype(float).itemsize * max(initial.q.size, 1)) - 1
+    if n_steps > n_max:
+        raise DomainError(f"t_end={t_end} over dt={dt} asks for {n_steps:.3g} steps; "
+                          f"a trajectory array holds at most {n_max:.3g}")
     q = initial.q.copy()
     p = initial.p.copy()
     qs = np.empty((n_steps + 1, q.size))

@@ -221,8 +221,26 @@ def test_integer_columns_are_exact():
     from hoshell.cli import _csv
 
     big = [0, -1, 2**53 + 1, 2**60 + 1, -(2**63) - 1, 10**39 + 7]
-    lines = list(_csv(["n", "x"], "%d,%.17g\n", ((n, 0.5) for n in big)))
-    assert lines == ["n,x\n", *(f"{n},0.5\n" for n in big)]
+    text = "".join(_csv(["n", "x"], "%d,%.17g\n", ((n, 0.5) for n in big)))
+    assert text == "".join(["n,x\n", *(f"{n},0.5\n" for n in big)])
+
+
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 3000])
+def test_csv_blocks_keep_every_row(count):
+    # _csv formats a block of up to 1,024 rows with one %; at and around the
+    # block edges the text must be the per-row f"{v:.17g}" and f"{n}" text.
+    from hoshell.cli import _csv
+
+    floats = [ROW_VALUES[(i * 7) % len(ROW_VALUES)] * (1 + i) for i in range(count)]
+    columns = [floats, floats[::-1], [v / 3.0 for v in floats]]
+    want = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                              for row in zip(*columns))
+    for rows in (zip(*columns), zip(*(memoryview(np.array(c, dtype=float)) for c in columns))):
+        assert "".join(_csv(["a", "b", "c"], "%.17g,%.17g,%.17g\n", rows)) == want
+
+    ints = [(-1) ** i * (2**63 + i) for i in range(count)]
+    want = "n,x\n" + "".join(f"{n},{v:.17g}\n" for n, v in zip(ints, floats))
+    assert "".join(_csv(["n", "x"], "%d,%.17g\n", zip(ints, floats))) == want
 
 
 @pytest.mark.parametrize("eps,omega", [(0.0, 1.0), (1.25e-3, 1.0), (-1.25e-3, 0.7)])
@@ -755,21 +773,47 @@ PARSER_SURFACE = {
 }
 
 
+def _surface(parser) -> list:
+    import argparse
+
+    return sorted((*action.option_strings, action.default, action.type, action.choices,
+                   action.required)
+                  for action in parser._actions
+                  if not isinstance(action, argparse._HelpAction))
+
+
 def test_parser_surface():
     import argparse
 
-    from hoshell.cli import build_parser
+    from hoshell.cli import _command_parser, build_parser
 
     sub = next(action for action in build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
-    surface = {
-        name: sorted((*action.option_strings, action.default, action.type, action.choices,
-                      action.required)
-                     for action in parser._actions
-                     if not isinstance(action, argparse._HelpAction))
-        for name, parser in sub.choices.items()
-    }
+    surface = {name: _surface(parser) for name, parser in sub.choices.items()}
     assert surface == {name: sorted(options) for name, options in PARSER_SURFACE.items()}
+    # main builds one command's parser alone; it must be the full tree's subparser
+    for name, parser in sub.choices.items():
+        alone = _command_parser(name)
+        assert (type(alone), alone.prog, _surface(alone)) == (
+            type(parser), parser.prog, surface[name]), name
+
+
+def test_command_lines_do_not_build_the_full_tree(tmp_path: Path, monkeypatch):
+    import hoshell.cli as cli
+
+    def full_tree():
+        raise AssertionError("build_parser() called for a well-formed command line")
+
+    monkeypatch.setattr(cli, "build_parser", full_tree)
+    levels = tmp_path / "levels.csv"
+    for argv in (["dos", "--epsilon", "1.25e-3", "--e-range", "5:10:51", "--method", "closed"],
+                 ["ebk", "--epsilon", "1e-3", "--e-max", "12", "--levels-out", str(levels)],
+                 ["ebk-dos", "--epsilon", "1e-3", "--e-range", "2:10:41",
+                  "--levels-in", str(levels)],
+                 ["compare", "--epsilon", "1.25e-3", "--e-range", "5:20:151",
+                  "--method", "closed"]):
+        code, out, err = _in_process(argv + ["--out", str(tmp_path / f"{argv[0]}.out")])
+        assert (code, out) == (0, ""), err
 
 
 def _in_process(argv: list[str]) -> tuple[int, str, str]:
@@ -785,6 +829,24 @@ def _in_process(argv: list[str]) -> tuple[int, str, str]:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("nonsense",), ("dos", "--bogus"), ("dos", "--version"), ("dos", "--D", "x"),
+    ("modfactor", "--alpha", "2"), ("coeffs", "--alpha-max", "3", "extra"),
+    ("dos", "--epsilon", "-1.25e-3", "--k-max"),
+])
+def test_usage_errors_match_the_full_tree(argv):
+    # main parses with one command's parser where it can; every usage error
+    # must still be the full tree's, exit code and stderr alike.
+    from hoshell.cli import build_parser
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(list(argv))
+    assert (info.value.code, out.getvalue()) == (64, "")
+    assert _in_process(list(argv)) == (64, "", err.getvalue())
 
 
 def _assert_documented(code: int, out: str, err: str, min_lines: int) -> None:

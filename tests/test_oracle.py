@@ -107,6 +107,15 @@ class TestIntegrator:
         with pytest.raises(DomainError):
             integrate_orbit(params, PhaseState(q=[1.0, 0.0], p=[0.0, 0.0]), t_end, dt)
 
+    @pytest.mark.parametrize("t_end", [1e20, 1e300])
+    def test_rejects_more_steps_than_an_array_holds(self, t_end):
+        # Finite step counts past what numpy can shape used to end in numpy's
+        # "Maximum allowed dimension exceeded" ValueError.
+        params = SystemParams.single(2, 0.0, 2)
+        with pytest.raises(DomainError, match=r"t_end=.* dt=0\.01 .* steps") as info:
+            integrate_orbit(params, PhaseState(q=[1.0, 0.0], p=[0.0, 0.0]), t_end, 0.01)
+        assert "\n" not in str(info.value)
+
 
 class TestAngularMomentum:
     def test_parallel_vectors_vanish(self):
