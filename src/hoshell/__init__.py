@@ -73,5 +73,4 @@ from .specfun import (
     gauss_legendre,
     kummer_1f1,
     legendre_p,
-    legendre_p_derivative,
 )

@@ -36,6 +36,16 @@ __all__ = [
 ]
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int: an int, a numpy integer or an integral float."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # not a number, nan or inf
+        pass
+    raise DomainError(f"{what} must be an integer, got {value!r}")
+
+
 class PerturbationTerm(NamedTuple):
     epsilon: float
     alpha: int
@@ -55,13 +65,15 @@ class SystemParams:
     terms: tuple[PerturbationTerm, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _integer(self.dim, "spatial dimension"))
         if self.dim < 2:
             raise DomainError(f"spatial dimension must be >= 2, got {self.dim}")
         if not 0 < self.omega < math.inf:
             raise DomainError(f"trap frequency must be finite and > 0, got {self.omega}")
         if not 0 < self.hbar < math.inf:
             raise DomainError(f"hbar must be finite and > 0, got {self.hbar}")
-        terms = tuple(PerturbationTerm(float(e), int(a)) for e, a in self.terms)
+        terms = tuple(PerturbationTerm(float(e), _integer(a, "monomial order"))
+                      for e, a in self.terms)
         for eps, alpha in terms:
             if alpha < 1:
                 raise DomainError(f"monomial order must be >= 1, got {alpha}")

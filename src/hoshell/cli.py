@@ -165,8 +165,9 @@ def _cmd_modfactor(args) -> int:
     poly = action_coefficients(args.alpha)
     xs = _parse_range(args.sigma_over_hbar_range)
     if args.method == "all":
-        # the closed form only exists for two-coefficient polynomials
-        methods = ["quad", "closed", "spa"] if args.alpha in (2, 3) else ["quad", "spa"]
+        # the closed form takes at most two coefficients, the SPA at least two
+        n = len(poly.coeffs)
+        methods = ["quad", *(["closed"] if n <= 2 else []), *(["spa"] if n >= 2 else [])]
     else:
         methods = [args.method]
     header = ["sigma_over_hbar", *(f"{part}_{m}" for m in methods

@@ -45,8 +45,6 @@ class DosCurve:
     energies: np.ndarray
     smooth: np.ndarray
     oscillating: np.ndarray
-    k_max: int
-    width: float
 
     def __post_init__(self):
         if np.any(np.diff(self.energies) <= 0):
@@ -100,8 +98,7 @@ def ho_dos(dim: int, omega: float, hbar: float, energies: np.ndarray,
     signs = (-1.0) ** (dim * ks)
     phases = np.cos(2.0 * math.pi * np.outer(shell, ks))
     osc = pref * (2.0 * phases @ (signs * damp))
-    return DosCurve(energies=energies, smooth=pref, oscillating=osc,
-                    k_max=k_max, width=width)
+    return DosCurve(energies=energies, smooth=pref, oscillating=osc)
 
 
 def pert_dos(params: SystemParams, energies: np.ndarray, k_max: int = 10,
@@ -164,8 +161,7 @@ def pert_dos(params: SystemParams, energies: np.ndarray, k_max: int = 10,
             phases = np.exp(1j * np.outer(s0_over_hbar[sel], ks))
             terms = (mods[start:start + _ROWS_PER_CHUNK] * phases).real
             osc[sel] = 2.0 * smooth[sel] * (terms @ weights)
-    return DosCurve(energies=energies, smooth=smooth, oscillating=osc,
-                    k_max=k_max, width=width)
+    return DosCurve(energies=energies, smooth=smooth, oscillating=osc)
 
 
 def _supershell_setup(params: SystemParams):

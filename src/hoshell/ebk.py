@@ -463,7 +463,7 @@ def radial_action(params: SystemParams, energy, l_eff):
 
 
 def _quantize(trap: _Trap, l2, win: _Window, target, guess):
-    """(E, T_r(E)) with S_r(E, L) = target, one target per row, for rows whose
+    """E with S_r(E, L) = target, one target per row, for rows whose
     level exists, by Newton in E inside [E_well, E_top) that bisects when a
     step leaves the bracket.  Accepts |S_r - target| <= 1e-12 target, or the
     1e-11 contract once the bracket has collapsed.  Each step solves its
@@ -472,7 +472,7 @@ def _quantize(trap: _Trap, l2, win: _Window, target, guess):
     # Out of the window, start mid-window or (eps >= 0) a harmonic step up.
     e = np.where((guess > lo) & (guess < hi), guess,
                  np.where(np.isfinite(hi), 0.5 * (lo + hi), lo + target / math.pi))
-    energy, period = np.empty(l2.size), np.empty(l2.size)
+    energy = np.empty(l2.size)
     rows, start = np.arange(l2.size), None
     for _ in range(_MAX_STEPS):
         s, t, u_in, u_out = _radial_action_rows(trap, e, l2[rows], win.take(rows), start)
@@ -481,9 +481,9 @@ def _quantize(trap: _Trap, l2, win: _Window, target, guess):
         hi[rows] = np.where(resid < 0, hi[rows], e)
         stalled = hi[rows] - lo[rows] <= 4.0 * _ULP * e
         ok = np.abs(resid) <= np.where(stalled, 1e-11, 1e-12) * target[rows]
-        energy[rows[ok]], period[rows[ok]] = e[ok], t[ok]
+        energy[rows[ok]] = e[ok]
         if ok.all():
-            return energy, period
+            return energy
         rows, e, newton = rows[~ok], e[~ok], (e - resid / t)[~ok]
         start = u_in[~ok], u_out[~ok]
         inside = (newton > lo[rows]) & (newton < hi[rows])
@@ -504,7 +504,7 @@ def ebk_energy(params: SystemParams, n_r: int, l: int) -> EbkLevel:
     target = trap.target(np.array([n_r]))
     if not s_top[0] > target[0]:
         raise NoBoundStateError(f"level (n_r={n_r}, l={l}) has no bound solution")
-    energy, _ = _quantize(trap, l2, win, target, np.array([2 * n_r + l + trap.dim / 2.0]))
+    energy = _quantize(trap, l2, win, target, np.array([2 * n_r + l + trap.dim / 2.0]))
     return EbkLevel(n_r=n_r, l=l, energy=float(_physical(energy, unit, "energy")[0]),
                     degeneracy=angular_degeneracy(trap.dim, l))
 
@@ -611,7 +611,7 @@ def _level_table(params: SystemParams, e_max: float, n_r_max: int, l_max: int) -
     l2 = trap.l_eff(np.arange(l_max + 1)) ** 2
     win, s_top = _separatrix_action(trap, l2)
     l, n_r, start = _level_set(trap, l2, win, s_top, e_max, n_r_max)
-    energy, _ = _quantize(trap, l2[l], win.take(l), trap.target(n_r), start)
+    energy = _quantize(trap, l2[l], win.take(l), trap.target(n_r), start)
     kept = energy <= e_max
     l, n_r, energy = l[kept], n_r[kept], _physical(energy[kept], unit, "energy")
     top = np.full(l2.size, -1)
@@ -707,8 +707,8 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
         raise DomainError("energy grid must be strictly increasing")
     e_cut = energies[-1] + 6.0 * width
     if levels is None:
-        levels = enumerate_levels(params, e_cut, n_r_max=n_r_max, l_max=l_max)
-        table = _Levels.of(levels)
+        table = _level_table(params, e_cut, n_r_max, l_max)
+        levels = table.records()
     else:
         table = _check_levels(params, levels)
     table = table.by_energy()

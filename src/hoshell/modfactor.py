@@ -29,7 +29,7 @@ import numpy as np
 
 from .actionpoly import ActionPolynomial
 from .errors import AccuracyError, DomainError, PropertyViolationError, UnsupportedMethodError
-from .specfun import QuadratureRule, gauss_legendre, kummer_1f1_axis, legendre_p_derivative
+from .specfun import QuadratureRule, gauss_legendre, kummer_1f1_axis
 
 # The closed form reaches 1F1 through `kummer_1f1_axis`; the scalar view stays
 # importable from this module because the benchmark's tracer
@@ -68,10 +68,7 @@ _GRID_CHUNK = 1 << 11
 
 @dataclass(frozen=True)
 class ModulationFactor:
-    k: int
     value: complex
-    method: Method
-    sigma_over_hbar: float
 
 
 def _check_dk(dim: int, k: int) -> None:
@@ -173,8 +170,7 @@ def modulation_quadrature(poly: ActionPolynomial, sigma_over_hbar: float,
     """
     _check_dk(dim, k)
     value = modulation(poly, k * sigma_over_hbar, dim, 1, "quadrature", rule)[0, 0]
-    return ModulationFactor(k=k, value=complex(value), method="quadrature",
-                            sigma_over_hbar=sigma_over_hbar)
+    return ModulationFactor(complex(value))
 
 
 def _two_coefficients(poly: ActionPolynomial) -> tuple[float, float]:
@@ -207,8 +203,7 @@ def modulation_closed_form(poly: ActionPolynomial, sigma_over_hbar: float,
     """
     _check_dk(dim, k)
     value = _closed_form(poly, np.array([k * sigma_over_hbar]), dim)[0]
-    return ModulationFactor(k=k, value=complex(value), method="closed_form",
-                            sigma_over_hbar=sigma_over_hbar)
+    return ModulationFactor(complex(value))
 
 
 def _spa(poly: ActionPolynomial, x: np.ndarray, dim: int) -> np.ndarray:
@@ -283,16 +278,13 @@ def modulation(poly: ActionPolynomial, sigma_over_hbar, dim: int, k_max: int,
 
 @dataclass(frozen=True)
 class StationaryPointAudit:
-    alpha: int
-    scan_points: int
     min_abs_slope: float
     max_derivative_root: float
-    interior_root_free: bool
 
 
-def spa_stationary_point_audit(poly: ActionPolynomial,
-                               scan_points: int = 100_000) -> StationaryPointAudit:
-    """Certify that the phase has no stationary point in (0, 1].
+def spa_stationary_point_audit(poly: ActionPolynomial) -> StationaryPointAudit:
+    """Certify that the phase has no stationary point in (0, 1], or raise a
+    PropertyViolationError.
 
     Scans the reduced slope sum_{j>=1} 2j a_j l^(2j-2) for sign changes on a
     dense grid and, independently, checks that every root of the derivative
@@ -302,7 +294,7 @@ def spa_stationary_point_audit(poly: ActionPolynomial,
     if poly.alpha < 2:
         raise DomainError(f"audit needs order >= 2, got {poly.alpha}")
     coeffs = poly.float_coeffs
-    grid = np.linspace(1.0 / scan_points, 1.0, scan_points)
+    grid = np.linspace(1e-5, 1.0, 100_000)  # steps of 1e-5 from l = 1e-5
     reduced = np.zeros_like(grid)
     u = grid ** 2
     for j in range(len(coeffs) - 1, 0, -1):
@@ -314,16 +306,10 @@ def spa_stationary_point_audit(poly: ActionPolynomial,
     basis[-1] = 1.0
     deriv_roots = np.polynomial.legendre.legroots(np.polynomial.legendre.legder(basis))
     max_root = float(np.max(np.abs(deriv_roots))) if deriv_roots.size else 0.0
-    certified = max_root < 1.0 and abs(legendre_p_derivative(poly.alpha - 1, 1.0)) > 0
-    if not (root_free and certified):
+    if not (root_free and max_root < 1.0):
         raise PropertyViolationError(
             f"stationary point detected inside (0, 1] for order {poly.alpha}: "
             f"scan root-free={root_free}, max |root of P'| = {max_root}"
         )
-    return StationaryPointAudit(
-        alpha=poly.alpha,
-        scan_points=scan_points,
-        min_abs_slope=float(np.min(np.abs(reduced))),
-        max_derivative_root=max_root,
-        interior_root_free=True,
-    )
+    return StationaryPointAudit(min_abs_slope=float(np.min(np.abs(reduced))),
+                                max_derivative_root=max_root)

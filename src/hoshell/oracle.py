@@ -121,17 +121,15 @@ def integrate_orbit(params: SystemParams, initial: PhaseState, t_end: float,
     if not (0 < dt < math.inf and math.isfinite(t_end / dt)):
         raise DomainError(f"need a finite dt > 0 and t_end / dt, got t_end={t_end}, dt={dt}")
     n_steps = max(1, round(t_end / dt))
-    # the most steps whose (n_steps + 1) x D float trajectory numpy can shape,
-    # that is, hold in np.intp bytes; past it numpy raises its own ValueError
-    n_max = np.iinfo(np.intp).max // (np.dtype(float).itemsize * max(initial.q.size, 1)) - 1
-    if n_steps > n_max:
-        raise DomainError(f"t_end={t_end} over dt={dt} asks for {n_steps:.3g} steps; "
-                          f"a trajectory array holds at most {n_max:.3g}")
     q = initial.q.copy()
     p = initial.p.copy()
-    qs = np.empty((n_steps + 1, q.size))
-    ps = np.empty((n_steps + 1, q.size))
-    es = np.empty(n_steps + 1)
+    try:  # numpy raises ValueError for a shape past np.intp, MemoryError past memory
+        qs = np.empty((n_steps + 1, q.size))
+        ps = np.empty((n_steps + 1, q.size))
+        es = np.empty(n_steps + 1)
+    except (ValueError, MemoryError):
+        raise DomainError(f"t_end={t_end} over dt={dt} asks for {n_steps:.3g} steps; "
+                          "their trajectory arrays do not fit in memory") from None
     qs[0], ps[0], es[0] = q, p, _energy(params, q, p)
     e0 = es[0]
     scale = abs(e0) if e0 != 0 else 1.0
@@ -168,17 +166,15 @@ def angular_momentum(state: PhaseState) -> tuple[np.ndarray, float]:
     return comps, float(np.sqrt(np.sum(comps ** 2)))
 
 
-def delta_s_oracle(orbit: EllipseOrbit, epsilon: float, alpha: int,
-                   n_quad: int = 256) -> float:
+def delta_s_oracle(orbit: EllipseOrbit, epsilon: float, alpha: int) -> float:
     """First-order action change -eps * integral over one period of
     [a^2 cos^2(wt) + b^2 sin^2(wt)]^alpha dt, by the periodic trapezoidal
-    rule (exact for trigonometric polynomials once n_quad > 2 alpha)."""
-    if n_quad < 64:
-        raise DomainError(f"need n_quad >= 64, got {n_quad}")
+    rule on 256 nodes (exact for this trigonometric polynomial of degree
+    2 alpha while alpha < 128)."""
     if alpha < 1:
         raise DomainError(f"order must be >= 1, got {alpha}")
     period = 2.0 * math.pi / orbit.omega
-    s = np.linspace(0.0, 2.0 * math.pi, n_quad, endpoint=False)
+    s = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
     integrand = (orbit.a ** 2 * np.cos(s) ** 2 + orbit.b ** 2 * np.sin(s) ** 2) ** alpha
     return -epsilon * period * float(np.mean(integrand))
 

@@ -26,7 +26,6 @@ __all__ = [
     "kummer_1f1_axis",
     "legendre_coefficients",
     "legendre_p",
-    "legendre_p_derivative",
     "rising_roots",
 ]
 
@@ -63,18 +62,6 @@ def legendre_p(alpha: int, x):
     for n in range(1, alpha):
         p_prev, p_cur = p_cur, ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1)
     return p_cur
-
-
-def legendre_p_derivative(alpha: int, x):
-    """P'_alpha(x) via the derivative recurrence P'_{n+1} = P'_{n-1} + (2n+1) P_n."""
-    if alpha < 1:
-        raise DomainError(f"derivative order must be >= 1, got {alpha}")
-    p_prev, p_cur = 1.0, x * 1.0
-    d_prev, d_cur = 0.0, 1.0 + 0.0 * x
-    for n in range(1, alpha):
-        d_prev, d_cur = d_cur, d_prev + (2 * n + 1) * p_cur
-        p_prev, p_cur = p_cur, ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1)
-    return d_cur
 
 
 @lru_cache(maxsize=None)

@@ -360,3 +360,19 @@ class TestSystemParams:
         system = {"dim": 3, "epsilon": 1e-3, "alpha": 2, field: value}
         with pytest.raises(DomainError, match="finite"):
             SystemParams.single(**system)
+
+    @pytest.mark.parametrize("system", [
+        {"dim": 2.5}, {"dim": math.nan}, {"dim": "3"},
+        {"dim": 3, "terms": ((1e-3, 2.5),)}, {"dim": 3, "terms": ((1e-3, math.inf),)},
+    ])
+    def test_rejects_a_dimension_or_order_that_is_not_an_integer(self, system):
+        # An order of 2.5 was stored as 2, D = 2.5 and nan were accepted, and
+        # an infinite order raised OverflowError.
+        with pytest.raises(DomainError, match="must be an integer") as info:
+            SystemParams(**system)
+        assert "\n" not in str(info.value)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        params = SystemParams(dim=np.int64(3), terms=((1e-3, np.int32(2)),))
+        assert type(params.dim) is int and type(params.terms[0].alpha) is int
+        assert params == SystemParams.single(3, 1e-3, 2)

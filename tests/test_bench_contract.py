@@ -7,6 +7,7 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 CHECKS = PERFBENCH / "checks.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hoshell"
 
 
 def test_tracer_targets_resolve(monkeypatch):
@@ -34,3 +35,27 @@ def test_correctness_check_imports_resolve():
     missing = [f"{module}.{name}" for module, name in imported
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_unused_imports_are_tracer_targets():
+    # An import that the package keeps only for the tracer is marked
+    # `noqa: F401`.  Each must name an (owner, attr) pair of TARGETS, so an
+    # unused import cannot hide behind the marker, and one that TARGETS drops
+    # is flagged for deletion.  Both files are read from the source.
+    tracer = ast.parse(TRACER.read_text())
+    modules = {alias.asname or alias.name: alias.name for node in tracer.body
+               if isinstance(node, ast.Import) for alias in node.names}
+    targets = next(node.value for node in tracer.body if isinstance(node, ast.Assign)
+                   and [ast.unparse(t) for t in node.targets] == ["TARGETS"])
+    pairs = {(modules.get(ast.unparse(owner), ast.unparse(owner)), ast.literal_eval(attr))
+             for owner, attr, *_ in (entry.elts for entry in targets.elts)}
+    shims = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = path.read_text().splitlines()
+        shims += [(f"hoshell.{path.stem}", alias.asname or alias.name)
+                  for node in ast.walk(ast.parse("\n".join(lines)))
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and any("noqa: F401" in line
+                          for line in lines[node.lineno - 1:node.end_lineno])
+                  for alias in node.names]
+    assert [shim for shim in shims if shim not in pairs] == []

@@ -93,6 +93,25 @@ def test_negative_scientific_values(flag, value, rest):
     assert spaced.stdout == joined.stdout
 
 
+def test_modfactor_all_writes_the_methods_that_take_the_polynomial():
+    # "all" writes the closed form for at most two coefficients and the SPA
+    # for at least two; at alpha = 1 (one coefficient) it exited 2.
+    argv = ["modfactor", "--D", "3", "--alpha", "1", "--sigma-over-hbar-range", "0:1:3"]
+    code, out, err = _in_process(argv)
+    assert (code, err) == (0, "")
+    header, *rows = out.splitlines()
+    assert header == "sigma_over_hbar,re_quad,im_quad,abs_quad,re_closed,im_closed,abs_closed"
+    assert len(rows) == 3
+    for i, method in ((1, "quad"), (4, "closed")):
+        code, single, _ = _in_process(argv + ["--method", method])
+        assert code == 0
+        assert [row.split(",")[i:i + 3] for row in rows] == \
+               [row.split(",")[1:] for row in single.splitlines()[1:]]
+    for row in rows:
+        quad, closed = (complex(*map(float, row.split(",")[i:i + 2])) for i in (1, 4))
+        assert abs(quad - closed) <= 1e-12
+
+
 def test_modfactor_exactly_one_at_zero_strength():
     cp = run_cli("modfactor", "--D", "4", "--alpha", "2", "--k", "3",
                  "--sigma-over-hbar-range", "0:1:2", "--method", "all")
@@ -1013,6 +1032,16 @@ def test_report_cli_gives_a_result_or_a_documented_exit(argv):
     code, out, err = _in_process(argv)
     event(f"{argv[0]} exit {code}")
     _assert_documented(code, out, err, 2)
+
+
+@pytest.mark.parametrize("seed", ["0", str(2 ** 70)])
+def test_oracle_conservation_gives_a_result(seed):
+    # The conservation check takes about 2 s a run; its only input is the seed.
+    code, out, err = _in_process(["oracle", "--check", "conservation", "--seed", seed])
+    _assert_documented(code, out, err, 2)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["pass"] is True and report["conservation"]["pass"] is True
 
 
 @pytest.mark.parametrize("argv,message", [

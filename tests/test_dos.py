@@ -63,8 +63,7 @@ class TestHoDos:
         curve = ho_dos(2, 1.0, 1.0, grid, k_max=50, width=0.05)
         assert np.all(np.isfinite(curve.oscillating))
         with pytest.raises(DomainError):
-            DosCurve(energies=grid[::-1], smooth=curve.smooth,
-                     oscillating=curve.oscillating, k_max=1, width=0.0)
+            DosCurve(energies=grid[::-1], smooth=curve.smooth, oscillating=curve.oscillating)
 
     @pytest.mark.parametrize("dim,omega,hbar", [(0, 1.0, 1.0), (1, 1.0, 1.0), (3, 0.0, 1.0),
                                                 (3, math.inf, 1.0), (3, 1.0, 0.0),

@@ -387,11 +387,10 @@ class TestStationaryPointAudit:
     @pytest.mark.parametrize("alpha", [2, 3, 10])
     def test_no_interior_stationary_points(self, alpha):
         report = spa_stationary_point_audit(action_coefficients(alpha))
-        assert report.interior_root_free
         assert report.max_derivative_root < 1.0
         assert report.min_abs_slope > 0.0
 
     @pytest.mark.parametrize("alpha", range(2, 33))
     def test_sweep_of_orders(self, alpha):
-        assert spa_stationary_point_audit(
-            action_coefficients(alpha), scan_points=20_000).interior_root_free
+        # A failed audit raises PropertyViolationError.
+        spa_stationary_point_audit(action_coefficients(alpha))

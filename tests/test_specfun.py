@@ -17,7 +17,6 @@ from hoshell.specfun import (
     kummer_1f1_axis,
     legendre_coefficients,
     legendre_p,
-    legendre_p_derivative,
     rising_roots,
 )
 
@@ -77,16 +76,6 @@ class TestLegendre:
         x = Fraction(5, 7)
         explicit = sum(c * x ** i for i, c in enumerate(legendre_coefficients(alpha)))
         assert legendre_p(alpha, x) == explicit
-
-    def test_derivative_trivials(self):
-        assert legendre_p_derivative(1, 0.73) == 1.0
-        assert legendre_p_derivative(2, 0.0) == 0.0
-
-    @pytest.mark.parametrize("alpha,x", [(5, 0.3), (7, -0.62), (9, 0.91)])
-    def test_derivative_against_central_difference(self, alpha, x):
-        h = 1e-6
-        fd = (legendre_p(alpha, x + h) - legendre_p(alpha, x - h)) / (2 * h)
-        assert abs(legendre_p_derivative(alpha, x) - fd) < 1e-8
 
     def test_array_input(self):
         xs = np.linspace(-1, 1, 7)
