@@ -8,8 +8,8 @@ are always emitted as E over hbar*omega.
 Exit codes: 0 success, 2 domain error (a value out of range or not finite,
 or a level cache that cannot be read or belongs to another system),
 3 accuracy error, 64 usage error.  A level enumeration that stops at a cap
-or a barrier still exits 0 and prints its TruncationWarning, with the
-reasons, to stderr.
+or a barrier still exits 0 and prints its TruncationWarning to stderr as one
+line, `hoshell: warning: level enumeration truncated: <reasons>`.
 The environment variable HOSHELL_OUTDIR, when set, prefixes relative output
 paths.
 """
@@ -23,6 +23,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -39,7 +40,8 @@ from .actionpoly import (
 from .dos import envelope_nodes, pert_dos, supershell_nodes
 from .ebk import EbkLevel, _level_table, ebk_dos
 from .ebk import enumerate_levels  # noqa: F401  perfbench/tracer.py wraps cli.enumerate_levels
-from .errors import AccuracyError, DomainError, ForeignLevelsError, UnsupportedMethodError
+from .errors import (AccuracyError, DomainError, ForeignLevelsError, TruncationWarning,
+                     UnsupportedMethodError)
 from .modfactor import modulation
 from .oracle import (
     EllipseOrbit,
@@ -94,26 +96,20 @@ def _grid(args) -> tuple[np.ndarray, float]:
     return shell, _scale(args, max(abs(float(shell[0])), abs(float(shell[-1]))))
 
 
-def _open_out(path: str | None):
+def _write_text(path: str | None, chunks) -> None:
+    """Write the strings of `chunks` in order, to stdout or to `path` under
+    $HOSHELL_OUTDIR when that is set and `path` is relative.  _csv yields one
+    string per block of rows, so a long CSV never exists as one string."""
     if path is None:
-        return sys.stdout, False
+        sys.stdout.writelines(chunks)
+        return
     out = Path(path)
     base = os.environ.get("HOSHELL_OUTDIR")
     if base and not out.is_absolute():
         out = Path(base) / out
     out.parent.mkdir(parents=True, exist_ok=True)
-    return open(out, "w", newline="\n"), True
-
-
-def _write_text(path: str | None, chunks) -> None:
-    """Write the strings of `chunks` in order.  _csv yields one string per
-    block of rows, so a long CSV never exists as one string."""
-    stream, close = _open_out(path)
-    try:
+    with open(out, "w", newline="\n") as stream:
         stream.writelines(chunks)
-    finally:
-        if close:
-            stream.close()
 
 
 _CSV_BLOCK = 1024  # rows formatted by one % call
@@ -488,11 +484,21 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
+def _format_warning(format_warning, message, category, *where) -> str:
+    """One `hoshell: warning:` line for a TruncationWarning; any other warning
+    as `format_warning`, the warnings.formatwarning it stands in for, has it."""
+    if issubclass(category, TruncationWarning):
+        return f"{_PROG}: warning: {message}\n"
+    return format_warning(message, category, *where)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command line (sys.argv[1:] by default) and return its exit
     code.  Only the named command's parser is built; see _parse for when the
     full tree is."""
     args = _parse(sys.argv[1:] if argv is None else argv)
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = partial(_format_warning, format_warning)
     try:
         return args.func(args)
     except (DomainError, UnsupportedMethodError) as exc:
@@ -501,6 +507,8 @@ def main(argv: list[str] | None = None) -> int:
     except AccuracyError as exc:
         print(f"hoshell: accuracy error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

@@ -116,15 +116,11 @@ def pert_dos(params: SystemParams, energies: np.ndarray, k_max: int = 10,
     more than 2**24 (energy, k) entries, or a (D-1)! (hbar omega)^D or a
     smooth term outside the float range, is a DomainError.
     """
-    if k_max < 1:
-        raise DomainError(f"k_max must be >= 1, got {k_max}")
     params = absorb_harmonic_terms(params)
     dim, omega, hbar = params.dim, params.omega, params.hbar
     if width is None:
         width = 0.1 * hbar * omega
     energies = np.asarray(energies, dtype=float)
-    if np.any(energies <= 0):
-        raise DomainError("energies must be positive")
     if energies.size * k_max > _MAX_GRID:
         raise DomainError(f"{energies.size} energies x k_max {k_max} exceed the budget "
                           f"of {_MAX_GRID} (energy, k) entries")
@@ -149,7 +145,8 @@ def pert_dos(params: SystemParams, energies: np.ndarray, k_max: int = 10,
     weights = (-1.0) ** (dim * ks) * _damping(width, ks, 2.0 * math.pi / omega, hbar)
     s0_over_hbar = 2.0 * math.pi * energies / (omega * hbar)
     # M_k depends on E only through sigma(E) and the normalised polynomial,
-    # which is the same at every energy of a single-order system.
+    # which is the same at every energy of a single-order system.  This
+    # rejects energies <= 0, as `modulation` rejects k_max < 1.
     polys, index, sigma = polynomial_delta_s(params, energies)
     sigma_over_hbar = sigma / hbar
     osc = np.empty_like(energies)
@@ -247,11 +244,11 @@ def envelope_profile(energies: np.ndarray, oscillating: np.ndarray,
 
 
 def envelope_nodes(energies: np.ndarray, oscillating: np.ndarray,
-                   shell_spacing: float, depth: float = 0.3) -> np.ndarray:
+                   shell_spacing: float) -> np.ndarray:
     """Locate beat nodes of the shell-oscillation envelope.
 
     A node is an interior local minimum of the windowed envelope that is
-    deeper than `depth` times both flanking local maxima; this rejects the
+    below 0.3 times both flanking local maxima; this rejects the
     shallow ripple minima where only part of the repetition sum vanishes.
     Positions are refined by parabolic interpolation.
     """
@@ -265,7 +262,7 @@ def envelope_nodes(energies: np.ndarray, oscillating: np.ndarray,
         right = env[i + 1:][env[i + 1:] > env[i]]
         peak_left = np.max(left) if left.size else env[i - 1]
         peak_right = np.max(right) if right.size else env[i + 1]
-        if env[i] > depth * min(peak_left, peak_right):
+        if env[i] > 0.3 * min(peak_left, peak_right):
             continue
         denom = env[i - 1] - 2.0 * env[i] + env[i + 1]
         shift = 0.5 * (env[i - 1] - env[i + 1]) / denom if denom > 0 else 0.0

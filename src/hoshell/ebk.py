@@ -724,7 +724,10 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
         np.exp(t, out=t)
         t *= weight
         g[a:b] += t
-    g /= width * math.sqrt(math.pi)
+    with np.errstate(over="ignore"):
+        g /= width * math.sqrt(math.pi)
+    if not np.all(np.isfinite(g)):
+        raise DomainError(f"torus-quantized DOS leaves the float range at width={width:g}")
     return g, tf_smooth(params, energies), levels
 
 

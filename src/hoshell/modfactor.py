@@ -55,9 +55,9 @@ DEFAULT_ORDER = 32
 # 0.5 nodes per radian alone its coarse/fine estimate reached 40 * 1e-8.
 _NODES_PER_RADIAN = 0.5
 _QUAD_TOL = 1e-8
-_CHUNK_ENTRIES = 1 << 13  # (row, node) entries per quadrature work buffer
+_CHUNK_ENTRIES = 1 << 13  # (row, node) entries per quadrature chunk
 # Coarse nodes per row at most, 1024 panels of 200 nodes: the fine grid then
-# holds twice as many, and the three work buffers 16 MB.
+# holds twice as many, and a one-row chunk's temporaries 16 MB.
 _BUDGET_ORDER = 200
 _MAX_NODES = (1 << 10) * _BUDGET_ORDER
 # (row, k) entries per closed-form / SPA block: each complex temporary stays
@@ -71,9 +71,7 @@ class ModulationFactor:
     value: complex
 
 
-def _check_dk(dim: int, k: int) -> None:
-    if dim < 2:
-        raise DomainError(f"spatial dimension must be >= 2, got {dim}")
+def _check_k(k: int) -> None:
     if k == 0:
         raise DomainError("repetition index k must be nonzero")
 
@@ -87,24 +85,18 @@ def _weighted_nodes(poly: ActionPolynomial, dim: int, rule: QuadratureRule,
 
 
 def _harmonic_sums(s: np.ndarray, values: np.ndarray, weights: np.ndarray,
-                   k_max: int, phase: np.ndarray, base: np.ndarray,
-                   power: np.ndarray) -> np.ndarray:
+                   k_max: int) -> np.ndarray:
     """sum_n weights[n] exp(-i k s[i] values[n]) for k = 1..k_max.
 
     The exponential is evaluated once per (row, node); harmonic k is its k-th
-    power by repeated multiplication.  `phase`, `base` and `power` are flat
-    work buffers of at least len(s) * len(values) entries.
+    power by repeated multiplication.
     """
-    shape = (len(s), len(values))
-    size = shape[0] * shape[1]
-    phase = phase[:size].reshape(shape)
-    base = base[:size].reshape(shape)
-    power = power[:size].reshape(shape)
-    np.multiply.outer(-s, values, out=phase)
+    phase = np.multiply.outer(-s, values)
+    base = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=base.real)
     np.sin(phase, out=base.imag)
-    power[...] = base
-    sums = np.empty((shape[0], k_max), dtype=complex)
+    power = base.copy()
+    sums = np.empty((len(s), k_max), dtype=complex)
     sums[:, 0] = power @ weights
     for k in range(1, k_max):
         power *= base
@@ -121,7 +113,7 @@ def _quadrature(poly: ActionPolynomial, s: np.ndarray, dim: int, k_max: int,
     probe = poly.scaled_value(np.linspace(0.0, 1.0, 513))
     rate = np.abs(k_max * s) * (512.0 * float(np.max(np.abs(np.diff(probe)))))
     panels = np.maximum(1, np.ceil(rate * _NODES_PER_RADIAN / rule.order + 0.5))
-    if not np.all(panels * rule.order <= _MAX_NODES):  # also catches nan, before any buffer
+    if not np.all(panels * rule.order <= _MAX_NODES):  # also catches nan
         raise AccuracyError(
             f"modulation quadrature needs {np.max(panels):.4g} panels of order {rule.order} "
             f"(k_max={k_max}, max |sigma/hbar|={np.max(np.abs(s)):.6g}), over the budget "
@@ -129,21 +121,15 @@ def _quadrature(poly: ActionPolynomial, s: np.ndarray, dim: int, k_max: int,
         )
     panels = panels.astype(int)
     active = s != 0.0
-    counts = np.unique(panels[active])
-    if not counts.size:
-        return out
-    most_nodes = 2 * int(counts[-1]) * rule.order
-    size = min(len(s) * most_nodes, max(_CHUNK_ENTRIES, most_nodes))
-    buffers = (np.empty(size), np.empty(size, dtype=complex), np.empty(size, dtype=complex))
-    for count in counts:
+    for count in np.unique(panels[active]):
         rows = np.flatnonzero(active & (panels == count))
         coarse_grid = _weighted_nodes(poly, dim, rule, int(count))
         fine_grid = _weighted_nodes(poly, dim, rule, 2 * int(count))
         chunk = max(1, _CHUNK_ENTRIES // len(fine_grid[0]))
         for start in range(0, len(rows), chunk):
             sel = rows[start:start + chunk]
-            coarse = _harmonic_sums(s[sel], *coarse_grid, k_max, *buffers)
-            fine = _harmonic_sums(s[sel], *fine_grid, k_max, *buffers)
+            coarse = _harmonic_sums(s[sel], *coarse_grid, k_max)
+            fine = _harmonic_sums(s[sel], *fine_grid, k_max)
             err = np.abs(fine - coarse)
             limit = _QUAD_TOL * np.maximum(1.0, np.abs(fine))
             if np.any(err > limit):
@@ -168,12 +154,12 @@ def modulation_quadrature(poly: ActionPolynomial, sigma_over_hbar: float,
     uses doubled panels and the difference between the two resolutions
     serves as the error estimate.
     """
-    _check_dk(dim, k)
+    _check_k(k)
     value = modulation(poly, k * sigma_over_hbar, dim, 1, "quadrature", rule)[0, 0]
     return ModulationFactor(complex(value))
 
 
-def _two_coefficients(poly: ActionPolynomial) -> tuple[float, float]:
+def _closed_form(poly: ActionPolynomial, x: np.ndarray, dim: int) -> np.ndarray:
     coeffs = poly.float_coeffs
     if len(coeffs) > 2:
         raise UnsupportedMethodError(
@@ -182,11 +168,6 @@ def _two_coefficients(poly: ActionPolynomial) -> tuple[float, float]:
         )
     a0 = float(coeffs[0])
     a1 = float(coeffs[1]) if len(coeffs) == 2 else 0.0
-    return a0, a1
-
-
-def _closed_form(poly: ActionPolynomial, x: np.ndarray, dim: int) -> np.ndarray:
-    a0, a1 = _two_coefficients(poly)
     return np.exp(-1j * x * (a0 + a1)) * kummer_1f1_axis((dim + 1) / 2.0, x * a1)
 
 
@@ -201,8 +182,8 @@ def modulation_closed_form(poly: ActionPolynomial, sigma_over_hbar: float,
     function but free of the bracket's large-|z| cancellation.  The one-point
     view of the kernel behind `modulation`.
     """
-    _check_dk(dim, k)
-    value = _closed_form(poly, np.array([k * sigma_over_hbar]), dim)[0]
+    _check_k(k)
+    value = modulation(poly, k * sigma_over_hbar, dim, 1, "closed_form")[0, 0]
     return ModulationFactor(complex(value))
 
 

@@ -278,7 +278,8 @@ def test_criterion_13_smooth_dos_consistency():
 
 def test_criterion_14_cli_determinism():
     def run(args):
-        return subprocess.run([sys.executable, "-m", "hoshell.cli", *args],
+        return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "hoshell.cli",
+                               *args],
                               capture_output=True, text=True)
 
     ok = True

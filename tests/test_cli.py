@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
-    cmd = [sys.executable, "-m", "hoshell.cli", *args]
+    cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "hoshell.cli", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
@@ -481,7 +481,10 @@ def test_ebk_truncation_reason_reaches_stderr(tmp_path: Path):
     cp = run_cli("ebk", "--D", "3", "--alpha", "2", "--epsilon=-1.25e-3", "--e-max", "60",
                  "--out", str(out), "--levels-out", str(cache))
     assert cp.returncode == 0, cp.stderr
-    assert "(n_r=30, l=0) above barrier" in cp.stderr
+    assert cp.stderr == ("hoshell: warning: level enumeration truncated: "
+                         "(n_r=30, l=0) above barrier; (n_r=29, l=1) above barrier; "
+                         "(n_r=29, l=2) above barrier; (n_r=28, l=3) above barrier; "
+                         "(n_r=28, l=4) above barrier\n")
     assert out.read_bytes() == cache.read_bytes()
 
 
@@ -573,6 +576,17 @@ def test_matching_level_cache_accepted(d3_cache: Path):
      "SPA end-point terms leave the float range at x = k sigma / hbar = 7.36541e-96"),
     (("dos", "--D", "12", "--epsilon", "1e-300", "--method", "spa", "--e-range", "1:5:3"),
      "SPA end-point terms leave the float range"),
+    # g_ebk past the float range: exit 0 with inf in the output, or numpy's
+    # overflow warning before the error line.
+    (("ebk-dos", "--hbar", "1e-305", "--width", "0.001", "--e-range", "1:30:11"),
+     "torus-quantized DOS leaves the float range at width=1e-308"),
+    (("ebk-dos", "--hbar", "1e-307", "--e-range", "1:30:11"),
+     "torus-quantized DOS leaves the float range"),
+    (("dos", "--e-range", "1:2"), "range must look like a:b:n, got '1:2'"),
+    (("supershell", "--epsilon", "1e-3", "--s-max", "0"), "s_max must be >= 1, got 0"),
+    # 2^y overflows in the strength eps hbar^(alpha-1) / omega^(alpha+1)
+    (("ebk", "--alpha", "2000", "--hbar", "0.75", "--epsilon", "1e-3", "--e-max", "3"),
+     "hbar omega=0.75 or the strength eps hbar^(alpha-1) / omega^(alpha+1)=inf leaves"),
 ])
 def test_invalid_values_are_domain_errors(args, message):
     cp = run_cli(*args)

@@ -460,8 +460,8 @@ class TestCrossPipeline:
             dg_pert = pert_dos(params, grid, k_max=10, width=0.1,
                                method="closed_form").oscillating
             pearson = float(np.corrcoef(dg_pert, dg_ebk)[0, 1])
-            nodes_p = envelope_nodes(grid, dg_pert, 1.0, depth=0.35)
-            nodes_e = envelope_nodes(grid, dg_ebk, 1.0, depth=0.35)
+            nodes_p = envelope_nodes(grid, dg_pert, 1.0)
+            nodes_e = envelope_nodes(grid, dg_ebk, 1.0)
             assert len(nodes_p) >= 1 and len(nodes_e) >= 1
             results[eps] = (pearson, (nodes_e[0] - nodes_p[0]) / node)
         strong, weak = results[1.25e-3], results[3.125e-4]

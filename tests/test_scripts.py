@@ -7,8 +7,8 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    cp = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
-                        capture_output=True, text=True)
+    cp = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(SCRIPTS / name),
+                         *args], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
     return cp
 
