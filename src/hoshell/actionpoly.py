@@ -202,9 +202,19 @@ def verify_legendre_form(alpha_max: int) -> list[LegendreFormCheck]:
 
 
 def sigma_alpha(energy, epsilon: float, alpha: int, omega: float):
-    """Action scale of the perturbation: eps * 2 pi E^alpha / omega^(2 alpha + 1);
-    an array of energies gives an array."""
-    return epsilon * 2.0 * math.pi * energy ** alpha / omega ** (2 * alpha + 1)
+    """Action scale of the perturbation: eps * 2 pi E^alpha / omega^(2 alpha + 1),
+    formed as eps 2 pi ((E / omega) / omega)^alpha / omega so that no power of
+    omega must fit the float range; an array of energies gives an array.  A
+    sigma outside the float range is a DomainError."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            sigma = epsilon * 2.0 * math.pi * ((energy / omega) / omega) ** alpha / omega
+    except OverflowError:  # a float's ** raises where an array's gives inf
+        sigma = math.inf
+    if not np.all(np.isfinite(sigma)):
+        raise DomainError(f"the action scale sigma leaves the float range at eps={epsilon:g}, "
+                          f"alpha={alpha}, omega={omega:g}")
+    return sigma
 
 
 def delta_s(poly: ActionPolynomial, sigma: float, ltilde: float) -> float:
@@ -237,44 +247,26 @@ def absorb_harmonic_terms(params: SystemParams) -> SystemParams:
                         hbar=params.hbar, terms=higher)
 
 
-def polynomial_delta_s(params: SystemParams, energy):
+def polynomial_delta_s(params: SystemParams, energy: float) -> tuple[ActionPolynomial, float]:
     """Combined action polynomial for a polynomial perturbation at energy E.
 
-    For a float E, returns (poly, sigma) with
-    dS_total(ltilde) = -sigma * sum_j c_j ltilde^(2j) and sum_j c_j = 1,
-    obtained by summing each monomial term linearly with its own action scale
-    folded in.  For a 1-D array of energies, returns (polys, index, sigma):
-    the distinct polynomials, the index into `polys` of each energy's
-    polynomial, and sigma per energy.  Energies where sigma is 0 get the unit
-    order-1 polynomial.  All terms must have alpha >= 2; harmonic terms belong
-    in the effective frequency, not here.
+    Returns (poly, sigma) with dS_total(ltilde) = -sigma * sum_j c_j ltilde^(2j)
+    and sum_j c_j = 1, summing each monomial term linearly with its own action
+    scale folded in; where sigma is 0, poly is the unit order-1 polynomial.
+    All terms must have alpha >= 2.  `pert_dos` keeps the terms apart; this
+    is the independent per-energy view that checks it.
     """
-    energies = np.atleast_1d(np.asarray(energy, dtype=float))
-    if np.any(energies <= 0):
-        raise DomainError(f"energy must be > 0, got {float(np.min(energies))}")
+    energy = float(energy)
+    if not energy > 0:
+        raise DomainError(f"energy must be > 0, got {energy}")
     if any(t.alpha < 2 for t in params.terms):
         raise DomainError("alpha=1 terms must be absorbed into the frequency first")
-    max_alpha = max((t.alpha for t in params.terms), default=1)
-    sigmas = np.reshape([sigma_alpha(energies, eps, alpha, params.omega)
-                         for eps, alpha in params.terms], (len(params.terms), len(energies)))
-    sigma_total = sigmas.sum(axis=0)
-    live = sigma_total != 0.0
-    # Weighting by sigma_j / sigma_total (exactly 1 for a single term) keeps
-    # the coefficients of a single-order system identical at every energy,
-    # so all its energies share one polynomial.
-    weights = np.divide(sigmas, sigma_total, out=np.zeros_like(sigmas), where=live)
-    coeffs = np.zeros((len(energies), max_alpha // 2 + 1))
-    for w, (_, alpha) in zip(weights, params.terms):
-        coeffs[:, : alpha // 2 + 1] += w[:, None] * action_coefficients(alpha).float_coeffs
-    if len(params.terms) == 1:  # every live row is the same; skip unique's sort
-        rows, index = coeffs[live][:1], np.zeros(np.count_nonzero(live), dtype=np.intp)
-    else:
-        rows, index = np.unique(coeffs[live], axis=0, return_inverse=True)
-    polys = [ActionPolynomial(alpha=max_alpha, coeffs=tuple(row)) for row in rows]
-    full_index = np.full(len(energies), len(polys))
-    full_index[live] = index.reshape(-1)
-    if not live.all():
-        polys.append(ActionPolynomial(alpha=1, coeffs=(1.0,)))
-    if np.ndim(energy) == 0:
-        return polys[full_index[0]], float(sigma_total[0])
-    return tuple(polys), full_index, sigma_total
+    sigmas = [sigma_alpha(energy, eps, alpha, params.omega) for eps, alpha in params.terms]
+    sigma = sum(sigmas)
+    if sigma == 0.0:
+        return ActionPolynomial(alpha=1, coeffs=(1.0,)), 0.0
+    max_alpha = max(t.alpha for t in params.terms)
+    coeffs = np.zeros(max_alpha // 2 + 1)
+    for s, (_, alpha) in zip(sigmas, params.terms):
+        coeffs[: alpha // 2 + 1] += (s / sigma) * action_coefficients(alpha).float_coeffs
+    return ActionPolynomial(alpha=max_alpha, coeffs=tuple(coeffs)), sigma

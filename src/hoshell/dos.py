@@ -10,13 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actionpoly import (SystemParams, absorb_harmonic_terms, action_coefficients,
-                         polynomial_delta_s, sigma_alpha)
+from .actionpoly import SystemParams, absorb_harmonic_terms, action_coefficients, sigma_alpha
 from .errors import DomainError, UnsupportedMethodError
 from .modfactor import Method, modulation
 
-# pert_dos reaches these through `modulation`; they stay importable from this
-# module because the benchmark's tracer (perfbench/tracer.py) patches them here.
+# pert_dos no longer calls these; they stay importable from this module
+# because the benchmark's tracer (perfbench/tracer.py) patches them here.
+from .actionpoly import polynomial_delta_s  # noqa: F401
 from .modfactor import modulation_closed_form, modulation_quadrature  # noqa: F401
 
 __all__ = [
@@ -112,9 +112,10 @@ def pert_dos(params: SystemParams, energies: np.ndarray, k_max: int = 10,
                          Re{ M_k exp(i k S0 / hbar) },
 
     with S0 = 2 pi E / omega.  Harmonic perturbation terms are folded into an
-    effective frequency before the oscillating sum is assembled.  A grid of
-    more than 2**24 (energy, k) entries, or a (D-1)! (hbar omega)^D or a
-    smooth term outside the float range, is a DomainError.
+    effective frequency and terms of one order into one strength, so M_k is one
+    `modulation` call with a sigma_t(E) / hbar column per order.  An energy <= 0,
+    a grid of more than 2**24 (energy, k) entries, or a (D-1)! (hbar omega)^D
+    or a smooth term outside the float range, is a DomainError.
     """
     params = absorb_harmonic_terms(params)
     dim, omega, hbar = params.dim, params.omega, params.hbar
@@ -144,20 +145,22 @@ def pert_dos(params: SystemParams, energies: np.ndarray, k_max: int = 10,
     ks = np.arange(1, k_max + 1)
     weights = (-1.0) ** (dim * ks) * _damping(width, ks, 2.0 * math.pi / omega, hbar)
     s0_over_hbar = 2.0 * math.pi * energies / (omega * hbar)
-    # M_k depends on E only through sigma(E) and the normalised polynomial,
-    # which is the same at every energy of a single-order system.  This
-    # rejects energies <= 0, as `modulation` rejects k_max < 1.
-    polys, index, sigma = polynomial_delta_s(params, energies)
-    sigma_over_hbar = sigma / hbar
+    if np.any(energies <= 0):
+        raise DomainError(f"energy must be > 0, got {float(np.min(energies))}")
+    # Merged before sigma is formed: opposite strengths cancel exactly, and drop out.
+    strengths: dict[int, float] = {}
+    for eps, alpha in params.terms:
+        strengths[alpha] = strengths.get(alpha, 0.0) + eps
+    strengths = {alpha: eps for alpha, eps in strengths.items() if eps != 0.0}
+    sigma = np.reshape([sigma_alpha(energies, eps, alpha, omega)
+                        for alpha, eps in strengths.items()], (len(strengths), energies.size))
+    mods = modulation([action_coefficients(alpha) for alpha in strengths], sigma.T / hbar,
+                      dim, k_max, method)
     osc = np.empty_like(energies)
-    for group, poly in enumerate(polys):
-        rows = np.flatnonzero(index == group)
-        mods = modulation(poly, sigma_over_hbar[rows], dim, k_max, method)
-        for start in range(0, len(rows), _ROWS_PER_CHUNK):
-            sel = rows[start:start + _ROWS_PER_CHUNK]
-            phases = np.exp(1j * np.outer(s0_over_hbar[sel], ks))
-            terms = (mods[start:start + _ROWS_PER_CHUNK] * phases).real
-            osc[sel] = 2.0 * smooth[sel] * (terms @ weights)
+    for start in range(0, energies.size, _ROWS_PER_CHUNK):
+        sel = slice(start, start + _ROWS_PER_CHUNK)
+        phases = np.exp(1j * np.outer(s0_over_hbar[sel], ks))
+        osc[sel] = 2.0 * smooth[sel] * ((mods[sel] * phases).real @ weights)
     return DosCurve(energies=energies, smooth=smooth, oscillating=osc)
 
 

@@ -4,19 +4,20 @@ Three mutually checking evaluations of
 
     M_k = (D-1) * integral_0^1  l^(D-2) exp(-i k sigma P(l) / hbar) dl,
 
-where P(l) = sum_j a_j l^(2j) is the scaled action polynomial: direct
+where sigma P(l) = sum_t sigma_t P_t(l) sums the scaled action polynomials
+P_t(l) = sum_j a_tj l^(2j) of the perturbation's terms: direct
 Gauss-Legendre quadrature on equal panels sized by the fastest local phase
-k sigma max |P'(l)| / hbar, a hypergeometric closed form for
+k sum_t |sigma_t max P_t'(l)| / hbar, a hypergeometric closed form for
 two-coefficient polynomials, and the end-point stationary-phase asymptotics.
-All formulas are written in terms of the dimensionless x = k sigma / hbar.
+All formulas are written in terms of the dimensionless x_t = k sigma_t / hbar.
 
-`modulation` is the array entry point: M_1 ... M_kmax for an array of
-sigma / hbar.  Every method is one array kernel: the quadrature is batched
+`modulation` is the array entry point: M_1 ... M_kmax for every row of
+sigma_t / hbar.  Every method is one array kernel: the quadrature is batched
 over rows and harmonics, and the closed form and the SPA are array
-expressions over the (row, k) grid x = k sigma / hbar.  For the quartic and
-sextic cases the closed form is exactly the two end-point terms of the
-circular (l = 1) and diameter (l = 0) orbits: exponentials for odd D, an erf
-for even D.  The scalar functions are its per-point views.
+expressions over the (row, k) grid, each x a_j summed over the terms.  For
+the quartic and sextic cases the closed form is exactly the two end-point
+terms of the circular (l = 1) and diameter (l = 0) orbits: exponentials for
+odd D, an erf for even D.  The scalar functions are its per-point views.
 """
 
 from __future__ import annotations
@@ -76,27 +77,26 @@ def _check_k(k: int) -> None:
         raise DomainError("repetition index k must be nonzero")
 
 
-def _weighted_nodes(poly: ActionPolynomial, dim: int, rule: QuadratureRule,
+def _weighted_nodes(polys: tuple, dim: int, rule: QuadratureRule,
                     panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """P(l) at the panel nodes and the weights (D-1) w l^(D-2), as complex so
-    the harmonic sums are one BLAS matrix-vector product each."""
+    """P_t(l) at the panel nodes, one row per term, and the weights (D-1) w
+    l^(D-2), as complex so the harmonic sums are one BLAS product each."""
     nodes, weights = rule.on_panels(0.0, 1.0, panels)
-    return poly.scaled_value(nodes), ((dim - 1) * weights * nodes ** (dim - 2)).astype(complex)
+    values = np.array([poly.scaled_value(nodes) for poly in polys])
+    return values, ((dim - 1) * weights * nodes ** (dim - 2)).astype(complex)
 
 
-def _harmonic_sums(s: np.ndarray, values: np.ndarray, weights: np.ndarray,
-                   k_max: int) -> np.ndarray:
-    """sum_n weights[n] exp(-i k s[i] values[n]) for k = 1..k_max.
+def _harmonic_sums(phase: np.ndarray, weights: np.ndarray, k_max: int) -> np.ndarray:
+    """sum_n weights[n] exp(i k phase[i, n]) for k = 1..k_max.
 
     The exponential is evaluated once per (row, node); harmonic k is its k-th
     power by repeated multiplication.
     """
-    phase = np.multiply.outer(-s, values)
     base = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=base.real)
     np.sin(phase, out=base.imag)
     power = base.copy()
-    sums = np.empty((len(s), k_max), dtype=complex)
+    sums = np.empty((len(phase), k_max), dtype=complex)
     sums[:, 0] = power @ weights
     for k in range(1, k_max):
         power *= base
@@ -104,14 +104,14 @@ def _harmonic_sums(s: np.ndarray, values: np.ndarray, weights: np.ndarray,
     return sums
 
 
-def _quadrature(poly: ActionPolynomial, s: np.ndarray, dim: int, k_max: int,
+def _quadrature(polys: tuple, s: np.ndarray, dim: int, k_max: int,
                 rule: QuadratureRule) -> np.ndarray:
     out = np.ones((len(s), k_max), dtype=complex)
-    # Fastest local phase rate k_max |sigma / hbar| max |P'(l)|, with |P'| read
-    # from chords of a dense probe: robust for combined polynomials whose
-    # scaled profile need not be monotone.
-    probe = poly.scaled_value(np.linspace(0.0, 1.0, 513))
-    rate = np.abs(k_max * s) * (512.0 * float(np.max(np.abs(np.diff(probe)))))
+    # Bound on the fastest local phase rate, sum_t k_max |sigma_t / hbar|
+    # max |P_t'(l)|, with each |P_t'| read from chords of a dense probe.
+    probe = np.linspace(0.0, 1.0, 513)
+    slopes = [512.0 * float(np.max(np.abs(np.diff(poly.scaled_value(probe))))) for poly in polys]
+    rate = np.sum(np.abs(k_max * s) * slopes, axis=1)
     panels = np.maximum(1, np.ceil(rate * _NODES_PER_RADIAN / rule.order + 0.5))
     if not np.all(panels * rule.order <= _MAX_NODES):  # also catches nan
         raise AccuracyError(
@@ -120,24 +120,24 @@ def _quadrature(poly: ActionPolynomial, s: np.ndarray, dim: int, k_max: int,
             f"of {_MAX_NODES // _BUDGET_ORDER} panels of {_BUDGET_ORDER} nodes"
         )
     panels = panels.astype(int)
-    active = s != 0.0
-    for count in np.unique(panels[active]):
+    active = np.any(s != 0.0, axis=1)
+    for count in sorted(set(panels[active].tolist())):
         rows = np.flatnonzero(active & (panels == count))
-        coarse_grid = _weighted_nodes(poly, dim, rule, int(count))
-        fine_grid = _weighted_nodes(poly, dim, rule, 2 * int(count))
-        chunk = max(1, _CHUNK_ENTRIES // len(fine_grid[0]))
+        grids = [_weighted_nodes(polys, dim, rule, n) for n in (count, 2 * count)]
+        chunk = max(1, _CHUNK_ENTRIES // len(grids[1][1]))  # nodes per row, not terms
         for start in range(0, len(rows), chunk):
             sel = rows[start:start + chunk]
-            coarse = _harmonic_sums(s[sel], *coarse_grid, k_max)
-            fine = _harmonic_sums(s[sel], *fine_grid, k_max)
+            coarse, fine = (_harmonic_sums(-s[sel] @ values, weights, k_max)
+                            for values, weights in grids)
             err = np.abs(fine - coarse)
             limit = _QUAD_TOL * np.maximum(1.0, np.abs(fine))
             if np.any(err > limit):
                 i, k = np.unravel_index(np.argmax(err / limit), err.shape)
+                xs = ", ".join(f"{x:.6g}" for x in (k + 1) * s[sel][i])
                 raise AccuracyError(
                     f"modulation quadrature error estimate {err[i, k]:.3e} exceeds "
                     f"{_QUAD_TOL:.0e}; raise the rule order or panel count "
-                    f"(order={rule.order}, panels={count}, x={(k + 1) * s[sel][i]:.6g})"
+                    f"(order={rule.order}, panels={count}, x={xs})"
                 )
             out[sel] = fine
     return out
@@ -159,16 +159,15 @@ def modulation_quadrature(poly: ActionPolynomial, sigma_over_hbar: float,
     return ModulationFactor(complex(value))
 
 
-def _closed_form(poly: ActionPolynomial, x: np.ndarray, dim: int) -> np.ndarray:
-    coeffs = poly.float_coeffs
-    if len(coeffs) > 2:
-        raise UnsupportedMethodError(
-            f"closed form needs at most two coefficients (orders 2 and 3); "
-            f"order {poly.alpha} has {len(coeffs)} - use quadrature"
-        )
-    a0 = float(coeffs[0])
-    a1 = float(coeffs[1]) if len(coeffs) == 2 else 0.0
-    return np.exp(-1j * x * (a0 + a1)) * kummer_1f1_axis((dim + 1) / 2.0, x * a1)
+def _closed_form(polys: tuple, x: np.ndarray, dim: int) -> np.ndarray:
+    for poly in polys:
+        if len(poly.coeffs) > 2:
+            raise UnsupportedMethodError(
+                f"closed form needs at most two coefficients (orders 2 and 3); "
+                f"order {poly.alpha} has {len(poly.coeffs)} - use quadrature"
+            )
+    a0, a1 = np.array([[*poly.float_coeffs, 0.0][:2] for poly in polys]).T
+    return np.exp(-1j * (x @ (a0 + a1))) * kummer_1f1_axis((dim + 1) / 2.0, x @ a1)
 
 
 def modulation_closed_form(poly: ActionPolynomial, sigma_over_hbar: float,
@@ -187,73 +186,78 @@ def modulation_closed_form(poly: ActionPolynomial, sigma_over_hbar: float,
     return ModulationFactor(complex(value))
 
 
-def _spa(poly: ActionPolynomial, x: np.ndarray, dim: int) -> np.ndarray:
-    """End-point stationary-phase asymptotics.  The circular end point l=1
-    contributes i exp(-i x sum_{j>=1} a_j)/(x B) with B = sum_{j>=1} 2j a_j;
-    the diameter end point l=0 contributes the Fresnel-type moment
-    Gamma((D-1)/2)/2 |x a1|^(-s) exp(-i sign(x a1) s pi/2) with s = (D-1)/2,
-    the principal branch of (1/(x a1))^s."""
-    coeffs = poly.float_coeffs
-    if len(coeffs) < 2:
+def _spa(polys: tuple, x: np.ndarray, dim: int) -> np.ndarray:
+    """End-point stationary-phase asymptotics, written for one term; x has
+    shape (row, k, term), and each x a_j is a sum over the terms.  The
+    circular end point l=1 contributes i exp(-i x sum_{j>=1} a_j)/(x B) with
+    B = sum_{j>=1} 2j a_j; the diameter end point l=0 contributes the
+    Fresnel-type moment Gamma((D-1)/2)/2 |x a1|^(-s) exp(-i sign(x a1) s pi/2)
+    with s = (D-1)/2, the principal branch of (1/(x a1))^s."""
+    if any(len(poly.coeffs) < 2 for poly in polys):
         raise UnsupportedMethodError("SPA needs a non-constant action polynomial")
-    a0 = float(coeffs[0])
-    a1 = float(coeffs[1])
-    if np.any(x * a1 == 0.0):
+    coeffs = [poly.float_coeffs for poly in polys]
+    w = x @ [c[1] for c in coeffs]
+    if np.any(w == 0.0):
         raise DomainError("SPA needs sigma * a1 * k != 0")
-    tail = float(np.sum(coeffs[1:]))
-    slope = float(np.sum(2.0 * np.arange(1, len(coeffs)) * coeffs[1:]))
-    if slope == 0.0:
+    x_slope = x @ [np.sum(2.0 * np.arange(1, len(c)) * c[1:]) for c in coeffs]
+    if np.any(x_slope == 0.0):
         raise DomainError("degenerate upper end point: sum_j 2j a_j vanishes")
     s = 0.5 * (dim - 1)
-    w = x * a1
     with np.errstate(over="ignore", invalid="ignore"):  # |w|^(-s) at a tiny x; checked below
-        upper = 1j * np.exp(-1j * x * tail) / (x * slope)
+        upper = 1j * np.exp(-1j * (x @ [np.sum(c[1:]) for c in coeffs])) / x_slope
         lower = (0.5 * math.gamma(s) * np.abs(w) ** (-s)
                  * np.exp(-1j * np.sign(w) * s * math.pi / 2.0))
-        out = (dim - 1) * np.exp(-1j * x * a0) * (upper + lower)
+        out = (dim - 1) * np.exp(-1j * (x @ [c[0] for c in coeffs])) * (upper + lower)
     if not np.all(np.isfinite(out)):
-        raise DomainError(f"SPA end-point terms leave the float range at x = k sigma / hbar = "
-                          f"{x[~np.isfinite(out)].flat[0]:g}")
+        xs = ", ".join(f"{v:g}" for v in x[~np.isfinite(out)][0])
+        raise DomainError(f"SPA end-point terms leave the float range at x = k sigma / hbar = {xs}")
     return out
 
 
 _KERNELS = {"closed_form": _closed_form, "spa": _spa}
 
 
-def modulation(poly: ActionPolynomial, sigma_over_hbar, dim: int, k_max: int,
-               method: Method, rule: QuadratureRule | None = None) -> np.ndarray:
-    """M_1 ... M_kmax for every entry of a 1-D array of sigma / hbar.
+def modulation(poly, sigma_over_hbar, dim: int, k_max: int, method: Method,
+               rule: QuadratureRule | None = None) -> np.ndarray:
+    """M_1 ... M_kmax for every row of sigma / hbar.
 
-    Returns a complex array of shape (len(sigma_over_hbar), k_max); rows with
-    sigma = 0 are exactly 1 for every method.  "quadrature" sizes the panels
-    of each row for the fastest local phase of its highest harmonic,
-    evaluates exp(-i sigma P / hbar) once per (row, node) and reaches
-    harmonic k by repeated multiplication; the coarse/fine error estimate is
-    checked for every (row, k), and a row that needs more coarse nodes than
-    1024 panels of 200 is an AccuracyError.
+    `poly` is a sequence of per-term polynomials P_t, with one column of
+    sigma_t / hbar per term in a (rows, terms) array: a row's phase is
+    sum_t sigma_t P_t(l) / hbar.  One ActionPolynomial with a scalar or 1-D
+    array of sigma / hbar is the one-term case.  Returns a complex array of
+    shape (rows, k_max); rows whose every sigma_t is 0 are exactly 1 for
+    every method.  "quadrature" sizes the panels of each row for the fastest
+    local phase of its highest harmonic, evaluates the exponential once per
+    (row, node) and reaches harmonic k by repeated multiplication; the
+    coarse/fine error estimate is checked for every (row, k), and a row that
+    needs more coarse nodes than 1024 panels of 200 is an AccuracyError.
     "closed_form" and "spa" evaluate their formulas as array expressions
-    over the (row, k) grid x = k sigma / hbar, in blocks of rows.  `rule`
-    applies to the quadrature only.
+    over the (row, k) grid, in blocks of rows.  `rule` applies to the
+    quadrature only.
     """
     if dim < 2:
         raise DomainError(f"spatial dimension must be >= 2, got {dim}")
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
-    s = np.atleast_1d(np.asarray(sigma_over_hbar, dtype=float))
-    if s.ndim != 1:
-        raise DomainError(f"sigma / hbar must be a scalar or 1-D array, got shape {s.shape}")
+    s = np.asarray(sigma_over_hbar, dtype=float)
+    if isinstance(poly, ActionPolynomial):  # the one-term case
+        poly, s = [poly], (np.reshape(s, (-1, 1)) if s.ndim <= 1 else s)
+    polys = tuple(poly)
+    if s.ndim != 2 or s.shape[1] != len(polys):
+        raise DomainError(f"sigma / hbar needs one column per term, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise DomainError("sigma / hbar must be finite")
     if method == "quadrature":
-        return _quadrature(poly, s, dim, k_max, rule or gauss_legendre(DEFAULT_ORDER))
+        return _quadrature(polys, s, dim, k_max, rule or gauss_legendre(DEFAULT_ORDER))
     if method not in _KERNELS:
         raise UnsupportedMethodError(f"unknown modulation method {method!r}")
     out = np.ones((len(s), k_max), dtype=complex)
-    rows = np.flatnonzero(s)
+    rows = np.flatnonzero(np.any(s != 0.0, axis=1))
+    ks = np.arange(1, k_max + 1)
     step = max(1, _GRID_CHUNK // k_max)
     for start in range(0, len(rows), step):
         sel = rows[start:start + step]
-        out[sel] = _KERNELS[method](poly, np.outer(s[sel], np.arange(1, k_max + 1)), dim)
+        out[sel] = _KERNELS[method](polys, s[sel, None, :] * ks[:, None], dim)
     return out
 
 

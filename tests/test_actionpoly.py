@@ -19,6 +19,7 @@ from hoshell.actionpoly import (
     sigma_alpha,
     verify_legendre_form,
 )
+from hoshell.dos import pert_dos
 from hoshell.errors import DomainError
 from hoshell.specfun import legendre_coefficients
 
@@ -234,37 +235,14 @@ class TestPolynomialDeltaS:
 
     @pytest.mark.parametrize("alpha", [2, 3, 4, 10])
     def test_single_order_polynomial_is_energy_independent(self, alpha):
-        # pert_dos batches every energy of a single-order system into one
-        # modulation call keyed on this polynomial.
+        # One term's polynomial is its order's, exactly, at every energy: the
+        # scalar view agrees with the single term pert_dos passes to modulation.
         params = SystemParams.single(3, -1.25e-3, alpha)
         want = action_coefficients(alpha).float_coeffs
         for energy in np.linspace(1.0, 70.0, 97):
             poly, _ = polynomial_delta_s(params, float(energy))
             assert poly.alpha == alpha
             assert np.array_equal(poly.float_coeffs, want)
-        polys, index, _ = polynomial_delta_s(params, np.linspace(1.0, 70.0, 2001))
-        assert len(polys) == 1 and not index.any()
-        assert polys[0].alpha == alpha
-        assert np.array_equal(polys[0].float_coeffs, want)
-
-    @pytest.mark.parametrize("alpha", [2, 3, 4, 10])
-    @pytest.mark.parametrize("eps", [-1.25e-3, 0.0, 5e-324])
-    def test_single_term_skips_unique_with_the_same_result(self, alpha, eps):
-        # One term takes every live row as the same polynomial without
-        # np.unique; adding a zero-strength term of the same order leaves the
-        # rows' bits as they are but goes through np.unique.  eps = 0 gives
-        # no live rows, and the least subnormal eps leaves sigma = 0 at the
-        # low energies only.
-        grid = np.geomspace(1e-3, 70.0, 2001)
-        single = SystemParams(dim=3, terms=((eps, alpha),))
-        padded = SystemParams(dim=3, terms=((eps, alpha), (0.0, alpha)))
-        polys, index, sigma = polynomial_delta_s(single, grid)
-        want_polys, want_index, want_sigma = polynomial_delta_s(padded, grid)
-        assert np.array_equal(sigma, want_sigma)
-        assert np.array_equal(index, want_index) and index.dtype == want_index.dtype
-        assert [(p.alpha, p.coeffs) for p in polys] == [(p.alpha, p.coeffs) for p in want_polys]
-        if eps == 5e-324:
-            assert 0 < np.count_nonzero(sigma) < grid.size
 
     def test_linearity_in_strength(self):
         whole = SystemParams.single(3, 0.08, 2)
@@ -315,32 +293,34 @@ class TestPolynomialDeltaS:
         ((1e-3, 2), (-1e-3, 2)), ((0.0, 4),), (),
     ])
     def test_array_path_equals_scalar_view(self, terms):
+        # pert_dos's path: per-term sigma_t over the whole grid, each with its
+        # own order's polynomial.  Its action -sum_t sigma_t P_t(ltilde) is the
+        # scalar view's -sigma P(ltilde) at every energy.
         params = SystemParams(dim=3, omega=1.3, terms=terms)
         grid = np.linspace(0.5, 70.0, 97)
-        polys, index, sigma = polynomial_delta_s(params, grid)
-        assert index.shape == sigma.shape == grid.shape
-        assert sorted(set(index.tolist())) == list(range(len(polys)))
-        for energy, i, s in zip(grid, index, sigma):
-            poly, want = polynomial_delta_s(params, float(energy))
-            assert polys[i] == poly
-            assert s == want
+        ltilde = np.linspace(0.0, 1.0, 11)
+        per_term = sum((np.outer(sigma_alpha(grid, eps, alpha, 1.3),
+                                 action_coefficients(alpha).scaled_value(ltilde))
+                        for eps, alpha in terms), np.zeros((grid.size, ltilde.size)))
+        for energy, row in zip(grid, per_term):
+            poly, sigma = polynomial_delta_s(params, float(energy))
+            want = sigma * poly.scaled_value(ltilde)
+            assert np.all(np.abs(row - want) <= 1e-13 * np.max(np.abs(row), initial=1e-300))
 
     def test_zero_total_strength_gives_unit_polynomial(self):
-        # The two terms cancel exactly at E = 1 only: that row keeps the
-        # order-1 unit polynomial while the other carries the mixed-order one.
+        # The two terms cancel exactly at E = 1 only: there the scalar view
+        # gives the order-1 unit polynomial, at E = 2 the mixed-order one.
         params = SystemParams(dim=3, terms=((1.0, 2), (-1.0, 3)))
-        polys, index, sigma = polynomial_delta_s(params, np.array([1.0, 2.0]))
-        assert polys[index[0]] == ActionPolynomial(alpha=1, coeffs=(1.0,))
-        assert sigma[0] == 0.0
-        assert polys[index[1]] == polynomial_delta_s(params, 2.0)[0]
-        assert polys[index[1]].alpha == 3 and sigma[1] == -8.0 * math.pi
+        assert polynomial_delta_s(params, 1.0) == (ActionPolynomial(alpha=1, coeffs=(1.0,)), 0.0)
+        poly, sigma = polynomial_delta_s(params, 2.0)
+        assert poly.alpha == 3 and sigma == -8.0 * math.pi
 
     def test_array_path_rejects_bad_input(self):
-        with pytest.raises(DomainError):
-            polynomial_delta_s(SystemParams.single(3, 1e-3, 2), np.array([1.0, 0.0, 2.0]))
-        with pytest.raises(DomainError):
-            polynomial_delta_s(SystemParams(dim=3, terms=((0.01, 1), (1e-4, 2))),
-                               np.array([1.0, 2.0]))
+        # pert_dos's energy check, and sigma past the float range on an array.
+        with pytest.raises(DomainError, match="energy must be > 0, got 0.0"):
+            pert_dos(SystemParams.single(3, 1e-3, 2), np.array([1.0, 0.0, 2.0]))
+        with pytest.raises(DomainError, match="the action scale sigma"):
+            sigma_alpha(np.array([1.0, 2.0]), 1e-3, 3, 1e-100)
 
 
 class TestSystemParams:

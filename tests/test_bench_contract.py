@@ -59,3 +59,28 @@ def test_unused_imports_are_tracer_targets():
                           for line in lines[node.lineno - 1:node.end_lineno])
                   for alias in node.names]
     assert [shim for shim in shims if shim not in pairs] == []
+
+
+def test_independent_check_agrees_with_pert_dos(monkeypatch):
+    # Every benchmark run checks sampled `dos` rows against `_reference_osc`,
+    # which reaches the package through the scalar views (polynomial_delta_s,
+    # modulation_quadrature, modulation_closed_form) that pert_dos no longer
+    # calls.  A break in them would otherwise first show as `correct: false`.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    from hoshell import SystemParams, pert_dos
+
+    jobs = [dict(D=3, alpha=4, epsilon=1.0 / (3.375 * 30.0 ** 4), width=0.1, k_max=10,
+                 method="quad"),
+            dict(D=4, alpha=3, epsilon=1.0 / (1.5 * 30.0 ** 3), width=0.1, k_max=10,
+                 method="closed")]
+    for p in jobs:
+        energies = [4.0, 29.0, 51.5]
+        curve = pert_dos(SystemParams.single(p["D"], p["epsilon"], p["alpha"]), energies,
+                         k_max=p["k_max"], width=p["width"],
+                         method={"quad": "quadrature", "closed": "closed_form"}[p["method"]])
+        for energy, smooth, osc in zip(energies, curve.smooth, curve.oscillating):
+            want = checks._reference_osc(p, energy, smooth)
+            assert abs(osc - want) <= checks.OSC_TOL_PER_K * p["k_max"] * smooth, (p, energy)

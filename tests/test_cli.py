@@ -587,6 +587,9 @@ def test_matching_level_cache_accepted(d3_cache: Path):
     # 2^y overflows in the strength eps hbar^(alpha-1) / omega^(alpha+1)
     (("ebk", "--alpha", "2000", "--hbar", "0.75", "--epsilon", "1e-3", "--e-max", "3"),
      "hbar omega=0.75 or the strength eps hbar^(alpha-1) / omega^(alpha+1)=inf leaves"),
+    # (E / omega^2)^alpha overflows; numpy warned twice before the error line.
+    (("dos", "--omega", "1e-100", "--alpha", "3", "--epsilon", "1e-3", "--e-range", "1:2:3"),
+     "the action scale sigma leaves the float range at eps=0.001, alpha=3, omega=1e-100"),
 ])
 def test_invalid_values_are_domain_errors(args, message):
     cp = run_cli(*args)
@@ -599,6 +602,19 @@ def test_invalid_values_are_domain_errors(args, message):
 def _columns(cp: subprocess.CompletedProcess) -> np.ndarray:
     assert cp.returncode == 0 and cp.stderr == "", cp.stderr
     return np.loadtxt(io.StringIO(cp.stdout), delimiter=",", skiprows=1, ndmin=2)
+
+
+@pytest.mark.parametrize("args", [
+    ("dos", "--omega", "1e100"), ("compare", "--omega", "1e100"),
+    ("dos", "--omega", "1e60", "--alpha", "3", "--epsilon", "1e-3"),
+    ("dos", "--hbar", "1e-200", "--omega", "1e200")])
+def test_sigma_needs_no_power_of_omega(args):
+    # omega^(2 alpha + 1) in the action scale, and at omega = 1e200 omega^2
+    # itself, overflowed: each exited 1 with an OverflowError traceback.
+    cp = run_cli(*args)
+    assert cp.returncode == 0 and cp.stderr == "", cp.stderr
+    assert cp.stdout.count("\n") > 2
+    assert "nan" not in cp.stdout.lower() and "inf" not in cp.stdout.lower()
 
 
 def test_huge_omega_matches_oscillator_units():
@@ -904,13 +920,16 @@ def _range(low: float, high: float, start=st.floats):
                      start(low, high), st.floats(-0.1, 1.1), st.integers(0, 201))
 
 
+# omega or hbar: log-uniform over six decades, or over the whole float range.
+_SCALE = st.one_of(st.floats(-3.0, 3.0), st.floats(-300.0, 300.0)).map(lambda u: 10.0 ** u)
 _DIMS = st.one_of(st.integers(1, 8), st.sampled_from([60, 170]))
 _QUAD_ARGV = st.one_of(
-    st.builds(lambda dim, alpha, eps, k_max, grid: [
+    st.builds(lambda dim, alpha, eps, k_max, grid, omega, hbar: [
         "dos", "--method", "quad", "--D", str(dim), "--alpha", str(alpha),
-        f"--epsilon={eps!r}", "--k-max", str(k_max), "--e-range", grid],
+        f"--epsilon={eps!r}", "--k-max", str(k_max), "--e-range", grid,
+        f"--omega={omega!r}", f"--hbar={hbar!r}"],
         _DIMS, st.integers(0, 12), _signed_magnitude(-8, -1), st.integers(0, 10),
-        _range(-5.0, 100.0)),
+        _range(-5.0, 100.0), _SCALE, _SCALE),
     st.builds(lambda dim, alpha, k, grid: [
         "modfactor", "--method", "quad", "--D", str(dim), "--alpha", str(alpha),
         "--k", str(k), f"--sigma-over-hbar-range={grid}"],
@@ -942,11 +961,12 @@ def test_quadrature_cli_gives_a_result_or_a_documented_exit(argv):
 
 _CLOSED_DIMS = st.integers(2, 12)
 _CLOSED_ARGV = st.one_of(
-    st.builds(lambda method, dim, alpha, eps, k_max, grid: [
+    st.builds(lambda method, dim, alpha, eps, k_max, grid, omega, hbar: [
         "dos", "--method", method, "--D", str(dim), "--alpha", str(alpha),
-        f"--epsilon={eps!r}", "--k-max", str(k_max), "--e-range", grid],
+        f"--epsilon={eps!r}", "--k-max", str(k_max), "--e-range", grid,
+        f"--omega={omega!r}", f"--hbar={hbar!r}"],
         st.sampled_from(["closed", "spa"]), _CLOSED_DIMS, st.integers(0, 12),
-        _signed_magnitude(-8, -1), st.integers(0, 10), _range(-5.0, 100.0)),
+        _signed_magnitude(-8, -1), st.integers(0, 10), _range(-5.0, 100.0), _SCALE, _SCALE),
     st.builds(lambda method, dim, alpha, k, grid: [
         "modfactor", "--method", method, "--D", str(dim), "--alpha", str(alpha),
         "--k", str(k), f"--sigma-over-hbar-range={grid}"],
@@ -1015,8 +1035,6 @@ def test_torus_cli_gives_a_result_or_a_documented_exit(tmp_path_factory, system,
 _COMPARE_GRID = st.builds(
     lambda lo, span, n: f"{40.0 - lo!r}:{40.0 - lo + 39.0 - span!r}:{201 - n}",
     st.floats(0.0, 40.0), st.floats(-1.0, 40.0), st.integers(0, 201))
-# omega or hbar: log-uniform over six decades, or over the whole float range.
-_SCALE = st.one_of(st.floats(-3.0, 3.0), st.floats(-300.0, 300.0)).map(lambda u: 10.0 ** u)
 _REPORT_ARGV = st.one_of(
     st.builds(lambda system, caps, method, k_max, grid, width: [
         "compare", *system, *caps, "--method", method, "--k-max", str(k_max),

@@ -5,12 +5,7 @@ import pytest
 from scipy.signal import hilbert
 
 import hoshell.dos
-from hoshell.actionpoly import (
-    ActionPolynomial,
-    SystemParams,
-    absorb_harmonic_terms,
-    polynomial_delta_s,
-)
+from hoshell.actionpoly import SystemParams, absorb_harmonic_terms, polynomial_delta_s
 from hoshell.dos import (
     DosCurve,
     envelope_nodes,
@@ -210,24 +205,53 @@ class TestPertDos:
 
     @pytest.mark.parametrize("method", ["quadrature", "closed_form"])
     def test_mixed_orders_match_scalar_reference(self, method):
-        # Orders 2 and 3 give a different normalised polynomial at every
-        # energy; compare with the per-(E, k) scalar sum of the trace formula.
+        # pert_dos keeps one sigma_t column per order; compare with the
+        # per-(E, k) scalar sum of the trace formula over the normalised
+        # polynomial, which differs at every energy for mixed orders.  The
+        # closed form takes orders 2 and 3 only.
         from hoshell.actionpoly import polynomial_delta_s
         from hoshell.modfactor import modulation_closed_form, modulation_quadrature
 
         scalar = {"quadrature": modulation_quadrature,
                   "closed_form": modulation_closed_form}[method]
-        params = SystemParams(dim=3, terms=((1e-3, 2), (2e-5, 3)))
-        grid = np.linspace(8.0, 30.0, 9)
-        curve = pert_dos(params, grid, k_max=6, width=0.1, method=method)
-        for energy, smooth, got in zip(grid, curve.smooth, curve.oscillating):
-            poly, sigma = polynomial_delta_s(params, float(energy))
-            total = 0.0
-            for k in range(1, 7):
-                mod = scalar(poly, sigma, 3, k).value
-                damp = math.exp(-((0.1 * k * math.pi) ** 2))
-                total += (-1.0) ** k * damp * (mod * np.exp(2j * math.pi * k * energy)).real
-            assert abs(got - 2.0 * smooth * total) <= 1e-10 * smooth
+        for terms in TERM_SETS:
+            if method == "closed_form" and any(alpha > 3 for _, alpha in terms):
+                continue
+            params = SystemParams(dim=3, terms=terms)
+            # At k = 6, order 10 at 1e-7 needs more than the quadrature's
+            # node budget past E = 7.
+            grid = np.linspace(*((3.0, 6.0) if (1e-7, 10) in terms else (8.0, 30.0)), 9)
+            curve = pert_dos(params, grid, k_max=6, width=0.1, method=method)
+            for energy, smooth, got in zip(grid, curve.smooth, curve.oscillating):
+                poly, sigma = polynomial_delta_s(params, float(energy))
+                total = 0.0
+                for k in range(1, 7):
+                    mod = scalar(poly, sigma, 3, k).value
+                    damp = math.exp(-((0.1 * k * math.pi) ** 2))
+                    total += (-1.0) ** k * damp * (mod * np.exp(2j * math.pi * k * energy)).real
+                assert abs(got - 2.0 * smooth * total) <= 1e-10 * smooth, (terms, energy)
+
+    @pytest.mark.parametrize("method", ["quadrature", "closed_form"])
+    def test_cancelling_strengths_stay_continuous(self, method):
+        # At E = 50, sigma_2 + sigma_3 = 0 exactly, but the two polynomials
+        # differ, so M_k is not 1 there.  A path through the normalised
+        # polynomial wrote the unperturbed sum: -1249.99 between -66 and +66.
+        params = SystemParams(dim=3, terms=((1e-3, 2), (-2e-5, 3)))
+        grid = np.linspace(1.0, 70.0, 3451)
+        assert grid[2450] == 50.0
+        curve = pert_dos(params, grid, k_max=10, method=method)
+        near = pert_dos(params, [50.0 - 1e-7, 50.0 + 1e-7], k_max=10, method=method)
+        middle = 0.5 * (near.oscillating[0] + near.oscillating[1])
+        assert abs(curve.oscillating[2450] - middle) <= 1e-6 * curve.smooth[2450]
+        assert max(abs(curve.oscillating[2449]), abs(curve.oscillating[2451])) < 100.0
+
+
+# Single, mixed, cancelling and empty perturbations.
+TERM_SETS = [
+    ((-1.25e-3, 2),), ((2e-5, 3),), ((1e-7, 10),),
+    ((1e-3, 2), (2e-5, 3)), ((1e-4, 2), (-1e-6, 3), (1e-9, 4)),
+    ((1e-3, 2), (-1e-3, 2)), ((0.0, 4),), (),
+]
 
 
 def _scalar_reference(params, grid, k_max, width, method):
@@ -278,45 +302,57 @@ class TestArrayActionScale:
 
     @pytest.mark.parametrize("method", ["quadrature", "closed_form", "spa"])
     def test_zero_strength_is_the_unperturbed_sum(self, method):
-        params = SystemParams.single(3, 0.0, 2, omega=self.omega, hbar=self.hbar)
-        polys, index, sigma = polynomial_delta_s(params, self.grid())
-        assert polys == (ActionPolynomial(alpha=1, coeffs=(1.0,)),)
-        assert not index.any() and not sigma.any()
-        curve = pert_dos(params, self.grid(), k_max=8, width=0.1, method=method)
+        # A zero strength, no terms, and two terms of one order that cancel:
+        # they are merged before sigma is formed, so the sum is exact.
         ks = np.arange(1, 9)
         weights = (-1.0) ** (3 * ks) * np.exp(-((0.1 * ks * math.pi / (self.omega * self.hbar)) ** 2))
         bare = np.cos(2.0 * math.pi * np.outer(self.grid(), ks) / (self.omega * self.hbar))
-        want = 2.0 * curve.smooth * (bare @ weights)
-        assert np.all(np.abs(curve.oscillating - want) <= 1e-12 * curve.smooth)
+        for terms in (((0.0, 2),), (), ((1.0, 2), (-1.0, 2))):
+            params = SystemParams(dim=3, omega=self.omega, hbar=self.hbar, terms=terms)
+            curve = pert_dos(params, self.grid(), k_max=8, width=0.1, method=method)
+            want = 2.0 * curve.smooth * (bare @ weights)
+            assert np.all(np.abs(curve.oscillating - want) <= 1e-12 * curve.smooth), terms
+
+    @pytest.mark.parametrize("terms", [((1e-3, 2),), ()])
+    def test_empty_grid_gives_an_empty_curve(self, terms):
+        curve = pert_dos(SystemParams(dim=3, terms=terms), np.array([]), k_max=8)
+        assert curve.energies.shape == curve.smooth.shape == curve.oscillating.shape == (0,)
+
+    @pytest.mark.parametrize("method", ["quadrature", "closed_form"])
+    @pytest.mark.parametrize("eps", [-1.25e-3, 5e-324])
+    def test_zero_strength_term_of_the_same_order_leaves_the_bits(self, method, eps):
+        # Terms of one order are merged before sigma is formed.  The least
+        # subnormal eps leaves sigma = 0 at the low energies only.
+        grid = np.geomspace(1e-3, 30.0, 201)
+        single = pert_dos(SystemParams(dim=3, terms=((eps, 2),)), grid, method=method)
+        padded = pert_dos(SystemParams(dim=3, terms=((eps, 2), (0.0, 2))), grid, method=method)
+        assert np.array_equal(single.oscillating, padded.oscillating)
 
     @pytest.mark.parametrize("alpha,method", ORDER_METHODS)
     def test_absorbed_harmonic_term(self, alpha, method):
         params = SystemParams(dim=3, omega=self.omega, hbar=self.hbar,
                               terms=((0.04, 1), (2e-3 / 10 ** alpha, alpha)))
         with pytest.raises(DomainError):
-            polynomial_delta_s(params, self.grid())
+            polynomial_delta_s(params, self.grid()[0])
         curve = pert_dos(params, self.grid(), k_max=8, width=0.1, method=method)
         want, bound = _scalar_reference(params, self.grid(), 8, 0.1, method)
         assert np.all(np.abs(curve.oscillating - want) <= bound)
 
     def test_single_order_makes_one_modulation_call(self, monkeypatch):
-        # One polynomial for the whole grid: a per-energy loop would show up
-        # here as one call per energy.
-        calls = {"modulation": [], "polynomial_delta_s": 0}
+        # One call for the whole grid, for one term or several: a per-energy
+        # loop would show up here as one call per energy.
+        calls = []
 
         def counted_modulation(poly, sigma_over_hbar, *args, **kwargs):
-            calls["modulation"].append(len(sigma_over_hbar))
+            calls.append(np.shape(sigma_over_hbar))
             return modulation(poly, sigma_over_hbar, *args, **kwargs)
 
-        def counted_delta_s(*args):
-            calls["polynomial_delta_s"] += 1
-            return polynomial_delta_s(*args)
-
         monkeypatch.setattr(hoshell.dos, "modulation", counted_modulation)
-        monkeypatch.setattr(hoshell.dos, "polynomial_delta_s", counted_delta_s)
         grid = np.linspace(1.0, 70.0, 2001)
         pert_dos(SystemParams.single(3, 1.25e-3, 2), grid, k_max=10, method="closed_form")
-        assert calls == {"modulation": [2001], "polynomial_delta_s": 1}
+        pert_dos(SystemParams(dim=3, terms=((1e-3, 2), (2e-5, 3))), grid, k_max=10,
+                 method="closed_form")
+        assert calls == [(2001, 1), (2001, 2)]
 
 
 class TestSupershell:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from hoshell.actionpoly import SystemParams, action_coefficients, polynomial_delta_s
+from hoshell.actionpoly import SystemParams, action_coefficients, polynomial_delta_s, sigma_alpha
 from hoshell.dos import pert_dos
 from hoshell.errors import AccuracyError, DomainError, UnsupportedMethodError
 from hoshell.modfactor import (
@@ -129,6 +129,34 @@ class TestArrayKernel:
             modulation(action_coefficients(2), [0.5, 12.0, 30.0], 3, 10,
                        "quadrature", gauss_legendre(6))
 
+    @pytest.mark.parametrize("method", ["quadrature", "closed_form", "spa"])
+    @pytest.mark.parametrize("eps3", [2e-5, -2e-5])
+    def test_per_term_rows_match_the_combined_polynomial(self, method, eps3):
+        # One sigma_t / hbar column per term against the scalar view's
+        # normalised polynomial, for strengths of the same and opposite sign.
+        # The opposite-sign a1 parts cancel near E = 16.7, where SPA fails.
+        terms = ((1e-3, 2), (eps3, 3))
+        energies = [5.0, 12.0, 20.0, 33.0]
+        polys = [action_coefficients(alpha) for _, alpha in terms]
+        sigmas = [[sigma_alpha(e, eps, alpha, 1.0) for eps, alpha in terms] for e in energies]
+        got = modulation(polys, sigmas, 3, 6, method)
+        assert got.shape == (4, 6)
+        for energy, row in zip(energies, got):
+            poly, sigma = polynomial_delta_s(SystemParams(dim=3, terms=terms), energy)
+            want = modulation(poly, sigma, 3, 6, method)[0]
+            assert np.all(np.abs(row - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_per_term_input_is_checked(self):
+        polys = [action_coefficients(2), action_coefficients(4)]
+        assert np.all(modulation(polys, np.zeros((3, 2)), 3, 2, "closed_form") == 1.0)
+        assert modulation([], np.zeros((3, 0)), 3, 2, "spa").shape == (3, 2)
+        with pytest.raises(DomainError):
+            modulation(polys, [1.0, 2.0], 3, 2, "quadrature")
+        with pytest.raises(DomainError):
+            modulation(polys, [[1.0, 2.0, 3.0]], 3, 2, "quadrature")
+        with pytest.raises(UnsupportedMethodError):
+            modulation(polys, [[1.0, 0.0]], 3, 2, "closed_form")
+
     def test_rejects_bad_arguments(self):
         poly = action_coefficients(2)
         with pytest.raises(DomainError):
@@ -237,9 +265,9 @@ class TestPanelSizing:
         entries = []
         sums = modfactor._harmonic_sums
 
-        def counting(s, values, *args):
-            entries.append(len(s) * len(values))
-            return sums(s, values, *args)
+        def counting(phase, *args):
+            entries.append(phase.size)
+            return sums(phase, *args)
 
         monkeypatch.setattr(modfactor, "_harmonic_sums", counting)
         pert_dos(SystemParams.single(3, 1.25e-3, 2), np.linspace(1.0, 70.0, 3451),
