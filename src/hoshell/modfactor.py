@@ -14,7 +14,12 @@ All formulas are written in terms of the dimensionless x_t = k sigma_t / hbar.
 `modulation` is the array entry point: M_1 ... M_kmax for every row of
 sigma_t / hbar.  Every method is one array kernel: the quadrature is batched
 over rows and harmonics, and the closed form and the SPA are array
-expressions over the (row, k) grid, each x a_j summed over the terms.  For
+expressions over the (row, k) grid, each x a_j summed over the terms.  The
+quadrature integrates the phase relative to the circular orbit,
+exp(-i k sigma (P(l) - P(1)) / hbar), whose argument stays bounded within the
+node budget, evaluates that exponential with the table-driven
+`specfun.expi`, and multiplies the circular-orbit phase
+exp(-i k sigma P(1) / hbar) into each (row, k) sum with `np.exp`.  For
 the quartic and sextic cases the closed form is exactly the two end-point
 terms of the circular (l = 1) and diameter (l = 0) orbits: exponentials for
 odd D, an erf for even D.  The scalar functions are its per-point views.
@@ -30,7 +35,7 @@ import numpy as np
 
 from .actionpoly import ActionPolynomial
 from .errors import AccuracyError, DomainError, PropertyViolationError, UnsupportedMethodError
-from .specfun import QuadratureRule, gauss_legendre, kummer_1f1_axis
+from .specfun import QuadratureRule, expi, gauss_legendre, kummer_1f1_axis
 
 # The closed form reaches 1F1 through `kummer_1f1_axis`; the scalar view stays
 # importable from this module because the benchmark's tracer
@@ -77,24 +82,25 @@ def _check_k(k: int) -> None:
         raise DomainError("repetition index k must be nonzero")
 
 
-def _weighted_nodes(polys: tuple, dim: int, rule: QuadratureRule,
+def _weighted_nodes(polys: tuple, ends: np.ndarray, dim: int, rule: QuadratureRule,
                     panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """P_t(l) at the panel nodes, one row per term, and the weights (D-1) w
-    l^(D-2), as complex so the harmonic sums are one BLAS product each."""
+    """P_t(l) - P_t(1) at the panel nodes, one row per term, with P_t(1) in
+    `ends`, and the weights (D-1) w l^(D-2), as complex so the harmonic sums
+    are one BLAS product each."""
     nodes, weights = rule.on_panels(0.0, 1.0, panels)
-    values = np.array([poly.scaled_value(nodes) for poly in polys])
+    values = np.array([poly.scaled_value(nodes) - end for poly, end in zip(polys, ends)])
     return values, ((dim - 1) * weights * nodes ** (dim - 2)).astype(complex)
 
 
 def _harmonic_sums(phase: np.ndarray, weights: np.ndarray, k_max: int) -> np.ndarray:
     """sum_n weights[n] exp(i k phase[i, n]) for k = 1..k_max.
 
-    The exponential is evaluated once per (row, node); harmonic k is its k-th
-    power by repeated multiplication.
+    The exponential is evaluated once per (row, node), by the table-driven
+    `expi`; harmonic k is its k-th power by repeated multiplication.  The
+    phase is taken relative to the circular orbit (l = 1), so it stays within
+    `expi`'s bound; `_quadrature` multiplies that orbit's phase into the sums.
     """
-    base = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=base.real)
-    np.sin(phase, out=base.imag)
+    base = expi(phase)
     power = base.copy()
     sums = np.empty((len(phase), k_max), dtype=complex)
     sums[:, 0] = power @ weights
@@ -121,13 +127,21 @@ def _quadrature(polys: tuple, s: np.ndarray, dim: int, k_max: int,
         )
     panels = panels.astype(int)
     active = np.any(s != 0.0, axis=1)
+    # The integrand's phase is taken relative to the circular orbit (l = 1), so
+    # |phase| <= sum_t |sigma_t / hbar| (max P_t - min P_t), about rate / k_max:
+    # within the node budget that is 4.1e5 rad, inside `expi`'s 2^21.  The
+    # circular-orbit factor exp(-i k sum_t sigma_t P_t(1) / hbar) multiplies
+    # each row's sums afterwards; the coarse/fine check reads the same before it.
+    ends = np.array([poly.scaled_value(1.0) for poly in polys])
+    ks = np.arange(1, k_max + 1)
     for count in sorted(set(panels[active].tolist())):
         rows = np.flatnonzero(active & (panels == count))
-        grids = [_weighted_nodes(polys, dim, rule, n) for n in (count, 2 * count)]
+        grids = [_weighted_nodes(polys, ends, dim, rule, n) for n in (count, 2 * count)]
         chunk = max(1, _CHUNK_ENTRIES // len(grids[1][1]))  # nodes per row, not terms
         for start in range(0, len(rows), chunk):
             sel = rows[start:start + chunk]
-            coarse, fine = (_harmonic_sums(-s[sel] @ values, weights, k_max)
+            # np.dot, not @: with one term, @ takes a loop without BLAS.
+            coarse, fine = (_harmonic_sums(np.dot(-s[sel], values), weights, k_max)
                             for values, weights in grids)
             err = np.abs(fine - coarse)
             limit = _QUAD_TOL * np.maximum(1.0, np.abs(fine))
@@ -139,7 +153,7 @@ def _quadrature(polys: tuple, s: np.ndarray, dim: int, k_max: int,
                     f"{_QUAD_TOL:.0e}; raise the rule order or panel count "
                     f"(order={rule.order}, panels={count}, x={xs})"
                 )
-            out[sel] = fine
+            out[sel] = fine * np.exp(-1j * np.outer(np.dot(s[sel], ends), ks))
     return out
 
 
@@ -227,10 +241,13 @@ def modulation(poly, sigma_over_hbar, dim: int, k_max: int, method: Method,
     array of sigma / hbar is the one-term case.  Returns a complex array of
     shape (rows, k_max); rows whose every sigma_t is 0 are exactly 1 for
     every method.  "quadrature" sizes the panels of each row for the fastest
-    local phase of its highest harmonic, evaluates the exponential once per
-    (row, node) and reaches harmonic k by repeated multiplication; the
-    coarse/fine error estimate is checked for every (row, k), and a row that
-    needs more coarse nodes than 1024 panels of 200 is an AccuracyError.
+    local phase of its highest harmonic, evaluates exp(-i sum_t sigma_t
+    (P_t(l) - P_t(1)) / hbar) once per (row, node) with `specfun.expi`,
+    reaches harmonic k by repeated multiplication, and multiplies in the
+    circular-orbit phase exp(-i k sum_t sigma_t P_t(1) / hbar) once per
+    (row, k); the coarse/fine error estimate is checked for every (row, k),
+    and a row that needs more coarse nodes than 1024 panels of 200 is an
+    AccuracyError.
     "closed_form" and "spa" evaluate their formulas as array expressions
     over the (row, k) grid, in blocks of rows.  `rule` applies to the
     quadrature only.

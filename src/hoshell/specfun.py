@@ -1,7 +1,7 @@
 """Numerical kernels: factorial families, Legendre polynomials, the confluent
 hypergeometric function 1F1(1; b; i y) on the imaginary axis for b = (D+1)/2,
-Gauss-Legendre quadrature rules, and the roots of a rising Chebyshev-Lobatto
-interpolant.
+a table-driven exp(i phi), Gauss-Legendre quadrature rules, and the roots of a
+rising Chebyshev-Lobatto interpolant.
 
 Everything here is pure and reentrant; quadrature rules are immutable.
 """
@@ -21,6 +21,7 @@ __all__ = [
     "QuadratureRule",
     "chebyshev_lobatto",
     "double_factorial",
+    "expi",
     "gauss_legendre",
     "kummer_1f1",
     "kummer_1f1_axis",
@@ -179,6 +180,78 @@ def _erfc_fraction(x: np.ndarray) -> np.ndarray:
     for k in range(_FRACTION_DEPTH - 1, -1, -1):
         t = (a + (4 * k + 1)) - ((2 * k + 1) * (2 * k + 2)) / t
     return t
+
+
+# ---------------------------------------------------------------------------
+# exp(i phi) by table lookup
+# ---------------------------------------------------------------------------
+
+# phi = m pi/512 + r with |r| <= pi/1024 (Tang, ACM TOMS 15, 144 (1989)).  pi/512
+# is split into a high part of 24 significant bits and the rest (Cody & Waite,
+# Software Manual for the Elementary Functions, 1980), so m * hi is exact for
+# |m| < 2^29, which covers |phi| <= 2^21.
+_EXPI_HI = float.fromhex("0x1.921fb6p-8")
+_EXPI_LO = -1.707476171947751e-10  # pi/512 - _EXPI_HI
+_EXPI_BOUND = 2.0 ** 21
+_EXPI_BLOCK = 1 << 13  # entries per block: a complex temporary takes 128 kB
+# Adding 1.5 * 2^52 rounds to an integer, which the low bits of the sum hold.
+_ROUNDING_SHIFT = 1.5 * 2.0 ** 52
+
+
+def _expi_table() -> np.ndarray:
+    """exp(i pi m/512) for m = 0..1023, from the exact angle m * hi and the
+    correction exp(i m lo) - 1 = i m lo - (m lo)^2 / 2, |m lo| < 1.8e-7."""
+    m = np.arange(1024)
+    head = np.exp(1j * (m * _EXPI_HI))
+    tail = m * _EXPI_LO
+    table = head + head * (1j * tail - 0.5 * tail * tail)
+    table.setflags(write=False)
+    return table
+
+
+_EXPI_TABLE = _expi_table()
+
+
+def expi(phase) -> np.ndarray:
+    """exp(i phase) for a real array with |phase| <= 2^21, within 2.5e-16.
+
+    exp(i m pi/512) comes from a 1,024-entry table and exp(i r) - 1 from the
+    Taylor series of cos r - 1 through r^4 and of sin r through r^5 (their
+    remainders are below 2e-18 at |r| = pi/1024).  The work runs in blocks of
+    8,192 entries, so the memory beyond the result does not grow with the
+    array.  A phase past the bound, or not finite, is a DomainError.
+    """
+    phase = np.asarray(phase, dtype=float)
+    low, high = phase.min(initial=0.0), phase.max(initial=0.0)
+    if not (-_EXPI_BOUND <= low and high <= _EXPI_BOUND):  # also catches nan
+        raise DomainError(f"expi needs finite |phase| <= 2^21, got range [{low:g}, {high:g}]")
+    flat = phase.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    for start in range(0, flat.size, _EXPI_BLOCK):
+        x = flat[start:start + _EXPI_BLOCK]
+        m = x * (512.0 / math.pi)
+        m += _ROUNDING_SHIFT
+        index = m.view(np.int64) & 1023
+        m -= _ROUNDING_SHIFT
+        r = x - m * _EXPI_HI
+        m *= _EXPI_LO
+        r -= m
+        r2 = r * r
+        step = np.empty(x.shape, dtype=complex)  # exp(i r) - 1
+        cos_m1, sin_r = step.real, step.imag
+        np.multiply(r2, 1.0 / 24.0, out=cos_m1)
+        cos_m1 -= 0.5
+        cos_m1 *= r2
+        np.multiply(r2, 1.0 / 120.0, out=sin_r)
+        sin_r -= 1.0 / 6.0
+        sin_r *= r2
+        sin_r *= r
+        sin_r += r
+        head = _EXPI_TABLE.take(index)
+        block = out[start:start + _EXPI_BLOCK]
+        np.multiply(head, step, out=block)
+        block += head
+    return out.reshape(phase.shape)
 
 
 # ---------------------------------------------------------------------------

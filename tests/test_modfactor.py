@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hoshell.modfactor import (
     modulation_quadrature,
     spa_stationary_point_audit,
 )
-from hoshell.specfun import gauss_legendre, kummer_1f1
+from hoshell.specfun import expi, gauss_legendre, kummer_1f1
 
 
 def spa_value(poly, sigma_over_hbar, dim, k):
@@ -194,6 +195,20 @@ def _mpmath_modulation(poly, x: float, dim: int) -> complex:
 _BUDGET_PHASE = 1024 * 200 / 0.5
 
 
+def _record_phases(monkeypatch) -> list:
+    """Wrap the quadrature's `expi` to record max |phase| of every call."""
+    import hoshell.modfactor as modfactor
+
+    seen = []
+
+    def recording(phase):
+        seen.append(float(np.max(np.abs(phase))))
+        return expi(phase)
+
+    monkeypatch.setattr(modfactor, "expi", recording)
+    return seen
+
+
 class TestPanelSizing:
     """The 32-node rule, placed by the fastest local phase, against oracles
     that share none of its nodes."""
@@ -255,6 +270,45 @@ class TestPanelSizing:
         edge = 1024 * 200 / 10 * 2 * math.pi / (k_max * float(np.ptp(probe)))
         got = modulation(poly, [-0.999 * edge, 0.5 * edge, 0.999 * edge], 3, k_max, "quadrature")
         assert np.all(np.abs(got) <= 1.0 + 1e-9)
+
+    @pytest.mark.parametrize("alpha", [2, 3, 4, 10])
+    @pytest.mark.parametrize("k_max", [1, 10])
+    def test_phases_stay_within_the_expi_bound(self, alpha, k_max, monkeypatch):
+        # Relative to the circular orbit a row's phase is at most
+        # |sigma / hbar| (max P - min P) <= rate / k_max, so at 0.99 of the
+        # node budget it stays below 4.1e5 rad / k_max, inside expi's 2^21.
+        seen = _record_phases(monkeypatch)
+        poly = action_coefficients(alpha)
+        probe = poly.scaled_value(np.linspace(0.0, 1.0, 513))
+        edge = 0.99 * _BUDGET_PHASE / (k_max * 512.0 * float(np.max(np.abs(np.diff(probe)))))
+        got = modulation(poly, [-edge, 0.5 * edge, edge], 3, k_max, "quadrature")
+        assert np.all(np.abs(got) <= 1.0 + 1e-9)
+        assert 0.0 < max(seen) <= 0.99 * _BUDGET_PHASE / k_max
+
+    @pytest.mark.parametrize("dim", [2, 3, 7])
+    def test_constant_polynomial_has_no_phase(self, dim, monkeypatch):
+        # alpha = 1 makes P constant: every node phase is exactly 0, and the
+        # whole of exp(-i x) is the circular-orbit factor, at any sigma / hbar.
+        seen = _record_phases(monkeypatch)
+        sigmas = np.array([5e299, -5e299, 1e300, -1e300])
+        got = modulation(action_coefficients(1), sigmas, dim, 10, "quadrature")
+        assert max(seen) == 0.0
+        x = sigmas[:, None] * np.arange(1, 11)
+        assert np.all(np.abs(got - np.exp(-1j * x)) <= 1e-15)
+
+    def test_one_row_at_the_node_budget_stays_in_memory(self):
+        # 409,600 fine nodes in one row.  expi works in blocks of 8,192
+        # entries; whole-row temporaries raised this traced peak from 29.4 to
+        # 32.5 MiB.
+        poly = action_coefficients(2)  # max |P'| = 1
+        modulation(poly, [1.0], 3, 1, "quadrature")  # the rule is cached
+        tracemalloc.start()
+        try:
+            modulation(poly, [0.99 * _BUDGET_PHASE], 3, 1, "quadrature")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30.5 * 2 ** 20
 
     def test_readme_job_work(self, monkeypatch):
         # The README dos job (D = 3, alpha = 2, eps = 1.25e-3, 3451 energies

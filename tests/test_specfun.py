@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hoshell.specfun import (
     _erfc_fraction,
     chebyshev_lobatto,
     double_factorial,
+    expi,
     gauss_legendre,
     kummer_1f1,
     kummer_1f1_axis,
@@ -220,6 +222,52 @@ class TestErfSqrtI:
             for x, value in zip(xs, values):
                 ref = complex(mp.erf(mp.sqrt(mp.mpc(0, float(x)))))
                 assert abs(value - ref) <= 6.3e-15 * abs(ref), x
+
+
+_EXPI_BOUND = 2.0 ** 21
+
+
+def _expi_error(phases) -> float:
+    """max |expi(phase) - exp(i phase)|, the difference taken at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    values = expi(phases)
+    with mp.workdps(40):
+        return float(max(abs(mp.mpc(v.real, v.imag) - mp.expj(mp.mpf(float(x))))
+                         for x, v in zip(np.ravel(phases), np.ravel(values))))
+
+
+class TestExpi:
+    def test_against_mpmath_out_to_the_bound(self):
+        # 20,001 entries in a (3, 6667) array: two blocks of 8,192 and a tail.
+        rng = np.random.default_rng(22)
+        scales = np.repeat([1.0, 1e3, 4.1e5, _EXPI_BOUND], [5001, 5000, 5000, 5000])
+        phases = np.append(rng.uniform(-1.0, 1.0, 20_000) * scales[:20_000], _EXPI_BOUND)
+        assert _expi_error(phases.reshape(3, 6667)) <= 2.5e-16
+        assert _expi_error([-_EXPI_BOUND, _EXPI_BOUND]) <= 2.5e-16
+
+    def test_reduction_edges(self):
+        # Half-way between two table angles, and the multiples of pi/2, where
+        # the table entry or the remainder could take the wrong side.
+        top = int(_EXPI_BOUND * 512 / math.pi)  # the largest table step m
+        j = np.concatenate([np.arange(-1100, 1100), np.arange(top - 10, top)])
+        edges = (j + 0.5) * (math.pi / 512)
+        quarters = np.arange(-2000, 2001) * (math.pi / 2)
+        assert _expi_error(np.concatenate([edges, quarters])) <= 2.5e-16
+
+    def test_zero_is_exactly_one(self):
+        assert expi(0.0) == expi(-0.0) == 1.0
+        assert np.all(expi(np.zeros((2, 3))) == 1.0)
+
+    @pytest.mark.parametrize("phase", [np.nextafter(_EXPI_BOUND, np.inf),
+                                       -np.nextafter(_EXPI_BOUND, np.inf),
+                                       np.nan, np.inf, -np.inf])
+    def test_rejects_phases_past_the_bound(self, phase):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="2\\^21"):
+                expi(phase)
+            with pytest.raises(DomainError, match="2\\^21"):
+                expi(np.array([0.0, phase, 1.0]))
 
 
 class TestQuadrature:
