@@ -1,10 +1,10 @@
 """First-order perturbative action for even radial monomial perturbations.
 
-The action change per primitive orbit of the unperturbed oscillator is an
-even polynomial in the scaled angular momentum ltilde = 2 L / (omega R0^2),
-with order-dependent rational coefficients that coincide with Legendre
-polynomial coefficients.  Coefficients are derived once per order in exact
-rational arithmetic and cached.
+The action change per primitive orbit of the unperturbed oscillator, the
+orbit average of r^(2 alpha), is an even polynomial in the scaled angular
+momentum ltilde = 2 L / (omega R0^2) with Legendre polynomial coefficients,
+and a sum of positive terms in 1 - ltilde^2.  Coefficients are derived once
+per order in exact integer arithmetic and cached.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -88,30 +88,55 @@ class SystemParams:
                    terms=(PerturbationTerm(epsilon, alpha),))
 
 
+def _shifted(values: list) -> list:
+    """sum_j values[j] u^j in powers of 1 - u; the map is its own inverse."""
+    n = len(values)
+    return [(-1) ** m * sum(values[j] * math.comb(j, m) for j in range(m, n))
+            for m in range(n)]
+
+
 @dataclass(frozen=True)
 class ActionPolynomial:
-    """Coefficients a_j of the scaled action: -dS/sigma = sum_j a_j ltilde^(2j)."""
+    """Coefficients a_j of the scaled action: -dS/sigma = sum_j a_j ltilde^(2j).
+    Its float views are built once, read-only, and raise past the float range."""
 
     alpha: int
     coeffs: tuple
 
     def __post_init__(self):
         if len(self.coeffs) != self.alpha // 2 + 1:
-            raise DomainError(
-                f"order {self.alpha} needs {self.alpha // 2 + 1} coefficients, "
-                f"got {len(self.coeffs)}"
-            )
+            raise DomainError(f"order {self.alpha} needs {self.alpha // 2 + 1} coefficients, "
+                              f"got {len(self.coeffs)}")
 
-    @property
+    def _floats(self, values, name: str) -> np.ndarray:
+        try:
+            out = np.array([float(c) for c in values])
+        except OverflowError:
+            raise DomainError(f"order-{self.alpha} {name} leave the float range") from None
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def float_coeffs(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coeffs])
+        return self._floats(self.coeffs, "coefficients a_j")
+
+    @cached_property
+    def v_coeffs(self) -> np.ndarray:
+        """b_m of P = sum_m b_m (1 - ltilde^2)^m, each rounded once from integers
+        over the common denominator of the a_j (a float a_j is exact as a Fraction)."""
+        coeffs = [Fraction(c) for c in self.coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        nums = _shifted([c.numerator * (den // c.denominator) for c in coeffs])
+        return self._floats((n / den for n in nums), "coefficients b_m")
 
     def scaled_value(self, ltilde):
-        """sum_j a_j ltilde^(2j) in float arithmetic."""
-        u = np.asarray(ltilde, dtype=float) ** 2
-        out = np.zeros_like(u)
-        for c in self.float_coeffs[::-1]:
-            out = out * u + c
+        """sum_m b_m v^m by Horner in v = (1 - ltilde)(1 + ltilde): for a single
+        order no term cancels, and P(1) = b_0 = 1 exactly."""
+        lt = np.asarray(ltilde, dtype=float)
+        v = (1.0 - lt) * (1.0 + lt)
+        out = np.zeros_like(v)
+        for b in self.v_coeffs[::-1]:
+            out = out * v + b
         return out if out.ndim else float(out)
 
 
@@ -141,41 +166,17 @@ def k_coefficient(alpha: int, k: int, l: int, p: int) -> int:
 def action_coefficients(alpha: int) -> ActionPolynomial:
     """Exact rational coefficients a_j for a single monomial of order alpha.
 
-    Accumulates sum_k I_k (1+t)^k (1-t)^(alpha-k) as an integer polynomial in
-    t (scaled by 4^alpha, where 4^alpha I_k = C(2k,k) C(2a-2k,a-k)), then
-    substitutes t^2 = 1 - ltilde^2.  The (1+t)^k (1-t)^(alpha-k) factors are
-    updated incrementally by one multiplication and one exact synthetic
-    division per step, so a single order costs O(alpha^2) integer operations.
+    The ellipse is r^2 = A + B cos(phi) with (B/A)^2 = 1 - ltilde^2 = v, and
+    cos^(2m) averages to C(2m, m) / 4^m, so P = sum_m b_m v^m with every
+    b_m = C(alpha, 2m) C(2m, m) / 4^m > 0; a_j = (-1)^j sum_{m>=j} b_m C(m, j).
     """
     if alpha < 1:
         raise DomainError(f"order must be >= 1, got {alpha}")
-    comb = math.comb
-    poly = [(-1) ** i * comb(alpha, i) for i in range(alpha + 1)]  # (1-t)^alpha
-    acc = [0] * (alpha + 1)
-    for k in range(alpha + 1):
-        weight = comb(2 * k, k) * comb(2 * (alpha - k), alpha - k)
-        for i in range(alpha + 1):
-            acc[i] += weight * poly[i]
-        if k < alpha:
-            shifted = [0] * (alpha + 2)
-            for i in range(alpha + 1):
-                shifted[i] += poly[i]
-                shifted[i + 1] += poly[i]
-            carry = 0
-            for i in range(alpha + 1):
-                carry += shifted[i]
-                poly[i] = carry
-            if shifted[alpha + 1] + carry != 0:
-                raise AssertionError("inexact division while updating ellipse powers")
-    if any(acc[i] for i in range(1, alpha + 1, 2)):
-        raise AssertionError("odd powers survived the symmetric accumulation")
     half = alpha // 2
-    scale = 4 ** alpha
-    coeffs = []
-    for j in range(half + 1):
-        total = sum(acc[2 * m] * comb(m, j) for m in range(j, half + 1))
-        coeffs.append(Fraction((-1) ** j * total, scale))
-    return ActionPolynomial(alpha=alpha, coeffs=tuple(coeffs))
+    scaled = [math.comb(alpha, 2 * m) * math.comb(2 * m, m) * 4 ** (half - m)
+              for m in range(half + 1)]
+    coeffs = tuple(Fraction(a, 4 ** half) for a in _shifted(scaled))
+    return ActionPolynomial(alpha=alpha, coeffs=coeffs)
 
 
 @dataclass(frozen=True)

@@ -138,9 +138,10 @@ def _cmd_coeffs(args) -> int:
         raise DomainError(f"alpha_max must be >= 1, got {args.alpha_max}")
     columns, row = ((["numerator", "denominator"], "%d,%d,%d,%d\n") if args.exact
                     else (["value"], "%d,%d,%.17g\n"))
-    rows = ((alpha, j, *((c.numerator, c.denominator) if args.exact else (float(c),)))
-            for alpha in range(1, args.alpha_max + 1)
-            for j, c in enumerate(action_coefficients(alpha).coeffs))
+    polys = [action_coefficients(alpha) for alpha in range(1, args.alpha_max + 1)]
+    values = [p.coeffs if args.exact else p.float_coeffs for p in polys]  # raises before output
+    rows = ((p.alpha, j, *((c.numerator, c.denominator) if args.exact else (c,)))
+            for p, cs in zip(polys, values) for j, c in enumerate(cs))
     _write_text(args.out, _csv(["alpha", "j", *columns], row, rows))
     return 0
 

@@ -176,7 +176,7 @@ def _supershell_setup(params: SystemParams):
     eps, alpha = params.terms[0]
     if eps == 0.0:
         raise DomainError("super-shell analysis needs a nonzero perturbation")
-    a0, a1 = (float(c) for c in action_coefficients(alpha).coeffs)
+    a0, a1 = action_coefficients(alpha).float_coeffs.tolist()
     return params, eps, alpha, a0, a1
 
 

@@ -14,12 +14,7 @@ All formulas are written in terms of the dimensionless x_t = k sigma_t / hbar.
 `modulation` is the array entry point: M_1 ... M_kmax for every row of
 sigma_t / hbar.  Every method is one array kernel: the quadrature is batched
 over rows and harmonics, and the closed form and the SPA are array
-expressions over the (row, k) grid, each x a_j summed over the terms.  The
-quadrature integrates the phase relative to the circular orbit,
-exp(-i k sigma (P(l) - P(1)) / hbar), whose argument stays bounded within the
-node budget, evaluates that exponential with the table-driven
-`specfun.expi`, and multiplies the circular-orbit phase
-exp(-i k sigma P(1) / hbar) into each (row, k) sum with `np.exp`.  For
+expressions over the (row, k) grid, each x a_j summed over the terms.  For
 the quartic and sextic cases the closed form is exactly the two end-point
 terms of the circular (l = 1) and diameter (l = 0) orbits: exponentials for
 odd D, an erf for even D.  The scalar functions are its per-point views.
@@ -202,26 +197,27 @@ def modulation_closed_form(poly: ActionPolynomial, sigma_over_hbar: float,
 
 def _spa(polys: tuple, x: np.ndarray, dim: int) -> np.ndarray:
     """End-point stationary-phase asymptotics, written for one term; x has
-    shape (row, k, term), and each x a_j is a sum over the terms.  The
-    circular end point l=1 contributes i exp(-i x sum_{j>=1} a_j)/(x B) with
-    B = sum_{j>=1} 2j a_j; the diameter end point l=0 contributes the
-    Fresnel-type moment Gamma((D-1)/2)/2 |x a1|^(-s) exp(-i sign(x a1) s pi/2)
-    with s = (D-1)/2, the principal branch of (1/(x a1))^s."""
+    shape (row, k, term), and each x a_j or x b_m is a sum over the terms.
+    The circular end point l=1 contributes i exp(-i x P(1))/(x P'(1)), with
+    P(1) = b_0 and P'(1) = -2 b_1 from `v_coeffs` (1 and alpha(1-alpha)/2 for
+    one order); the diameter end point l=0 contributes the Fresnel-type moment
+    Gamma(s)/2 |x a1|^(-s) exp(-i (x a0 + sign(x a1) s pi/2)) with s = (D-1)/2,
+    the principal branch of (1/(x a1))^s; x P(1) stays clear of the rounding of x a0."""
     if any(len(poly.coeffs) < 2 for poly in polys):
         raise UnsupportedMethodError("SPA needs a non-constant action polynomial")
-    coeffs = [poly.float_coeffs for poly in polys]
-    w = x @ [c[1] for c in coeffs]
+    w = x @ [poly.float_coeffs[1] for poly in polys]
     if np.any(w == 0.0):
         raise DomainError("SPA needs sigma * a1 * k != 0")
-    x_slope = x @ [np.sum(2.0 * np.arange(1, len(c)) * c[1:]) for c in coeffs]
+    x_slope = x @ [-2.0 * poly.v_coeffs[1] for poly in polys]
     if np.any(x_slope == 0.0):
-        raise DomainError("degenerate upper end point: sum_j 2j a_j vanishes")
+        raise DomainError("degenerate upper end point: P'(1) = -2 b_1 vanishes")
     s = 0.5 * (dim - 1)
     with np.errstate(over="ignore", invalid="ignore"):  # |w|^(-s) at a tiny x; checked below
-        upper = 1j * np.exp(-1j * (x @ [np.sum(c[1:]) for c in coeffs])) / x_slope
+        upper = 1j * np.exp(-1j * (x @ [poly.v_coeffs[0] for poly in polys])) / x_slope
         lower = (0.5 * math.gamma(s) * np.abs(w) ** (-s)
-                 * np.exp(-1j * np.sign(w) * s * math.pi / 2.0))
-        out = (dim - 1) * np.exp(-1j * (x @ [c[0] for c in coeffs])) * (upper + lower)
+                 * np.exp(-1j * (x @ [poly.float_coeffs[0] for poly in polys]
+                                 + np.sign(w) * s * math.pi / 2.0)))
+        out = (dim - 1) * (upper + lower)
     if not np.all(np.isfinite(out)):
         xs = ", ".join(f"{v:g}" for v in x[~np.isfinite(out)][0])
         raise DomainError(f"SPA end-point terms leave the float range at x = k sigma / hbar = {xs}")
@@ -288,19 +284,20 @@ def spa_stationary_point_audit(poly: ActionPolynomial) -> StationaryPointAudit:
     """Certify that the phase has no stationary point in (0, 1], or raise a
     PropertyViolationError.
 
-    Scans the reduced slope sum_{j>=1} 2j a_j l^(2j-2) for sign changes on a
-    dense grid and, independently, checks that every root of the derivative
-    of the matching Legendre polynomial lies strictly inside (-1, 1), so the
-    slope cannot vanish for 1/l >= 1.
+    Scans the reduced slope -2 sum_{m>=1} m b_m v^(m-1), v = 1 - l^2, for sign
+    changes on a dense grid (for one order its terms share a sign) and,
+    independently, checks that every root of the derivative of the matching
+    Legendre polynomial lies strictly inside (-1, 1), so the slope cannot
+    vanish for 1/l >= 1.
     """
     if poly.alpha < 2:
         raise DomainError(f"audit needs order >= 2, got {poly.alpha}")
-    coeffs = poly.float_coeffs
+    b = poly.v_coeffs
     grid = np.linspace(1e-5, 1.0, 100_000)  # steps of 1e-5 from l = 1e-5
+    v = (1.0 - grid) * (1.0 + grid)
     reduced = np.zeros_like(grid)
-    u = grid ** 2
-    for j in range(len(coeffs) - 1, 0, -1):
-        reduced = reduced * u + 2.0 * j * coeffs[j]
+    for m in range(len(b) - 1, 0, -1):
+        reduced = reduced * v - 2.0 * m * b[m]
     signs = np.sign(reduced)
     root_free = bool(np.all(signs == signs[-1]) and np.all(signs != 0.0))
     # Independent certificate: slope is proportional to l^(alpha-1) P'_{alpha-1}(1/l).

@@ -137,6 +137,70 @@ class TestActionCoefficients:
             ActionPolynomial(alpha=4, coeffs=(1.0, 2.0))
 
 
+def _exact_scaled_values(alpha, ltilde):
+    """P(ltilde) at each float ltilde = p / q, correctly rounded: the integer
+    sum_j N_j p^(2j) q^(2(h-j)) over den q^(2h), with a_j = N_j / den."""
+    coeffs = action_coefficients(alpha).coeffs
+    den = math.lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    top = len(nums) - 1
+    out = []
+    for lt in ltilde:
+        p, q = float(lt).as_integer_ratio()
+        total = 0
+        for j in range(top, -1, -1):
+            total = total * p * p + nums[j] * (q * q) ** (top - j)
+        out.append(total / (den * (q * q) ** top))
+    return np.array(out)
+
+
+class TestFloatViews:
+    @pytest.mark.parametrize("view", ["float_coeffs", "v_coeffs"])
+    def test_built_once_and_read_only(self, view):
+        poly = action_coefficients(6)
+        first = getattr(poly, view)
+        assert getattr(poly, view) is first
+        with pytest.raises(ValueError):
+            first[0] = 2.0
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 7, 40, 200])
+    def test_v_coeffs_are_the_orbit_averages(self, alpha):
+        # b_m = C(alpha, 2m) C(2m, m) / 4^m, the ellipse average of the
+        # (1 - ltilde^2)^m term, positive and correctly rounded.
+        want = [float(Fraction(math.comb(alpha, 2 * m) * math.comb(2 * m, m), 4 ** m))
+                for m in range(alpha // 2 + 1)]
+        assert action_coefficients(alpha).v_coeffs.tolist() == want
+
+    @pytest.mark.parametrize("alpha", [2, 4, 10, 30, 40, 60, 100, 200])
+    def test_scaled_value_against_exact_values(self, alpha):
+        # The monomial coefficients alternate and reach 3.5e13 at alpha = 40;
+        # Horner in ltilde^2 lost all digits near ltilde = 1 by alpha = 50.
+        poly = action_coefficients(alpha)
+        ltilde = np.linspace(0.0, 1.0, 401)
+        want = _exact_scaled_values(alpha, ltilde)
+        got = poly.scaled_value(ltilde)
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+        assert poly.scaled_value(1.0) == 1.0
+
+    def test_float_coefficients_are_transformed_exactly(self):
+        # Float a_j, as polynomial_delta_s gives them: each b_m is rounded once,
+        # so b_0 = 1 + 1e16 - 1e16 is 1, where a float sum gives 0.
+        poly = ActionPolynomial(alpha=4, coeffs=(1.0, 1e16, -1e16))
+        assert poly.v_coeffs.tolist() == [1.0, 1e16, -1e16]
+        assert poly.scaled_value(1.0) == 1.0
+        assert ActionPolynomial(alpha=2, coeffs=(1.5, -0.5)).v_coeffs.tolist() == [1.0, 0.5]
+
+    def test_past_the_float_range(self):
+        # From alpha = 814 some a_j exceeds 1.8e308 while every b_m, at most
+        # a0 = P(0), stays finite up to alpha = 1029.
+        poly = action_coefficients(814)
+        with pytest.raises(DomainError, match="order-814 coefficients a_j leave the float range"):
+            poly.float_coeffs
+        assert poly.scaled_value(1.0) == 1.0
+        with pytest.raises(DomainError, match="order-1100 coefficients b_m leave the float range"):
+            action_coefficients(1100).scaled_value(0.5)
+
+
 class TestLegendreForm:
     def test_small_orders_all_match(self):
         checks = verify_legendre_form(40)

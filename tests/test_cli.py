@@ -590,6 +590,11 @@ def test_matching_level_cache_accepted(d3_cache: Path):
     # (E / omega^2)^alpha overflows; numpy warned twice before the error line.
     (("dos", "--omega", "1e-100", "--alpha", "3", "--epsilon", "1e-3", "--e-range", "1:2:3"),
      "the action scale sigma leaves the float range at eps=0.001, alpha=3, omega=1e-100"),
+    # float() of an exact coefficient past 1.8e308: an OverflowError traceback, exit 1.
+    (("dos", "--alpha", "814", "--epsilon", "1e-3", "--e-range", "0.5:0.9:3", "--method", "spa"),
+     "order-814 coefficients a_j leave the float range"),
+    (("dos", "--alpha", "1100", "--epsilon", "1e-3", "--e-range", "0.5:0.9:3", "--method", "quad"),
+     "order-1100 coefficients b_m leave the float range"),
 ])
 def test_invalid_values_are_domain_errors(args, message):
     cp = run_cli(*args)
@@ -928,12 +933,12 @@ _QUAD_ARGV = st.one_of(
         "dos", "--method", "quad", "--D", str(dim), "--alpha", str(alpha),
         f"--epsilon={eps!r}", "--k-max", str(k_max), "--e-range", grid,
         f"--omega={omega!r}", f"--hbar={hbar!r}"],
-        _DIMS, st.integers(0, 12), _signed_magnitude(-8, -1), st.integers(0, 10),
+        _DIMS, st.integers(0, 60), _signed_magnitude(-8, -1), st.integers(0, 10),
         _range(-5.0, 100.0), _SCALE, _SCALE),
     st.builds(lambda dim, alpha, k, grid: [
         "modfactor", "--method", "quad", "--D", str(dim), "--alpha", str(alpha),
         "--k", str(k), f"--sigma-over-hbar-range={grid}"],
-        _DIMS, st.integers(0, 12), st.integers(-10, 10),
+        _DIMS, st.integers(0, 60), st.integers(-10, 10),
         _range(-10.0, 10.0, lambda low, high: _signed_magnitude(-3, 1))),
 )
 
@@ -965,12 +970,12 @@ _CLOSED_ARGV = st.one_of(
         "dos", "--method", method, "--D", str(dim), "--alpha", str(alpha),
         f"--epsilon={eps!r}", "--k-max", str(k_max), "--e-range", grid,
         f"--omega={omega!r}", f"--hbar={hbar!r}"],
-        st.sampled_from(["closed", "spa"]), _CLOSED_DIMS, st.integers(0, 12),
+        st.sampled_from(["closed", "spa"]), _CLOSED_DIMS, st.integers(0, 60),
         _signed_magnitude(-8, -1), st.integers(0, 10), _range(-5.0, 100.0), _SCALE, _SCALE),
     st.builds(lambda method, dim, alpha, k, grid: [
         "modfactor", "--method", method, "--D", str(dim), "--alpha", str(alpha),
         "--k", str(k), f"--sigma-over-hbar-range={grid}"],
-        st.sampled_from(["closed", "spa", "all"]), _CLOSED_DIMS, st.integers(0, 12),
+        st.sampled_from(["closed", "spa", "all"]), _CLOSED_DIMS, st.integers(0, 60),
         st.integers(-10, 10), _range(-10.0, 10.0, lambda low, high: _signed_magnitude(-3, 3))),
 )
 

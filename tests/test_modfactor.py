@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -451,6 +452,22 @@ class TestSpa:
             value = spa_value(poly, x, 3, 1)
             assert np.isfinite(value.real) and np.isfinite(value.imag)
 
+    @pytest.mark.parametrize("alpha", [40, 50])
+    @pytest.mark.parametrize("x", [1.0, 100.0])
+    def test_high_order_against_exact_end_point_data(self, alpha, x):
+        # Reference from the exact Fractions: P(1) = 1, P'(1) = alpha(1-alpha)/2,
+        # and the diameter phase x a0 exactly, at 60 digits.  The float sums
+        # of the monomial coefficients were off by 3.3e-3 to 1.5 here.
+        mp = pytest.importorskip("mpmath")
+        a0, a1 = (Fraction(x) * c for c in action_coefficients(alpha).coeffs[:2])
+        with mp.workdps(60):
+            upper = 1j * mp.expj(-x) / (x * mp.mpf(alpha * (1 - alpha)) / 2)
+            lower = (mp.mpf(a1.denominator) / (2 * abs(a1.numerator))
+                     * mp.expj(-(mp.mpf(a0.numerator) / a0.denominator - mp.pi / 2)))
+            want = complex(2 * (upper + lower))
+        got = spa_value(action_coefficients(alpha), x, 3, 1)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_negative_strength_tracks_quadrature(self):
         # a1 flips sign under eps < 0; the branch of the end-point moment
         # must follow the quadrature.
@@ -472,7 +489,9 @@ class TestStationaryPointAudit:
         assert report.max_derivative_root < 1.0
         assert report.min_abs_slope > 0.0
 
-    @pytest.mark.parametrize("alpha", range(2, 33))
+    @pytest.mark.parametrize("alpha", [*range(2, 33), 60, 100, 200])
     def test_sweep_of_orders(self, alpha):
-        # A failed audit raises PropertyViolationError.
-        spa_stationary_point_audit(action_coefficients(alpha))
+        # A failed audit raises PropertyViolationError.  The slope's terms share
+        # one sign, so its smallest magnitude is at l = 1: |P'(1)| = alpha(alpha-1)/2.
+        report = spa_stationary_point_audit(action_coefficients(alpha))
+        assert report.min_abs_slope == alpha * (alpha - 1) / 2

@@ -173,6 +173,16 @@ class TestDeltaSOracle:
                            orbit.ltilde)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-14)
 
+    @pytest.mark.parametrize("alpha", [40, 50])
+    def test_matches_polynomial_at_high_order(self, alpha):
+        # The float Horner form in ltilde^2 was off by 2.8e-3 at alpha = 40
+        # and by a factor 5.2 at alpha = 50 on this orbit.
+        orbit = EllipseOrbit(a=1.0, b=0.95)
+        want = delta_s_oracle(orbit, 1e-3, alpha)
+        got = delta_s(action_coefficients(alpha), sigma_alpha(orbit.energy, 1e-3, alpha, 1.0),
+                      orbit.ltilde)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_even_under_axis_swap(self):
         for alpha in (2, 3, 8):
             one = delta_s_oracle(EllipseOrbit(a=1.7, b=0.4), 0.1, alpha)
