@@ -254,8 +254,10 @@ def polynomial_delta_s(params: SystemParams, energy: float) -> tuple[ActionPolyn
     Returns (poly, sigma) with dS_total(ltilde) = -sigma * sum_j c_j ltilde^(2j)
     and sum_j c_j = 1, summing each monomial term linearly with its own action
     scale folded in; where sigma is 0, poly is the unit order-1 polynomial.
-    All terms must have alpha >= 2.  `pert_dos` keeps the terms apart; this
-    is the independent per-energy view that checks it.
+    The c_j are exact Fractions, the float weights sigma_t / sigma times each
+    term's exact a_j, so the float views round the mixture once.  All terms
+    must have alpha >= 2.  `pert_dos` keeps the terms apart; this is the
+    independent per-energy view that checks it.
     """
     energy = float(energy)
     if not energy > 0:
@@ -267,7 +269,9 @@ def polynomial_delta_s(params: SystemParams, energy: float) -> tuple[ActionPolyn
     if sigma == 0.0:
         return ActionPolynomial(alpha=1, coeffs=(1.0,)), 0.0
     max_alpha = max(t.alpha for t in params.terms)
-    coeffs = np.zeros(max_alpha // 2 + 1)
+    coeffs = [Fraction(0)] * (max_alpha // 2 + 1)
     for s, (_, alpha) in zip(sigmas, params.terms):
-        coeffs[: alpha // 2 + 1] += (s / sigma) * action_coefficients(alpha).float_coeffs
+        weight = Fraction(s / sigma)
+        for j, a in enumerate(action_coefficients(alpha).coeffs):
+            coeffs[j] += weight * a
     return ActionPolynomial(alpha=max_alpha, coeffs=tuple(coeffs)), sigma

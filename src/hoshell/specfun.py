@@ -1,7 +1,8 @@
 """Numerical kernels: factorial families, Legendre polynomials, the confluent
-hypergeometric function 1F1(1; b; i y) on the imaginary axis for b = (D+1)/2,
-a table-driven exp(i phi), Gauss-Legendre quadrature rules, and the roots of a
-rising Chebyshev-Lobatto interpolant.
+hypergeometric function 1F1(1; b; i y) on the imaginary axis for b = (D+1)/2
+(its Taylor series summed in real arithmetic), a table-driven exp(i phi),
+Gauss-Legendre quadrature rules, and the roots of a rising Chebyshev-Lobatto
+interpolant.
 
 Everything here is pure and reentrant; quadrature rules are immutable.
 """
@@ -87,21 +88,36 @@ def legendre_coefficients(alpha: int) -> tuple[Fraction, ...]:
 # Confluent hypergeometric function 1F1(1; b; i y)
 # ---------------------------------------------------------------------------
 
-def _series_1f1(b: float, z: np.ndarray) -> np.ndarray:
-    """Taylor series 1F1(1; b; z) = sum_j z^j / (b)_j by Horner's rule, with
-    one term count for all of z, fixed before the loop."""
-    # The sum keeps the terms j < n, for the first n with |z| / (b+n) < 1/2 and
-    # |z|^n / (b)_n < 1e-17 at the largest |z|: from n on each term is under
+def _series_1f1(b: float, y: np.ndarray) -> np.ndarray:
+    """Taylor series 1F1(1; b; iy) = sum_j (iy)^j / (b)_j for real y, in real
+    arithmetic: the even j give the real part sum_m (-1)^m y^(2m) / (b)_(2m),
+    the odd j the imaginary part y sum_m (-1)^m y^(2m) / (b)_(2m+1)
+    (Abramowitz & Stegun 13.1.2, split by parity).  Each is an alternating
+    series in y^2, summed in place by nested Horner, with one term count for
+    all of y, fixed before the loop."""
+    # The sum keeps the terms j < n, for the first n with |y| / (b+n) < 1/2 and
+    # |y|^n / (b)_n < 1e-17 at the largest |y|: from n on each term is under
     # half the one before, so the neglected tail is below 2e-17.
-    r = float(np.max(np.abs(z), initial=0.0))
+    r = float(np.max(np.abs(y), initial=0.0))
     n, bound = 0, 1.0
     while not (r < 0.5 * (b + n) and bound < 1e-17):
         bound *= r / (b + n)
         n += 1
-    total = np.ones_like(z)
-    for k in range(n - 2, -1, -1):
-        total = 1.0 + total * z / (b + k)
-    return total
+    y2 = y * y
+    re, im = np.ones_like(y), np.ones_like(y)
+    for m in range((n - 1) // 2, 0, -1):  # even j = 2m < n
+        re *= y2
+        re *= -1.0 / ((b + 2 * m - 2) * (b + 2 * m - 1))
+        re += 1.0
+    for m in range((n - 2) // 2, 0, -1):  # odd j = 2m + 1 < n
+        im *= y2
+        im *= -1.0 / ((b + 2 * m - 1) * (b + 2 * m))
+        im += 1.0
+    im *= y if n > 1 else 0.0  # n = 1 keeps j = 0 only
+    im /= b
+    out = np.empty(y.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def _upward_1f1(b: float, y: np.ndarray) -> np.ndarray:
@@ -131,7 +147,9 @@ def kummer_1f1_axis(b: float, y) -> np.ndarray:
     This is the only domain the package reaches: b = (D+1)/2 on the
     imaginary axis.  The Taylor series serves |y| <= max(10, b), where it
     is roundoff-safe (for b > 10 no term exceeds the first) and one term
-    count, set by the largest |y| and b, bounds the tail at every point.
+    count, set by the largest |y| and b, bounds the tail at every point; it
+    is summed in real arithmetic, as one series in y^2 for the real part and
+    one for the imaginary part.
     Beyond it, the contiguous relation in b runs upward from e^z (integer
     b, odd D) or from 1F1(1; 3/2; iy), through the continued fraction for
     erfc (half-integer b, even D); it is stable for |y| > b and loses
@@ -143,7 +161,7 @@ def kummer_1f1_axis(b: float, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     out = np.empty(y.shape, dtype=complex)
     near = np.abs(y) <= max(10.0, b)
-    out[near] = _series_1f1(b, 1j * y[near])
+    out[near] = _series_1f1(b, y[near])
     out[~near] = _upward_1f1(b, y[~near])
     return out
 
@@ -152,8 +170,8 @@ def kummer_1f1(b: float, z: complex) -> complex:
     """1F1(1; b; z), the confluent hypergeometric series sum_n z^n / (b)_n, at
     one point of the imaginary axis: the scalar view of `kummer_1f1_axis`.
 
-    Raises DomainError for z off the imaginary axis or 2b not an integer;
-    z = 0 gives exactly 1 for every b > 0.
+    Raises DomainError for z off the imaginary axis, and elsewhere for b < 1
+    or 2b not an integer; z = 0 gives exactly 1 for every b > 0.
     """
     z = complex(z)
     if z.real != 0.0:

@@ -341,6 +341,26 @@ class TestPolynomialDeltaS:
         assert np.allclose(poly.float_coeffs[2:], 0.0, atol=1e-18)
         assert abs(sum(poly.float_coeffs) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("alpha", [30, 40, 50])
+    def test_high_order_mixture_is_rounded_once(self, alpha):
+        # The float a_j of a high order alternate in sign and grow, so a
+        # mixture of them lost digits at l = 1 (7.5e-13 at alpha = 30, 2.2e-9
+        # at 40, 5.3e-5 at 50).  Mixed exactly, sigma P(l) stays within a few
+        # ulp of sum_t sigma_t P_t(l) summed in Fractions.
+        params = SystemParams(dim=3, terms=((1e-3, 2), (1e-9, alpha)))
+        poly, sigma = polynomial_delta_s(params, 1.0)
+        ltilde = np.linspace(0.0, 1.0, 101)
+        got = sigma * poly.scaled_value(ltilde)
+        for lt, value in zip(ltilde, got):
+            l2 = Fraction(lt) ** 2
+            want = Fraction(0)
+            for eps, order in params.terms:
+                p = Fraction(0)
+                for a in reversed(action_coefficients(order).coeffs):
+                    p = p * l2 + a
+                want += Fraction(sigma_alpha(1.0, eps, order, 1.0)) * p
+            assert abs(Fraction(value) - want) <= Fraction(1e-13) * abs(want), lt
+
     def test_rejects_harmonic_terms(self):
         params = SystemParams(dim=3, terms=((0.01, 1), (1e-4, 2)))
         with pytest.raises(DomainError):

@@ -389,11 +389,11 @@ def test_cold_start_loads_no_scipy(tmp_path: Path):
     assert loaded == [[]] * 8
 
 
-def test_even_dimension_closed_form_reaches_erf(tmp_path: Path, monkeypatch):
-    # At E = 70, |x a1| = k sigma / (2 hbar) reaches 190 > max(10, b): the
-    # half-integer recurrence, seeded by 1F1(1; 3/2; iy) from the erfc
-    # fraction.  The 1F1 values it gives there meet mpmath.
-    mp = pytest.importorskip("mpmath")
+def _closed_form_job(tmp_path, monkeypatch, dim):
+    """Run `dos --method closed` at alpha = 2 with `kummer_1f1_axis` recorded:
+    every y of its calls with the value the kernel gave there, and the
+    indices of the Taylor-series (|y| <= 10) and recurrence (|y| > 10) points.
+    At E = 70, |x a1| = k sigma / (2 hbar) reaches 190."""
     import hoshell.modfactor
     from hoshell.cli import main
     from hoshell.specfun import kummer_1f1_axis
@@ -406,19 +406,44 @@ def test_even_dimension_closed_form_reaches_erf(tmp_path: Path, monkeypatch):
         return value
 
     monkeypatch.setattr(hoshell.modfactor, "kummer_1f1_axis", recorded)
-    out = tmp_path / "closed4.csv"
-    assert main(["dos", "--D", "4", "--alpha", "2", "--epsilon", "1.25e-3", "--method",
+    out = tmp_path / f"closed{dim}.csv"
+    assert main(["dos", "--D", str(dim), "--alpha", "2", "--epsilon", "1.25e-3", "--method",
                  "closed", "--e-range", "1:70:301", "--out", str(out)]) == 0
     assert out.read_text().count("\n") == 302
-    assert {b for b, _, _ in calls} == {2.5}
+    assert {b for b, _, _ in calls} == {(dim + 1) / 2.0}
     y = np.concatenate([y for _, y, _ in calls])
     value = np.concatenate([v for _, _, v in calls])
-    far = np.flatnonzero(np.abs(y) > 10.0)
-    assert far.size and np.max(np.abs(y)) > 150.0
+    assert np.max(np.abs(y)) > 150.0
+    return y, value, np.flatnonzero(np.abs(y) <= 10.0), np.flatnonzero(np.abs(y) > 10.0)
+
+
+def _assert_meets_mpmath(b, y, value, which, rtol):
+    """The recorded values at about 200 of the points `which` meet mpmath."""
+    mp = pytest.importorskip("mpmath")
+    assert which.size
     with mp.workdps(40):
-        for i in far[::max(1, far.size // 200)]:
-            ref = complex(mp.hyp1f1(1, 2.5, mp.mpc(0, float(y[i]))))
-            assert abs(value[i] - ref) <= 1e-15 * abs(ref), y[i]
+        for i in which[::max(1, which.size // 200)]:
+            ref = complex(mp.hyp1f1(1, b, mp.mpc(0, float(y[i]))))
+            assert abs(value[i] - ref) <= rtol * abs(ref), y[i]
+
+
+def test_even_dimension_closed_form_reaches_erf(tmp_path: Path, monkeypatch):
+    # Past max(10, b), the half-integer recurrence, seeded by 1F1(1; 3/2; iy)
+    # from the erfc fraction: a few ulp.  Below it, the Taylor series.  The
+    # 1F1 values the job used meet mpmath on both branches.
+    pytest.importorskip("mpmath")
+    y, value, near, far = _closed_form_job(tmp_path, monkeypatch, 4)
+    _assert_meets_mpmath(2.5, y, value, far, 1e-15)
+    _assert_meets_mpmath(2.5, y, value, near, 5e-12)
+
+
+def test_odd_dimension_closed_form_reaches_exp(tmp_path: Path, monkeypatch):
+    # Odd D has integer b = 2: the recurrence upward from e^(iy) past 10, the
+    # Taylor series below it.
+    pytest.importorskip("mpmath")
+    y, value, near, far = _closed_form_job(tmp_path, monkeypatch, 3)
+    _assert_meets_mpmath(2.0, y, value, far, 5e-12)
+    _assert_meets_mpmath(2.0, y, value, near, 5e-12)
 
 
 NO_SCIPY = """

@@ -186,6 +186,41 @@ class TestKummer:
                 ref = complex(mp.hyp1f1(1, b, mp.mpc(0, float(y))))
                 assert abs(value - ref) <= 1e-15 * abs(ref), (b, y)
 
+    @pytest.mark.parametrize("b", [1.0, 1.5, 2.0, 2.5, 3.0, 10.5, 86.0])
+    def test_conjugate_symmetry_bit_for_bit(self, b):
+        # 1F1(1; b; -iy) = conj 1F1(1; b; iy) holds exactly in every branch:
+        # the series' real part depends on y^2 only and its imaginary part is
+        # odd in y, as are the recurrence and its seeds.
+        y = np.geomspace(1e-4, 1e4, 401)
+        assert np.array_equal(kummer_1f1_axis(b, -y), np.conj(kummer_1f1_axis(b, y)))
+
+    @pytest.mark.parametrize("b", [1.0, 1.5, 2.0, 2.5, 3.0, 10.5, 86.0])
+    def test_small_arguments(self, b):
+        # The term count comes from the largest |y| of a call, so y = 10 sets
+        # it as on a closed-form grid.  A tiny y leaves 1 + i y/b: the real
+        # part exactly 1 (y^2 underflows at 1e-160) and y/b to a few ulp.
+        ys = np.array([0.0, -0.0, 1e-160, -1e-160, 1e-20, -1e-20, 10.0])
+        values = kummer_1f1_axis(b, ys)
+        assert values[0] == 1.0 + 0j and values[1] == 1.0 + 0j
+        for y, value in zip(ys[2:6], values[2:6]):
+            want = Fraction(y) / Fraction(b)
+            assert value.real == 1.0
+            assert abs(Fraction(value.imag) - want) <= 4e-16 * abs(want), (b, y)
+
+    @pytest.mark.parametrize("b", [1.5, 2.0, 2.5, 3.0])
+    def test_series_oracle_closed_form_orders(self, b):
+        # The b of the closed-form jobs (D = 2..5): the Taylor series over
+        # |y| <= 10, and both sides of its edge.  The bound is the series' own
+        # cancellation near |y| = 10 (up to 7.3e-13 measured), not its tail.
+        mp = pytest.importorskip("mpmath")
+        edge = [s * 10.0 * (1.0 + f) for s in (-1.0, 1.0) for f in (-1e-12, 1e-12)]
+        ys = np.concatenate([np.linspace(-10.0, 10.0, 301), edge])
+        values = kummer_1f1_axis(b, ys)
+        with mp.workdps(40):
+            for y, value in zip(ys, values):
+                ref = complex(mp.hyp1f1(1, b, mp.mpc(0, float(y))))
+                assert abs(value - ref) <= 2e-12 * abs(ref), (b, y)
+
     @pytest.mark.parametrize("b,z", [(2.0, 1.0), (3.5, 3 + 4j), (4.0, -1e-9 + 20j),
                                      (3.3, 5j), (7.9, 40j)])
     def test_rejects_off_axis_and_non_half_integer_b(self, b, z):
