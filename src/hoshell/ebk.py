@@ -282,36 +282,32 @@ def _pair_sums(f, pair: _Pair):
             (f[:, pair.coarse] * pair.w_coarse).sum(axis=1))
 
 
-def _by_blocks(sums, columns, rule: _Pair, entries: int | None):
-    """sums(*columns, rule) -> (*fine, coarse) by row blocks: (k, rows), (rows,).
-    A block takes entries // (nodes of the rule) rows, or _ROW_CHUNK rows if
-    `entries` is None."""
-    step = _ROW_CHUNK if entries is None else max(1, entries // rule.nodes[0].size)
-    out = np.concatenate([np.array(sums(*(c[i:i + step] for c in columns), rule))
-                          for i in range(0, max(columns[0].size, 1), step)], axis=1)
-    return out[:-1], out[-1]
-
-
-def _checked(sums, columns, tol: float, floor: float, what: str, pair: _Pair,
-             fallback: _Pair, direct=None, entries: int | None = None) -> np.ndarray:
+def _checked(sums, columns, tol: float, floor: float, what: str, rules: tuple[_Pair, ...],
+             rung=None, entries: int | None = None) -> np.ndarray:
     """The fine results (k, rows) of sums(*columns, rule) -> (*fine, coarse).
-    On every row the first must agree with its coarse sum to
-    tol * max(|result|, floor): on `pair`, or else on `fallback`, where the rows
-    that miss on `pair` and the rows marked `direct` are summed again.  Blocks
-    are sized as `_by_blocks` says."""
-    redo = np.zeros(columns[0].size, dtype=bool) if direct is None else direct.copy()
-    first = ~redo if redo.any() else slice(None)
-    fine, coarse = _by_blocks(sums, [c[first] for c in columns], pair, entries)
-    out = np.empty((fine.shape[0], redo.size))
-    out[:, first] = fine
-    redo[first] = np.abs(fine[0] - coarse) > tol * np.maximum(np.abs(fine[0]), floor)
-    if redo.any():
-        fine, coarse = _by_blocks(sums, [c[redo] for c in columns], fallback, entries)
+    Each row starts on its `rung` of the ladder `rules` (rung 0 if None), and
+    its first result must agree with its coarse sum to tol * max(|result|,
+    floor); a row that misses goes up one rung, and a miss on the last rung
+    raises.  A rung sums its rows in blocks of entries // (nodes of the rule)
+    rows, or of _ROW_CHUNK rows if `entries` is None."""
+    rung = np.zeros(columns[0].size, dtype=int) if rung is None else np.array(rung)
+    for i, rule in enumerate(rules):
+        rows = np.flatnonzero(rung == i)
+        if i and not rows.size:  # rung 0 sums even no rows, for the shape of out
+            continue
+        step = _ROW_CHUNK if entries is None else max(1, entries // rule.nodes[0].size)
+        blocks = [np.array(sums(*(c[rows[j:j + step]] for c in columns), rule))
+                  for j in range(0, max(rows.size, 1), step)]
+        *fine, coarse = np.concatenate(blocks, axis=1)
+        if not i:
+            out = np.empty((len(fine), rung.size))
+        out[:, rows] = fine
         err = np.abs(fine[0] - coarse)
-        if np.any(err > tol * np.maximum(np.abs(fine[0]), floor)):
+        miss = err > tol * np.maximum(np.abs(fine[0]), floor)
+        if miss.any() and i + 1 == len(rules):
             raise AccuracyError(f"{what} quadrature error {err.max():.3e} "
                                 f"exceeds {tol:g} relative")
-        out[:, redo] = fine
+        rung[rows[miss]] += 1
     return out
 
 
@@ -336,9 +332,9 @@ def _angle_nodes(order: int, rule=gauss_legendre):
 
 
 @lru_cache(maxsize=None)
-def _angle_pairs() -> tuple[_Pair, _Pair]:
-    """The action kernel's 16 midpoints nested in 48, and the Gauss-Legendre
-    120/240 pair it falls back on.  With both turning points simple roots,
+def _angle_pairs() -> tuple[_Pair, ...]:
+    """The action kernel's ladder: 16 midpoints nested in 48, then the
+    Gauss-Legendre 120/240 pair.  With both turning points simple roots,
     S_r's integrand is cos^2(theta) g(sin theta) and T_r's G(sin theta), for g
     and G smooth on [-1, 1]: smooth and periodic in theta."""
     return (_nested(*_angle_nodes(48, _midpoints)),
@@ -386,11 +382,12 @@ def _radial_action_rows(trap: _Trap, e, l2, win: _Window | None = None, start=No
     from `start` if given.  S_r is checked to 1e-10 max(S_r, pi) per row: it
     vanishes at the well bottom, and pi is the least target.  T_r steers Newton.
     Rows at their barrier top, where u_out is a double root and the nested
-    rules converge only algebraically, go straight to the fallback pair."""
+    rules converge only algebraically, start on the ladder's last rung."""
     win = _window_holding(trap, e, l2) if win is None else win
     u_in, u_out = _turning_points(trap, e, l2, win, start)
-    s, t = _checked(partial(_action_sums, trap), (e, l2, u_in, u_out), 1e-10,
-                    math.pi, "radial action", *_angle_pairs(), e >= win.e_top)
+    rules = _angle_pairs()
+    s, t = _checked(partial(_action_sums, trap), (e, l2, u_in, u_out), 1e-10, math.pi,
+                    "radial action", rules, (e >= win.e_top) * (len(rules) - 1))
     return s, t, u_in, u_out
 
 
@@ -474,6 +471,7 @@ def _quantize(trap: _Trap, l2, win: _Window, target, guess):
                  np.where(np.isfinite(hi), 0.5 * (lo + hi), lo + target / math.pi))
     energy = np.empty(l2.size)
     rows, start = np.arange(l2.size), None
+    # Not _safe_newton's loop: its cheap solves ran slower with this loop's per-row gathers.
     for _ in range(_MAX_STEPS):
         s, t, u_in, u_out = _radial_action_rows(trap, e, l2[rows], win.take(rows), start)
         resid = s - target[rows]
@@ -648,18 +646,21 @@ def enumerate_levels(params: SystemParams, e_max: float,
 
 
 def _check_levels(params: SystemParams, levels: list[EbkLevel]) -> _Levels:
-    """The columns of `levels`, each of which must be a level of this system:
-    its degeneracy must match its l in this dimension, and its energy must
-    quantize this trap's radial action to 1e-9 of its target (one pass).
-    Raises ForeignLevelsError otherwise."""
+    """The columns of `levels`, each of which must be a level of this system,
+    given once: its degeneracy must match its l in this dimension, and its
+    energy must quantize this trap's radial action to 1e-9 of its target (one
+    pass).  Raises ForeignLevelsError otherwise."""
     trap, _, unit = _resolve(params)
-    shells = {}
+    shells, seen = {}, set()
     for lev in levels:
         if lev.l >= 0 and lev.l not in shells:
             shells[lev.l] = angular_degeneracy(trap.dim, lev.l)
         if lev.n_r < 0 or lev.degeneracy != shells.get(lev.l):
             raise ForeignLevelsError(f"level (n_r={lev.n_r}, l={lev.l}) with degeneracy "
                                      f"{lev.degeneracy} is not a D={trap.dim} level")
+        if (lev.n_r, lev.l) in seen:
+            raise ForeignLevelsError(f"level (n_r={lev.n_r}, l={lev.l}) is given twice")
+        seen.add((lev.n_r, lev.l))
     table = _Levels.of(levels)
     target = trap.target(table.n_r)
     try:
@@ -685,7 +686,8 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
     Returns (g_ebk, g_smooth, levels); the oscillating part is their
     difference.  The grid must be 1-D, non-empty and strictly increasing.
     Levels are enumerated out to 6 widths past the grid end, unless a
-    precomputed list is supplied; such a list must hold levels of this system.
+    precomputed list is supplied; such a list must hold levels of this system,
+    each (n_r, l) once.
     A level at the cut weighs exp(-36) = 2.3e-16 of its peak at the grid end,
     so whether it falls inside the cut cannot show in g_ebk.
 
@@ -749,20 +751,20 @@ def _tf_poly_nodes(order: int, dim: int, alpha: int):
 
 
 @lru_cache(maxsize=None)
-def _tf_pairs(dim: int, alpha: int) -> tuple[_Pair, _Pair]:
-    """tf_smooth's rule pair and the Gauss-Legendre 120/240 pair in psi it falls
-    back on.  At odd D the integrand s^(D-1) cos(psi)^(D-1) h(s^2)^(D/2-1) is
-    smooth and periodic in psi: 16 midpoints nested in 48.  At even D it is a
-    polynomial in t = s^2 of degree (D/2-1)(alpha+1), which Gauss-Legendre in t
-    integrates exactly on n = degree // 2 + 1 nodes, and again on n + 1; where
-    those would take more nodes than the fallback, it is used alone."""
+def _tf_pairs(dim: int, alpha: int) -> tuple[_Pair, ...]:
+    """tf_smooth's ladder: its own rule pair, then the Gauss-Legendre 120/240
+    pair in psi.  At odd D the integrand s^(D-1) cos(psi)^(D-1) h(s^2)^(D/2-1)
+    is smooth and periodic in psi: 16 midpoints nested in 48.  At even D it is
+    a polynomial in t = s^2 of degree (D/2-1)(alpha+1), which Gauss-Legendre in
+    t integrates exactly on n = degree // 2 + 1 nodes, and again on n + 1; past
+    360 nodes the 120/240 pair is the only rung."""
     fallback = _stacked(_tf_nodes(2 * _ACTION_ORDER, dim, alpha),
                         _tf_nodes(_ACTION_ORDER, dim, alpha))
     if dim % 2:
         return _nested(*_tf_nodes(48, dim, alpha, _midpoints)), fallback
     n = (dim // 2 - 1) * (alpha + 1) // 2 + 1
     if 2 * n + 1 > 3 * _ACTION_ORDER:
-        return fallback, fallback
+        return (fallback,)
     return _stacked(_tf_poly_nodes(n + 1, dim, alpha), _tf_poly_nodes(n, dim, alpha)), fallback
 
 
@@ -804,7 +806,7 @@ def tf_smooth(params: SystemParams, energy):
     energies = np.asarray(energy, dtype=float)
     e = energies.ravel() / unit
     out = _checked(partial(_tf_sums, trap), (e, _outer_radius(trap, e)), 1e-11, 1e-300,
-                   "smooth DOS", *_tf_pairs(trap.dim, trap.alpha),
+                   "smooth DOS", _tf_pairs(trap.dim, trap.alpha),
                    entries=_TF_BLOCK_ENTRIES)[0]
     out = _physical(out, (2.0 * math.pi) ** (-0.5 * trap.dim) * 2.0 * math.pi ** (0.5 * trap.dim)
                     / math.gamma(0.5 * trap.dim) ** 2 / unit, "smooth DOS")

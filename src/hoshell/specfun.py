@@ -97,7 +97,8 @@ def _series_1f1(b: float, y: np.ndarray) -> np.ndarray:
     all of y, fixed before the loop."""
     # The sum keeps the terms j < n, for the first n with |y| / (b+n) < 1/2 and
     # |y|^n / (b)_n < 1e-17 at the largest |y|: from n on each term is under
-    # half the one before, so the neglected tail is below 2e-17.
+    # half the one before, so the neglected tail is below 2e-17.  It keeps
+    # j = 1 even at n = 1, the whole of the imaginary part of a tiny y.
     r = float(np.max(np.abs(y), initial=0.0))
     n, bound = 0, 1.0
     while not (r < 0.5 * (b + n) and bound < 1e-17):
@@ -113,7 +114,7 @@ def _series_1f1(b: float, y: np.ndarray) -> np.ndarray:
         im *= y2
         im *= -1.0 / ((b + 2 * m - 1) * (b + 2 * m))
         im += 1.0
-    im *= y if n > 1 else 0.0  # n = 1 keeps j = 0 only
+    im *= y
     im /= b
     out = np.empty(y.shape, dtype=complex)
     out.real, out.imag = re, im

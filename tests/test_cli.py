@@ -753,6 +753,7 @@ def test_quadrature_past_its_panel_budget_is_accuracy_error(args):
     # rows that parse but are no level: the level check names the file too
     b"n_r,l,E_over_hbar_omega,degeneracy\n0,-1,1.5,1\n",
     b"n_r,l,E_over_hbar_omega,degeneracy\n0,0,-1.5,1\n",
+    b"n_r,l,E_over_hbar_omega,degeneracy\n0,0,1.5,1\n0,0,1.5,1\n",
 ])
 def test_unusable_level_file_is_domain_error(tmp_path: Path, content):
     path = tmp_path / "levels.csv"

@@ -899,10 +899,10 @@ class TestNestedRules:
 
     def test_missed_rows_are_summed_again_on_the_fallback(self):
         # A fake kernel whose coarse sum misses on rows 1 and 3 of the first
-        # pair; row 4 is marked direct, and a miss on the fallback raises.
+        # rung; row 4 starts on the last rung, and a miss there raises.
         import hoshell.ebk as ebk
 
-        first, fallback = ebk._angle_pairs()
+        first, fallback = rules = ebk._angle_pairs()
         calls = []
 
         def sums(x, miss, rule):
@@ -911,9 +911,27 @@ class TestNestedRules:
             return fine, fine + miss * (rule is first or x > 9)
 
         x, miss = np.arange(6.0), np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
-        out = ebk._checked(sums, (x, miss), 1e-10, 1.0, "test", first, fallback,
-                           np.arange(6) == 4)
+        out = ebk._checked(sums, (x, miss), 1e-10, 1.0, "test", rules,
+                           np.where(np.arange(6) == 4, 1, 0))
         np.testing.assert_array_equal(out, [[1.0, 1.0, 3.0, 3.0, 4.0, 6.0]])
         assert calls == [(True, [0.0, 1.0, 2.0, 3.0, 5.0]), (False, [1.0, 3.0, 4.0])]
         with pytest.raises(AccuracyError, match="test quadrature error 1.000e"):
-            ebk._checked(sums, (x + 10.0, miss), 1e-10, 1.0, "test", first, fallback)
+            ebk._checked(sums, (x + 10.0, miss), 1e-10, 1.0, "test", rules)
+
+    def test_one_rung_ladder_sums_a_missed_row_once(self, monkeypatch):
+        # Past 360 exact nodes at even D, the Gauss-Legendre 120/240 pair is
+        # tf_smooth's only rung: a miss on it raises without a second sum.
+        import hoshell.ebk as ebk
+
+        assert len(ebk._tf_pairs(4, 357)) == 1 and len(ebk._tf_pairs(4, 356)) == 2
+        kernel, calls = ebk._tf_sums, []
+
+        def missing(trap, e, r_max, pair):
+            calls.append((pair.w.size, e.size))
+            fine, coarse = kernel(trap, e, r_max, pair)
+            return fine, 2.0 * coarse
+
+        monkeypatch.setattr(ebk, "_tf_sums", missing)
+        with pytest.raises(AccuracyError, match="smooth DOS quadrature error"):
+            tf_smooth(SystemParams.single(4, 1e-3, 400), np.linspace(0.5, 40.0, 300))
+        assert calls == [(240, 128), (240, 128), (240, 44)]

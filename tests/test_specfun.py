@@ -207,6 +207,13 @@ class TestKummer:
             assert value.real == 1.0
             assert abs(Fraction(value.imag) - want) <= 4e-16 * abs(want), (b, y)
 
+    def test_tiny_argument_alone_keeps_its_imaginary_part(self):
+        # A call whose largest |y| is below 1e-17 b sums j < 1 only; its j = 1
+        # term y/b is still the whole imaginary part.
+        alone = kummer_1f1(1.5, 1e-20j)
+        assert alone.real == 1.0 and alone.imag == 1e-20 / 1.5
+        assert alone == kummer_1f1_axis(1.5, np.array([1e-20, 10.0]))[0]
+
     @pytest.mark.parametrize("b", [1.5, 2.0, 2.5, 3.0])
     def test_series_oracle_closed_form_orders(self, b):
         # The b of the closed-form jobs (D = 2..5): the Taylor series over
