@@ -296,9 +296,10 @@ def _checked(sums, columns, tol: float, floor: float, what: str, rules: tuple[_P
         if i and not rows.size:  # rung 0 sums even no rows, for the shape of out
             continue
         step = _ROW_CHUNK if entries is None else max(1, entries // rule.nodes[0].size)
-        blocks = [np.array(sums(*(c[rows[j:j + step]] for c in columns), rule))
-                  for j in range(0, max(rows.size, 1), step)]
-        *fine, coarse = np.concatenate(blocks, axis=1)
+        picked = [c[rows] for c in columns]
+        blocks = np.concatenate([np.array(sums(*(c[j:j + step] for c in picked), rule))
+                                 for j in range(0, max(rows.size, 1), step)], axis=1)
+        fine, coarse = blocks[:-1], blocks[-1]
         if not i:
             out = np.empty((len(fine), rung.size))
         out[:, rows] = fine
