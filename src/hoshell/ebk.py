@@ -647,34 +647,34 @@ def enumerate_levels(params: SystemParams, e_max: float,
 
 
 def _check_levels(params: SystemParams, levels: list[EbkLevel]) -> _Levels:
-    """The columns of `levels`, each of which must be a level of this system,
-    given once: its degeneracy must match its l in this dimension, and its
-    energy must quantize this trap's radial action to 1e-9 of its target (one
-    pass).  Raises ForeignLevelsError otherwise."""
-    trap, _, unit = _resolve(params)
-    shells, seen = {}, set()
-    for lev in levels:
-        if lev.l >= 0 and lev.l not in shells:
-            shells[lev.l] = angular_degeneracy(trap.dim, lev.l)
-        if lev.n_r < 0 or lev.degeneracy != shells.get(lev.l):
-            raise ForeignLevelsError(f"level (n_r={lev.n_r}, l={lev.l}) with degeneracy "
-                                     f"{lev.degeneracy} is not a D={trap.dim} level")
-        if (lev.n_r, lev.l) in seen:
-            raise ForeignLevelsError(f"level (n_r={lev.n_r}, l={lev.l}) is given twice")
-        seen.add((lev.n_r, lev.l))
-    table = _Levels.of(levels)
+    """The columns of `levels`, each of which must be a level of this system:
+    its degeneracy must match its l in this dimension, the n_r of each l must
+    read 0, 1, 2, ..., and its energy must lie in the well of its l and quantize
+    this trap's radial action to 1e-9 of its target (one window per distinct l,
+    one action call).  Raises ForeignLevelsError for the first level that fails."""
+    (trap, _, unit), table = _resolve(params), _Levels.of(levels)
+    ls, at = np.unique(table.l, return_inverse=True)
+    shells = [angular_degeneracy(trap.dim, k) if k >= 0 else None for k in map(int, ls.tolist())]
+    for i in np.flatnonzero([shells[k] != d for k, d in zip(at.tolist(), table.degeneracy)])[:1]:
+        raise ForeignLevelsError(f"level (n_r={levels[i].n_r}, l={levels[i].l}) with degeneracy "
+                                 f"{levels[i].degeneracy} is not a D={trap.dim} level")
+    order = np.lexsort((table.n_r, at))
+    due = np.arange(order.size) - np.searchsorted(at[order], at[order])
+    for k in np.flatnonzero(table.n_r[order] != due)[:1]:
+        i = order[k]
+        raise ForeignLevelsError(f"level (n_r={levels[i].n_r}, l={levels[i].l}) stands where "
+                                 f"n_r={due[k]} is due: each l's n_r must read 0, 1, 2, ...")
+    win, e = _window(trap, trap.l_eff(ls) ** 2).take(at), table.energy / unit
+    for i in np.flatnonzero(~((e > win.e_well) & (e < win.e_top)))[:1]:
+        raise ForeignLevelsError(f"level (n_r={levels[i].n_r}, l={levels[i].l}) at "
+                                 f"E={levels[i].energy} lies outside this system's well")
     target = trap.target(table.n_r)
-    try:
-        action = _radial_action_rows(trap, table.energy / unit, trap.l_eff(table.l) ** 2)[0]
-    except DomainError as exc:  # no bound state, or E <= 0
-        raise ForeignLevelsError(f"a given level lies outside this system's well: {exc}") \
-            from exc
+    action = _radial_action_rows(trap, e, trap.l_eff(table.l) ** 2, win)[0]
     bad = np.flatnonzero(~(np.abs(action - target) <= 1e-9 * target))
-    if bad.size:
-        lev = levels[bad[0]]
-        raise ForeignLevelsError(f"level (n_r={lev.n_r}, l={lev.l}) at E={lev.energy} is not "
-                                 f"quantized in this system ({bad.size} of {len(levels)} levels "
-                                 "do not match)")
+    for i in bad[:1]:
+        raise ForeignLevelsError(f"level (n_r={levels[i].n_r}, l={levels[i].l}) at "
+                                 f"E={levels[i].energy} is not quantized in this system "
+                                 f"({bad.size} of {len(levels)} levels do not match)")
     return table
 
 
