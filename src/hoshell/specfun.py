@@ -68,19 +68,12 @@ def legendre_p(alpha: int, x):
 
 @lru_cache(maxsize=None)
 def legendre_coefficients(alpha: int) -> tuple[Fraction, ...]:
-    """Exact coefficients of P_alpha in ascending powers of x."""
-    if alpha == 0:
-        return (Fraction(1),)
-    if alpha == 1:
-        return (Fraction(0), Fraction(1))
-    prev2 = legendre_coefficients(alpha - 2)
-    prev1 = legendre_coefficients(alpha - 1)
-    n = alpha - 1
+    """Exact coefficients of P_alpha in ascending powers of x, from the explicit
+    sum: x^(alpha-2k) takes (-1)^k C(alpha, k) C(2 alpha - 2k, alpha) / 2^alpha."""
     out = [Fraction(0)] * (alpha + 1)
-    for i, c in enumerate(prev1):
-        out[i + 1] += Fraction(2 * n + 1, n + 1) * c
-    for i, c in enumerate(prev2):
-        out[i] -= Fraction(n, n + 1) * c
+    for k in range(alpha // 2 + 1):
+        out[alpha - 2 * k] = Fraction((-1) ** k * math.comb(alpha, k)
+                                      * math.comb(2 * alpha - 2 * k, alpha), 2 ** alpha)
     return tuple(out)
 
 

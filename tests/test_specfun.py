@@ -73,6 +73,14 @@ class TestLegendre:
         }
         assert denominators == {8, 16, 128, 256}
 
+    def test_cold_high_order(self):
+        # A recursion over the order ran past Python's recursion limit here.
+        legendre_coefficients.cache_clear()
+        coeffs = legendre_coefficients(1200)
+        assert len(coeffs) == 1201 and sum(coeffs) == 1  # P_n(1) = 1
+        assert not any(coeffs[1199::-2]) and coeffs[0] == Fraction(
+            math.comb(1200, 600), 2 ** 1200)
+
     @pytest.mark.parametrize("alpha", range(6, 11))
     def test_recurrence_matches_coefficients(self, alpha):
         x = Fraction(5, 7)
