@@ -524,6 +524,14 @@ def _level_bound(trap: _Trap, n_r: int, l2) -> np.ndarray:
     return 0.5 * u + (eps ** (1.0 / a) * u) ** a
 
 
+def _level_count(trap: _Trap, s_max, s_top, n_r_max: int, band: float) -> np.ndarray:
+    """How many levels n_r = 0, 1, ... each row holds: S_r rises across its
+    window, so those with 2 pi (n_r + 1/2) <= s_max (1 + band) and below the
+    separatrix action s_top, at most n_r_max + 1."""
+    count = np.floor(np.minimum(s_max * (1.0 + band) / (2.0 * math.pi) + 0.5, n_r_max + 1.0))
+    return (count - (trap.target(count - 1.0) >= s_top)).astype(int)
+
+
 def _level_set(trap: _Trap, l2, win: _Window, s_top, e_max: float, n_r_max: int):
     """Candidate levels (l, n_r) and their starts, from one table of S_r per l
     whose well bottom lies below e_max.
@@ -556,8 +564,7 @@ def _level_set(trap: _Trap, l2, win: _Window, s_top, e_max: float, n_r_max: int)
     table[~closed, -1] = next(s)
     s_max = table[:, -1].copy()
     s_max[probe] = next(s)
-    count = np.floor(np.minimum(s_max * (1.0 + 1e-9) / (2.0 * math.pi) + 0.5, n_r_max + 1.0))
-    count = (count - (trap.target(count - 1.0) >= s_top[rows])).astype(int)
+    count = _level_count(trap, s_max, s_top[rows], n_r_max, 1e-9)
     row = np.repeat(np.arange(rows.size), count)
     n_r = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
     # w_b^2 > 0 on a closed well; the floor only keeps rounding at its edge finite.
@@ -646,12 +653,16 @@ def enumerate_levels(params: SystemParams, e_max: float,
     return _level_table(params, e_max, n_r_max, l_max).records()
 
 
-def _check_levels(params: SystemParams, levels: list[EbkLevel]) -> _Levels:
-    """The columns of `levels`, each of which must be a level of this system:
-    its degeneracy must match its l in this dimension, the n_r of each l must
-    read 0, 1, 2, ..., and its energy must lie in the well of its l and quantize
-    this trap's radial action to 1e-9 of its target (one window per distinct l,
-    one action call).  Raises ForeignLevelsError for the first level that fails."""
+def _check_levels(params: SystemParams, levels: list[EbkLevel], e_need: float,
+                  n_r_max: int, l_max: int) -> _Levels:
+    """The columns of `levels`, which must be this system's levels below e_need
+    within the caps: each degeneracy matches its l in this dimension, each l's
+    n_r read 0, 1, 2, ..., and each energy lies in its l's well and quantizes
+    this trap's radial action to 1e-9 of its target.  Every l whose well bottom
+    lies below e_need, up to one past the largest cached l (the lowest level
+    rises with l), holds at least the levels that `_level_count` finds below
+    S_r(min(e_need, E_top)), less its 1e-9 band.  One window per distinct l and
+    one action call.  Raises ForeignLevelsError for the first level that fails."""
     (trap, _, unit), table = _resolve(params), _Levels.of(levels)
     ls, at = np.unique(table.l, return_inverse=True)
     shells = [angular_degeneracy(trap.dim, k) if k >= 0 else None for k in map(int, ls.tolist())]
@@ -664,17 +675,30 @@ def _check_levels(params: SystemParams, levels: list[EbkLevel]) -> _Levels:
         i = order[k]
         raise ForeignLevelsError(f"level (n_r={levels[i].n_r}, l={levels[i].l}) stands where "
                                  f"n_r={due[k]} is due: each l's n_r must read 0, 1, 2, ...")
-    win, e = _window(trap, trap.l_eff(ls) ** 2).take(at), table.energy / unit
-    for i in np.flatnonzero(~((e > win.e_well) & (e < win.e_top)))[:1]:
+    # Probe l = 0, 1, ... to one past the largest cached l; they lead the sorted union.
+    probed = np.arange(min(l_max, ls.max(initial=-1.0) + 1.0) + 1.0)
+    ls = np.union1d(ls, probed)
+    l2, at, e = trap.l_eff(ls) ** 2, np.searchsorted(ls, table.l), table.energy / unit
+    win, need = _window(trap, l2), e_need / unit
+    for i in np.flatnonzero(~((e > win.e_well[at]) & (e < win.e_top[at])))[:1]:
         raise ForeignLevelsError(f"level (n_r={levels[i].n_r}, l={levels[i].l}) at "
                                  f"E={levels[i].energy} lies outside this system's well")
-    target = trap.target(table.n_r)
-    action = _radial_action_rows(trap, e, trap.l_eff(table.l) ** 2, win)[0]
+    probe = np.flatnonzero(win.e_well[:probed.size] < need)
+    rows = np.concatenate([at, probe])
+    s = _radial_action_rows(trap, np.concatenate([e, np.minimum(need, win.e_top[probe])]),
+                            l2[rows], win.take(rows))[0]
+    action, s_need, target = s[:e.size], s[e.size:], trap.target(table.n_r)
     bad = np.flatnonzero(~(np.abs(action - target) <= 1e-9 * target))
     for i in bad[:1]:
         raise ForeignLevelsError(f"level (n_r={levels[i].n_r}, l={levels[i].l}) at "
                                  f"E={levels[i].energy} is not quantized in this system "
                                  f"({bad.size} of {len(levels)} levels do not match)")
+    # Only levels below e_need by more than the band are due, so a cache
+    # written out to e_max = e_need passes.
+    have = np.bincount(at, minlength=ls.size)[probe]
+    for j in np.flatnonzero(_level_count(trap, s_need, s_need, n_r_max, -1e-9) > have)[:1]:
+        raise ForeignLevelsError(f"level (n_r={have[j]}, l={probe[j]}) lies below "
+                                 f"E={e_need:g} but is missing")
     return table
 
 
@@ -687,10 +711,12 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
     Returns (g_ebk, g_smooth, levels); the oscillating part is their
     difference.  The grid must be 1-D, non-empty and strictly increasing.
     Levels are enumerated out to 6 widths past the grid end, unless a
-    precomputed list is supplied; such a list must hold levels of this system,
-    each (n_r, l) once.
-    A level at the cut weighs exp(-36) = 2.3e-16 of its peak at the grid end,
-    so whether it falls inside the cut cannot show in g_ebk.
+    precomputed list is supplied.  Such a list must hold levels of this
+    system, each (n_r, l) once, and every level that lies 5 widths past the
+    grid end or less, up to the caps n_r_max and l_max.  A level at the cut
+    weighs exp(-36) = 2.3e-16 of its peak at the grid end, so whether it falls
+    inside the cut cannot show in g_ebk; one between 5 and 6 widths out, which
+    a list need not hold, weighs at most exp(-25) = 1.4e-11 of it.
 
     The levels are read into columns once, which the check and the sum share.
     They are summed in the order of (E, l, n_r), so g_ebk does not depend on
@@ -713,7 +739,7 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
         table = _level_table(params, e_cut, n_r_max, l_max)
         levels = table.records()
     else:
-        table = _check_levels(params, levels)
+        table = _check_levels(params, levels, energies[-1] + 5.0 * width, n_r_max, l_max)
     table = table.by_energy()
     lo = np.searchsorted(energies, table.energy - 27.5 * width)
     hi = np.searchsorted(energies, table.energy + 27.5 * width, side="right")

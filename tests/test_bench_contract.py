@@ -1,12 +1,17 @@
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 CHECKS = PERFBENCH / "checks.py"
+JOBS = PERFBENCH / "jobs.py"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hoshell"
 
 
@@ -84,3 +89,23 @@ def test_independent_check_agrees_with_pert_dos(monkeypatch):
         for energy, smooth, osc in zip(energies, curve.smooth, curve.oscillating):
             want = checks._reference_osc(p, energy, smooth)
             assert abs(osc - want) <= checks.OSC_TOL_PER_K * p["k_max"] * smooth, (p, energy)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_cached_dos_jobs_pass_the_level_check(monkeypatch, tmp_path, seed):
+    # Each benchmark cache ends at the grid end plus five widths of its widest
+    # job, the least the level check of `ebk-dos --levels-in` accepts.  A cache
+    # the check wrongly refused would otherwise first show as a failed run.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", JOBS)
+    jobs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, jobs)  # dataclasses look it up
+    spec.loader.exec_module(jobs)
+    from hoshell.cli import main
+
+    prep, timed = jobs.make_jobs("ebk_dos_cached", seed)
+    for job in prep + timed:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(job.argv(str(tmp_path)))
+        assert (code, err.getvalue()) == (0, ""), job.name

@@ -554,6 +554,81 @@ def test_matching_level_cache_accepted(d3_cache: Path):
     assert len(cp.stdout.splitlines()) == 14
 
 
+def _cache(path: Path, *args: str) -> Path:
+    cp = run_cli("ebk", "--D", "3", "--alpha", "2", *args, "--levels-out", str(path))
+    assert cp.returncode == 0, cp.stderr
+    return path
+
+
+def test_cache_short_of_the_grid_is_refused(tmp_path: Path):
+    # Written to E = 8 and read on a grid to 30: without the check g_ebk read
+    # 0 from E = 15.5 on, where the run without the cache gives 0.474.
+    cache = _cache(tmp_path / "levels.csv", "--epsilon", "1e-3", "--e-max", "8")
+    cp = run_cli("ebk-dos", "--D", "3", "--alpha", "2", "--epsilon", "1e-3",
+                 "--e-range", "1:30:5", "--levels-in", str(cache))
+    assert (cp.returncode, cp.stdout) == (2, "")
+    assert cp.stderr == (f"hoshell: domain error: {cache}: level (n_r=4, l=0) lies below "
+                         "E=30.5 but is missing\n")
+
+
+def test_cache_with_a_gap_in_n_r_is_refused(tmp_path: Path):
+    cache = _cache(tmp_path / "levels.csv", "--epsilon", "1e-3", "--e-max", "12")
+    rows = cache.read_text().splitlines(keepends=True)
+    cache.write_text("".join(row for row in rows if not row.startswith("1,0,")))
+    assert len(cache.read_text().splitlines()) == len(rows) - 1
+    cp = run_cli("ebk-dos", "--D", "3", "--alpha", "2", "--epsilon", "1e-3",
+                 "--e-range", "2:8:13", "--width", "0.3", "--levels-in", str(cache))
+    assert (cp.returncode, cp.stdout) == (2, ""), cp.stderr
+    assert cp.stderr.count("\n") == 1 and "(n_r=2, l=0) stands where n_r=1 is due" in cp.stderr
+
+
+def test_cache_past_the_barrier_must_reach_it(tmp_path: Path):
+    # The grid end plus 5 widths, 50.5, lies past the l = 0 barrier at 50: a
+    # cache to 60 holds every level below the barriers, one to 45 does not.
+    system = ["--D", "3", "--alpha", "2", "--epsilon=-1.25e-3"]
+    grid = ["--e-range", "1:49:100", "--width", "0.3"]
+    full = _cache(tmp_path / "full.csv", "--epsilon=-1.25e-3", "--e-max", "60")
+    cut = _cache(tmp_path / "cut.csv", "--epsilon=-1.25e-3", "--e-max", "45")
+    direct = run_cli("ebk-dos", *system, *grid)
+    cached = run_cli("ebk-dos", *system, *grid, "--levels-in", str(full))
+    assert (cached.returncode, cached.stderr) == (0, "")
+    assert cached.stdout == direct.stdout
+    cp = run_cli("ebk-dos", *system, *grid, "--levels-in", str(cut))
+    assert (cp.returncode, cp.stdout) == (2, "")
+    assert cp.stderr.endswith(": level (n_r=26, l=0) lies below E=50.5 but is missing\n")
+
+
+def test_cache_cut_by_its_caps_is_read_with_them(tmp_path: Path):
+    # Caps bound what the check demands, as they bound the enumeration.
+    cache = _cache(tmp_path / "levels.csv", "--epsilon", "1e-3", "--e-max", "20",
+                   "--nr-max", "3")
+    argv = ["ebk-dos", "--D", "3", "--alpha", "2", "--epsilon", "1e-3",
+            "--e-range", "1:15:100", "--levels-in", str(cache)]
+    cp = run_cli(*argv, "--nr-max", "3")
+    assert (cp.returncode, cp.stderr) == (0, "")
+    cp = run_cli(*argv)
+    assert (cp.returncode, cp.stdout) == (2, "")
+    assert cp.stderr.endswith(": level (n_r=4, l=0) lies below E=15.5 but is missing\n")
+
+
+def test_cached_level_at_a_huge_l_allocates_nothing_by_l(tmp_path: Path):
+    # The check groups by distinct l; an array indexed by l would need 8 PB.
+    import tracemalloc
+
+    path = tmp_path / "levels.csv"
+    path.write_text("n_r,l,E_over_hbar_omega,degeneracy\n0,1000000000000000,1.5,"
+                    f"{2 * 10 ** 15 + 1}\n")
+    tracemalloc.start()
+    try:
+        code, out, err = _in_process(["ebk-dos", "--e-range", "2:8:13", "--levels-in", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "") and err.count("\n") == 1, err
+    assert "lies outside this system's well" in err
+    assert peak < 2 ** 22
+
+
 @pytest.mark.parametrize("args,message", [
     (("dos", "--width", "-1", "--e-range", "5:6:3"), "smoothing width must be finite and >= 0"),
     (("dos", "--width", "nan", "--e-range", "5:6:3"), "smoothing width must be finite and >= 0"),
