@@ -664,7 +664,11 @@ def _check_levels(params: SystemParams, levels: list[EbkLevel], e_need: float,
     S_r(min(e_need, E_top)), less its 1e-9 band.  One window per distinct l and
     one action call.  Raises ForeignLevelsError for the first level that fails."""
     (trap, _, unit), table = _resolve(params), _Levels.of(levels)
-    ls, at = np.unique(table.l, return_inverse=True)
+    # Probe l = 0, 1, ... to one past the largest cached l.  They lead the
+    # distinct ls once the degeneracy check has refused every l < 0.
+    probed = np.arange(min(l_max, table.l.max(initial=-1.0) + 1.0) + 1.0)
+    ls, at = np.unique(np.concatenate([probed, table.l]), return_inverse=True)
+    at = at[probed.size:]
     shells = [angular_degeneracy(trap.dim, k) if k >= 0 else None for k in map(int, ls.tolist())]
     for i in np.flatnonzero([shells[k] != d for k, d in zip(at.tolist(), table.degeneracy)])[:1]:
         raise ForeignLevelsError(f"level (n_r={levels[i].n_r}, l={levels[i].l}) with degeneracy "
@@ -675,11 +679,8 @@ def _check_levels(params: SystemParams, levels: list[EbkLevel], e_need: float,
         i = order[k]
         raise ForeignLevelsError(f"level (n_r={levels[i].n_r}, l={levels[i].l}) stands where "
                                  f"n_r={due[k]} is due: each l's n_r must read 0, 1, 2, ...")
-    # Probe l = 0, 1, ... to one past the largest cached l; they lead the sorted union.
-    probed = np.arange(min(l_max, ls.max(initial=-1.0) + 1.0) + 1.0)
-    ls = np.union1d(ls, probed)
-    l2, at, e = trap.l_eff(ls) ** 2, np.searchsorted(ls, table.l), table.energy / unit
-    win, need = _window(trap, l2), e_need / unit
+    l2, e, need = trap.l_eff(ls) ** 2, table.energy / unit, e_need / unit
+    win = _window(trap, l2)
     for i in np.flatnonzero(~((e > win.e_well[at]) & (e < win.e_top[at])))[:1]:
         raise ForeignLevelsError(f"level (n_r={levels[i].n_r}, l={levels[i].l}) at "
                                  f"E={levels[i].energy} lies outside this system's well")
