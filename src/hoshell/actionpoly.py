@@ -10,6 +10,7 @@ per order in exact integer arithmetic and cached.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -30,6 +31,7 @@ __all__ = [
     "effective_frequency",
     "i_coefficient",
     "k_coefficient",
+    "oscillator_strengths",
     "polynomial_delta_s",
     "sigma_alpha",
     "verify_legendre_form",
@@ -246,6 +248,33 @@ def absorb_harmonic_terms(params: SystemParams) -> SystemParams:
         return params
     return SystemParams(dim=params.dim, omega=effective_frequency(params),
                         hbar=params.hbar, terms=higher)
+
+
+def oscillator_strengths(params: SystemParams) -> tuple[dict[int, float], float]:
+    """{alpha: eps'} and hbar omega for a system whose harmonic terms are absorbed:
+    eps' = eps hbar^(alpha-1) / omega^(alpha+1), in oscillator units, from the merged
+    strength of each order, by mantissa and exponent; orders that cancel drop out.
+    An order, hbar omega or a nonzero eps' outside the float range is a DomainError."""
+    merged: dict[int, float] = {}
+    for eps, alpha in params.terms:
+        merged[alpha] = merged.get(alpha, 0.0) + eps
+    if any(alpha > sys.float_info.max for alpha in merged):  # exact int/float comparisons
+        raise DomainError("the order alpha leaves the float range")
+    (m_h, x_h), (m_w, x_w) = math.frexp(params.hbar), math.frexp(params.omega)
+    strengths, unit = {}, params.hbar * params.omega
+    for alpha, (m_e, x_e) in ((a, math.frexp(eps)) for a, eps in merged.items() if eps):
+        try:  # the strength, or 2^y past alpha = 1000, can overflow
+            y = (alpha - 1) * (math.log2(m_h) - math.log2(m_w)) - 2.0 * math.log2(m_w)
+            strengths[alpha] = math.ldexp(m_e * 2.0 ** y,
+                                          x_e + (alpha - 1) * x_h - (alpha + 1) * x_w)
+        except OverflowError:
+            strengths[alpha] = math.inf
+    bad = [s for s in strengths.values() if not 0.0 < abs(s) < math.inf]
+    if bad or not sys.float_info.min <= unit < math.inf:
+        shown = [*bad, *strengths.values(), 0.0][0]  # the first strength at fault, if any
+        raise DomainError(f"hbar omega={unit:g} or the strength eps hbar^(alpha-1) / "
+                          f"omega^(alpha+1)={shown:g} leaves the float range")
+    return strengths, unit
 
 
 def polynomial_delta_s(params: SystemParams, energy: float) -> tuple[ActionPolynomial, float]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actionpoly import SystemParams, absorb_harmonic_terms, action_coefficients, sigma_alpha
+from .actionpoly import SystemParams, absorb_harmonic_terms, action_coefficients, oscillator_strengths
 from .errors import DomainError, UnsupportedMethodError
 from .modfactor import Method, modulation
 
@@ -73,10 +73,11 @@ _ROWS_PER_CHUNK = 256  # energies per slice of the k-sum assembly
 _MAX_GRID = 1 << 24
 
 
-def _damping(width: float, k: np.ndarray, t0: float, hbar: float) -> np.ndarray:
+def _damping(width: float, k: np.ndarray) -> np.ndarray:
+    """exp(-(w k pi)^2) for a width w in units of hbar omega."""
     if not 0.0 <= width < math.inf:
         raise DomainError(f"smoothing width must be finite and >= 0, got {width}")
-    return np.exp(-((width * k * t0 / (2.0 * hbar)) ** 2))
+    return np.exp(-((width * k * math.pi) ** 2))
 
 
 def ho_dos(dim: int, omega: float, hbar: float, energies: np.ndarray,
@@ -94,7 +95,7 @@ def ho_dos(dim: int, omega: float, hbar: float, energies: np.ndarray,
         pref *= shell - dim / 2.0 + j
     pref /= hbar * omega * math.factorial(dim - 1)
     ks = np.arange(1, k_max + 1)
-    damp = _damping(width, ks, 2.0 * math.pi / omega, hbar)
+    damp = _damping(width / (hbar * omega), ks)
     signs = (-1.0) ** (dim * ks)
     phases = np.cos(2.0 * math.pi * np.outer(shell, ks))
     osc = pref * (2.0 * phases @ (signs * damp))
@@ -103,126 +104,106 @@ def ho_dos(dim: int, omega: float, hbar: float, energies: np.ndarray,
 
 def pert_dos(params: SystemParams, energies: np.ndarray, k_max: int = 10,
              width: float | None = None, method: Method = "quadrature") -> DosCurve:
-    """Perturbative trace formula on an energy grid.
+    """Perturbative trace formula on an energy grid, in e = E / (hbar omega).
 
     The smooth column is the leading Thomas-Fermi term
     E^(D-1) / ((D-1)! (hbar omega)^D); the oscillating column is
 
-        2 * smooth * sum_{k=1}^{k_max} (-1)^(Dk) e^(-(w k T0 / 2 hbar)^2)
-                         Re{ M_k exp(i k S0 / hbar) },
+        2 * smooth * sum_{k=1}^{k_max} (-1)^(Dk) e^(-(w k pi / hbar omega)^2)
+                         Re{ M_k exp(2 pi i k e) }.
 
-    with S0 = 2 pi E / omega.  Harmonic perturbation terms are folded into an
-    effective frequency and terms of one order into one strength, so M_k is one
-    `modulation` call with a sigma_t(E) / hbar column per order.  An energy <= 0,
-    a grid of more than 2**24 (energy, k) entries, or a (D-1)! (hbar omega)^D
-    or a smooth term outside the float range, is a DomainError.
+    Harmonic terms are folded into an effective frequency, and each other
+    order into its oscillator-unit strength eps', so M_k is one `modulation`
+    call with a column sigma / hbar = 2 pi eps' e^alpha per order.  An energy
+    <= 0, a grid of more than 2**24 (energy, k) entries, a D above 1021, or an
+    eps', hbar omega or smooth term outside the float range is a DomainError.
     """
     params = absorb_harmonic_terms(params)
-    dim, omega, hbar = params.dim, params.omega, params.hbar
-    if width is None:
-        width = 0.1 * hbar * omega
+    dim = params.dim
+    strengths, unit = oscillator_strengths(params)
     energies = np.asarray(energies, dtype=float)
     if energies.size * k_max > _MAX_GRID:
         raise DomainError(f"{energies.size} energies x k_max {k_max} exceed the budget "
                           f"of {_MAX_GRID} (energy, k) entries")
-    try:
-        norm = math.factorial(dim - 1) * (hbar * omega) ** dim
-    except OverflowError:
-        norm = math.inf
-    if not 0.0 < norm < math.inf:
-        raise DomainError(f"(D-1)! (hbar omega)^D leaves the float range at D={dim}, "
-                          f"hbar omega={hbar * omega:g}")
-    # E^(D-1) can leave the float range where the quotient does not (D = 170,
-    # E = 70 hbar omega): divide the mantissas and add the exponents.
-    mantissa, exponent = np.frexp(energies)
-    norm_mantissa, norm_exponent = math.frexp(norm)
+    if dim > 1021:  # past it a mantissa power below can be subnormal
+        raise DomainError(f"spatial dimension must be <= 1021 for the smooth term, got {dim}")
+    # E^(D-1), (D-1)! and (hbar omega)^D can each leave the float range where
+    # the quotient does not (D = 170, E = 70): it goes by mantissa and exponent.
+    fact, (m_u, x_u) = math.factorial(dim - 1), math.frexp(unit)
+    m_n, x_n = math.frexp(fact / (1 << fact.bit_length()) * m_u ** dim)
+    m_e, x_e = np.frexp(energies)
     with np.errstate(over="ignore"):
-        smooth = np.ldexp(mantissa ** (dim - 1) / norm_mantissa,
-                          exponent * (dim - 1) - norm_exponent)
+        smooth = np.ldexp(m_e ** (dim - 1) / m_n,
+                          x_e * (dim - 1) - x_n - fact.bit_length() - dim * x_u)
     if not np.all(np.isfinite(smooth)):
         raise DomainError(f"E^(D-1) / ((D-1)! (hbar omega)^D) leaves the float range "
                           f"at E={energies[~np.isfinite(smooth)][0]:g}")
     ks = np.arange(1, k_max + 1)
-    weights = (-1.0) ** (dim * ks) * _damping(width, ks, 2.0 * math.pi / omega, hbar)
-    s0_over_hbar = 2.0 * math.pi * energies / (omega * hbar)
+    weights = (-1.0) ** (dim * ks) * _damping(0.1 if width is None else width / unit, ks)
     if np.any(energies <= 0):
         raise DomainError(f"energy must be > 0, got {float(np.min(energies))}")
-    # Merged before sigma is formed: opposite strengths cancel exactly, and drop out.
-    strengths: dict[int, float] = {}
-    for eps, alpha in params.terms:
-        strengths[alpha] = strengths.get(alpha, 0.0) + eps
-    strengths = {alpha: eps for alpha, eps in strengths.items() if eps != 0.0}
-    sigma = np.reshape([sigma_alpha(energies, eps, alpha, omega)
-                        for alpha, eps in strengths.items()], (len(strengths), energies.size))
-    mods = modulation([action_coefficients(alpha) for alpha in strengths], sigma.T / hbar,
+    e = energies / unit
+    with np.errstate(over="ignore"):  # `modulation` rejects a sigma past the float range
+        sigma_over_hbar = np.reshape([eps * 2.0 * math.pi * e ** alpha for alpha, eps
+                                      in strengths.items()], (len(strengths), e.size))
+    mods = modulation([action_coefficients(alpha) for alpha in strengths], sigma_over_hbar.T,
                       dim, k_max, method)
     osc = np.empty_like(energies)
     for start in range(0, energies.size, _ROWS_PER_CHUNK):
         sel = slice(start, start + _ROWS_PER_CHUNK)
-        phases = np.exp(1j * np.outer(s0_over_hbar[sel], ks))
+        phases = np.exp(1j * np.outer(2.0 * math.pi * e[sel], ks))
         osc[sel] = 2.0 * smooth[sel] * ((mods[sel] * phases).real @ weights)
     return DosCurve(energies=energies, smooth=smooth, oscillating=osc)
 
 
 def _supershell_setup(params: SystemParams):
-    """(params with harmonic terms absorbed, eps, alpha, a0, a1) for D=3 and a
-    single order-2 or order-3 term, whose action polynomial is a0 + a1 ltilde^2."""
+    """(eps', alpha, a0, a1, hbar omega) for D=3 and a single order, 2 or 3,
+    whose action polynomial is a0 + a1 ltilde^2; eps' is its strength in
+    oscillator units."""
     params = absorb_harmonic_terms(params)
-    if params.dim != 3 or len(params.terms) != 1 or params.terms[0].alpha not in (2, 3):
-        raise UnsupportedMethodError(
-            "factorized super-shell form needs D=3 and a single order-2 or "
-            "order-3 monomial perturbation"
-        )
-    eps, alpha = params.terms[0]
-    if eps == 0.0:
+    strengths, unit = oscillator_strengths(params)
+    if params.dim != 3 or len(strengths) > 1 or not set(strengths) <= {2, 3}:
+        raise UnsupportedMethodError("factorized super-shell form needs D=3 and a single "
+                                     "order-2 or order-3 monomial perturbation")
+    if not strengths:
         raise DomainError("super-shell analysis needs a nonzero perturbation")
+    ((alpha, eps),) = strengths.items()
     a0, a1 = action_coefficients(alpha).float_coeffs.tolist()
-    return params, eps, alpha, a0, a1
+    return eps, alpha, a0, a1, unit
 
 
 def supershell_factorized(params: SystemParams, energies: np.ndarray,
                           k_max: int = 10, width: float = 0.0) -> np.ndarray:
-    """Factorized oscillating DOS for D=3 and orders 2, 3:
+    """Factorized oscillating DOS for D=3 and orders 2, 3, in e = E / (hbar omega)
+    and s = sigma / hbar = 2 pi eps' e^alpha:
 
-        (omega^(2(alpha-1)) E^(2-alpha) / (pi eps a1 hbar^2))
-        * sum_k ((-1)^k / k) cos(k [S0 - sigma (a0 + a1/2)] / hbar)
-                             sin(k sigma a1 / (2 hbar)),
+        (e^(2-alpha) / (pi eps' a1 hbar omega))
+        * sum_k ((-1)^k / k) cos(k [2 pi e - s (a0 + a1/2)]) sin(k s a1 / 2),
 
     with the optional per-k Gaussian damping of the averaged trace formula.
     """
-    params, eps, alpha, a0, a1 = _supershell_setup(params)
-    omega, hbar = params.omega, params.hbar
-    energies = np.asarray(energies, dtype=float)
+    eps, alpha, a0, a1, unit = _supershell_setup(params)
+    e = np.asarray(energies, dtype=float) / unit
     ks = np.arange(1, k_max + 1)
-    damp = _damping(width, ks, 2.0 * math.pi / omega, hbar)
-    sigma = sigma_alpha(energies, eps, alpha, omega)
-    s0 = 2.0 * math.pi * energies / omega
-    slow = np.sin(np.outer(sigma, ks) * a1 / (2.0 * hbar))
-    fast = np.cos(np.outer(s0 - sigma * (a0 + 0.5 * a1), ks) / hbar)
+    damp = _damping(width / unit, ks)
+    s = eps * 2.0 * math.pi * e ** alpha
+    slow = np.sin(np.outer(s, ks) * a1 / 2.0)
+    fast = np.cos(np.outer(2.0 * math.pi * e - s * (a0 + 0.5 * a1), ks))
     series = (fast * slow) @ (damp * (-1.0) ** ks / ks)
-    pref = omega ** (2 * (alpha - 1)) * energies ** (2 - alpha) / (
-        math.pi * eps * a1 * hbar ** 2)
-    return pref * series
+    return e ** (2 - alpha) / (math.pi * eps * a1) / unit * series
 
 
 def supershell_nodes(params: SystemParams, s_max: int) -> list[float]:
-    """Shell quantum numbers E/(hbar omega) where the beat envelope vanishes."""
-    params, eps, alpha, _, _ = _supershell_setup(params)
-    omega, hbar = params.omega, params.hbar
+    """Shell quantum numbers E/(hbar omega) where the beat envelope vanishes:
+    sqrt(2 s / |eps'|) at order 2, (2 s / (3 |eps'|))^(1/3) at order 3."""
+    eps, alpha, _, _, _ = _supershell_setup(params)
     if s_max < 1:
         raise DomainError(f"s_max must be >= 1, got {s_max}")
-    out = []
-    try:
-        for s in range(1, s_max + 1):
-            if alpha == 2:
-                out.append(math.sqrt(2.0 * s * omega ** 3 / (abs(eps) * hbar)))
-            else:
-                out.append((2.0 * s * omega ** 4 / (3.0 * abs(eps) * hbar ** 2)) ** (1.0 / 3.0))
-    except (OverflowError, ZeroDivisionError):
-        out.append(math.inf)
-    if not (0.0 < out[0] and out[-1] < math.inf):  # nodes rise with s
-        raise DomainError(f"super-shell nodes leave the float range at omega={omega:g}, "
-                          f"hbar={hbar:g}, epsilon={eps:g}")
+    out = [math.sqrt(2.0 * s / abs(eps)) if alpha == 2
+           else (2.0 * s / (3.0 * abs(eps))) ** (1.0 / 3.0) for s in range(1, s_max + 1)]
+    if not out[-1] < math.inf:  # nodes rise with s
+        raise DomainError("super-shell nodes leave the float range at the "
+                          f"oscillator-unit strength {eps:g}")
     return out
 
 

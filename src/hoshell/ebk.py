@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .actionpoly import SystemParams, absorb_harmonic_terms
+from .actionpoly import SystemParams, absorb_harmonic_terms, oscillator_strengths
 from .errors import (
     AccuracyError,
     DomainError,
@@ -58,8 +58,10 @@ _MAX_STEPS = 200
 _ULP = float(np.finfo(float).eps)
 # Below this energy (in hbar omega) the terms 2 E u and u^2 ~ 4 E^2 of Q(u) at
 # the outer turning point leave the normal float range, and the root cannot
-# meet its 1e-12 E residual (it failed up to 1.3e-155).
+# meet its 1e-12 E residual (it failed up to 1.3e-155); above _E_FINITE they
+# overflow.
 _E_NORMAL = math.sqrt(sys.float_info.min)
+_E_FINITE = 0.5 * math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -97,29 +99,17 @@ class _Trap(NamedTuple):
 
 
 def _resolve(params: SystemParams) -> tuple[_Trap, float, float]:
-    """The trap in oscillator units with the hbar and hbar omega that convert back;
-    its strength eps hbar^(alpha-1) / omega^(alpha+1) goes by mantissa and exponent."""
+    """The trap in oscillator units with the hbar and hbar omega that convert back."""
     params = absorb_harmonic_terms(params)
-    if len(params.terms) > 1:
+    strengths, unit = oscillator_strengths(params)
+    if len(strengths) > 1:
         raise DomainError("reference pipeline handles a single monomial term")
-    hbar, unit = params.hbar, params.hbar * params.omega
-    eps, alpha = params.terms[0] if params.terms else (0.0, 2)
-    if alpha > sys.float_info.max:  # an exact int/float comparison
-        raise DomainError("the order alpha leaves the float range")
-    (m_e, x_e), (m_h, x_h), (m_w, x_w) = map(math.frexp, (eps, hbar, params.omega))
-    try:  # the strength, or 2^y past alpha = 1000, can overflow
-        y = (alpha - 1) * (math.log2(m_h) - math.log2(m_w)) - 2.0 * math.log2(m_w)
-        eps_u = math.ldexp(m_e * 2.0 ** y, x_e + (alpha - 1) * x_h - (alpha + 1) * x_w)
-    except OverflowError:
-        eps_u = math.inf
-    if not (np.finfo(float).tiny <= unit < math.inf and (0.0 < abs(eps_u) < math.inf or not eps)):
-        raise DomainError(f"hbar omega={unit:g} or the strength eps hbar^(alpha-1) / "
-                          f"omega^(alpha+1)={eps_u:g} leaves the float range")
+    # A harmonic trap takes alpha = 2, so that no kernel forms 0 * u^alpha = 0 * inf.
+    ((alpha, eps_u),) = strengths.items() or [(2, 0.0)]
     # No kernel forms a power above u^(alpha+1) at the zero of g past the barrier.
     if eps_u < 0 and (alpha + 1) / (alpha - 1) * -math.log(2.0 * alpha * -eps_u) > 709.0:
         raise DomainError(f"the barrier of strength {eps_u:g} lies beyond the float range")
-    # A harmonic trap takes alpha = 2, so that no kernel forms 0 * u^alpha = 0 * inf.
-    return _Trap(params.dim, eps_u, alpha) if eps else _Trap(params.dim, 0.0, 2), hbar, unit
+    return _Trap(params.dim, eps_u, alpha), params.hbar, unit
 
 
 def _physical(values, unit: float, what: str) -> np.ndarray:
@@ -416,16 +406,24 @@ def _window_holding(trap: _Trap, e, l2) -> _Window:
     return win
 
 
+def _check_finite_terms(e) -> None:
+    """Past _E_FINITE hbar omega the terms 4 E^2 of Q(u) overflow: a DomainError."""
+    if np.any(e > _E_FINITE):
+        raise DomainError(f"energy {np.max(e):g} hbar omega lies above {_E_FINITE:.3g}, where "
+                          "the turning-point terms leave the float range")
+
+
 def _outer_radius(trap: _Trap, e: np.ndarray) -> np.ndarray:
     """Outer turning radius of the l = 0 motion, |V(r_max) - E| <= 1e-12 E,
-    for energies from `_E_NORMAL` (a DomainError below).  Every row has the
-    window of L = 0, whose well bottom u = 0 is also the inner root, so one
-    window row serves all and only the outer roots are solved, from the
-    harmonic root in the bracket [0, top]."""
+    for energies from `_E_NORMAL` to `_E_FINITE` (a DomainError outside).
+    Every row has the window of L = 0, whose well bottom u = 0 is also the
+    inner root, so one window row serves all and only the outer roots are
+    solved, from the harmonic root in the bracket [0, top]."""
     win = _window_holding(trap, e, np.zeros(1))
     if np.any(e < _E_NORMAL):
         raise DomainError(f"energy {np.min(e):g} hbar omega lies below {_E_NORMAL:.3g}, where "
                           "the turning-point terms leave the normal float range")
+    _check_finite_terms(e)
     u_plus, hi = _outer_bracket(trap, e, 0.0, win.u_top)
     u_out = _safe_newton(_momentum(trap, e, 0.0), win.u_well, hi,
                          np.clip(u_plus, win.u_well, hi), False)
@@ -710,7 +708,9 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
     """Gaussian-smoothed torus-quantized DOS and its smooth reference.
 
     Returns (g_ebk, g_smooth, levels); the oscillating part is their
-    difference.  The grid must be 1-D, non-empty and strictly increasing.
+    difference.  The grid must be 1-D, non-empty and strictly increasing, and
+    end below `_E_FINITE` hbar omega, which is checked before any level is
+    enumerated.
     Levels are enumerated out to 6 widths past the grid end, unless a
     precomputed list is supplied.  Such a list must hold levels of this
     system, each (n_r, l) once, and every level that lies 5 widths past the
@@ -735,6 +735,7 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
         raise DomainError(f"smoothing width must be finite and > 0, got {width}")
     if np.any(np.diff(energies) <= 0):
         raise DomainError("energy grid must be strictly increasing")
+    _check_finite_terms(energies[-1] / _resolve(params)[2])  # before the levels are enumerated
     e_cut = energies[-1] + 6.0 * width
     if levels is None:
         table = _level_table(params, e_cut, n_r_max, l_max)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from hoshell.actionpoly import (
     effective_frequency,
     i_coefficient,
     k_coefficient,
+    oscillator_strengths,
     polynomial_delta_s,
     sigma_alpha,
     verify_legendre_form,
@@ -284,6 +286,33 @@ class TestEffectiveFrequency:
         eff = absorb_harmonic_terms(params)
         assert [t.alpha for t in eff.terms] == [2]
         assert eff.omega == pytest.approx(math.sqrt(1.03), rel=1e-15)
+
+
+class TestOscillatorStrengths:
+    def test_orders_merge_and_cancel(self):
+        # At hbar = omega = 1 each eps' is the merged strength, bit for bit.
+        params = SystemParams(dim=3, terms=((1e-3, 2), (2e-5, 3), (5e-4, 2), (1e-4, 4),
+                                            (-1e-4, 4)))
+        assert oscillator_strengths(params) == ({2: 1e-3 + 5e-4, 3: 2e-5}, 1.0)
+        assert oscillator_strengths(SystemParams(dim=3)) == ({}, 1.0)
+
+    def test_units(self):
+        # eps' = eps hbar^(alpha-1) / omega^(alpha+1); powers of 2 are exact.
+        params = SystemParams(dim=3, omega=0.5, hbar=4.0, terms=((1e-3, 2), (3e-5, 3)))
+        assert oscillator_strengths(params) == ({2: 1e-3 * 4.0 / 0.5 ** 3,
+                                                 3: 3e-5 * 16.0 / 0.5 ** 4}, 2.0)
+        strengths, _ = oscillator_strengths(SystemParams.single(3, 1e-153, 2, hbar=1e150))
+        assert strengths[2] == pytest.approx(1e-3, rel=1e-15)
+
+    @pytest.mark.parametrize("system,match", [
+        (dict(omega=1e308, terms=((1e-3, 2),)), "omega^(alpha+1)=0 leaves"),
+        (dict(omega=1e-100, terms=((1e-3, 3),)), "omega^(alpha+1)=inf leaves"),
+        (dict(hbar=1e-310), "hbar omega=1e-310 or"),
+        (dict(terms=((0.0, 10 ** 400),)), "the order alpha leaves the float range"),
+    ])
+    def test_float_range(self, system, match):
+        with pytest.raises(DomainError, match=re.escape(match)):
+            oscillator_strengths(SystemParams(dim=3, **system))
 
 
 class TestPolynomialDeltaS:

@@ -109,3 +109,26 @@ def test_cached_dos_jobs_pass_the_level_check(monkeypatch, tmp_path, seed):
         with contextlib.redirect_stderr(err):
             code = main(job.argv(str(tmp_path)))
         assert (code, err.getvalue()) == (0, ""), job.name
+
+
+def test_pipelines_reach_the_traced_absorb_names(monkeypatch):
+    # The tracer counts actionpoly.absorb_harmonic_terms through the names
+    # dos.absorb_harmonic_terms and ebk.absorb_harmonic_terms.  A pipeline
+    # that resolved its system past them would read 0 in a traced run only.
+    import numpy as np
+
+    import hoshell.dos
+    import hoshell.ebk
+    from hoshell import SystemParams, ebk_dos, pert_dos
+
+    calls = {"dos": 0, "ebk": 0}
+    for name, module in (("dos", hoshell.dos), ("ebk", hoshell.ebk)):
+        def counted(params, name=name, absorb=module.absorb_harmonic_terms):
+            calls[name] += 1
+            return absorb(params)
+        monkeypatch.setattr(module, "absorb_harmonic_terms", counted)
+    params = SystemParams.single(3, 1e-3, 2)
+    pert_dos(params, np.linspace(5.0, 10.0, 11), k_max=2, method="closed_form")
+    assert calls == {"dos": 1, "ebk": 0}
+    ebk_dos(params, np.linspace(2.0, 6.0, 9), 0.3)
+    assert calls["dos"] == 1 and calls["ebk"] > 0

@@ -646,16 +646,23 @@ def test_cached_level_at_a_huge_l_allocates_nothing_by_l(tmp_path: Path):
     (("ebk", "--nr-max", "-1"), "level caps must be >= 0, got n_r_max=-1"),
     (("ebk", "--l-max", "-1"), "level caps must be >= 0, got n_r_max=200, l_max=-1"),
     (("ebk-dos", "--nr-max", "-1"), "level caps must be >= 0, got n_r_max=-1"),
-    (("dos", "--omega", "1e200"), "(D-1)! (hbar omega)^D leaves the float range"),
+    # Past 6.7e153 hbar omega, 4 E^2 in the turning-point equation overflows:
+    # numpy warnings, then an accuracy error (exit 3).
+    (("ebk-dos", "--e-range", "1:1e160:3", "--nr-max", "0", "--l-max", "0"),
+     "energy 1e+160 hbar omega lies above 6.7e+153, where the turning-point terms leave"),
     (("dos", "--hbar", "1e308"), "energy 70 hbar omega leaves the float range"),
     (("compare", "--omega", "1e308"), "energy 50 hbar omega leaves the float range"),
     (("ebk", "--epsilon=-1e-165", "--e-max", "5"),
      "the barrier of strength -1e-165 lies beyond the float range"),
     (("ebk-dos", "--omega", "1e308"), "energy 30 hbar omega leaves the float range"),
+    # eps / omega^3 underflows: the strength in oscillator units.
     (("supershell", "--omega", "1e308", "--epsilon", "1e-3", "--s-max", "2"),
-     "super-shell nodes leave the float range"),
-    (("dos", "--D", "400"), "(D-1)! (hbar omega)^D leaves the float range at D=400"),
-    (("dos", "--hbar", "1e-300"), "(D-1)! (hbar omega)^D leaves the float range"),
+     "hbar omega=1e+308 or the strength eps hbar^(alpha-1) / omega^(alpha+1)=0 leaves"),
+    # Past D = 1021 a mantissa power of the smooth term can be subnormal.
+    (("dos", "--D", "1022"), "spatial dimension must be <= 1021 for the smooth term, got 1022"),
+    # The order is checked at eps = 0 too, as the torus pipeline always did.
+    (("dos", "--alpha", "1" + "0" * 400, "--e-range", "1:2:2"),
+     "the order alpha leaves the float range"),
     (("dos", "--k-max", "100000000"), "3451 energies x k_max 100000000 exceed the budget"),
     (("dos", "--D", "171", "--e-range", "1:1e10:3"),
      "E^(D-1) / ((D-1)! (hbar omega)^D) leaves the float range at E=5e+09"),
@@ -687,14 +694,17 @@ def test_cached_level_at_a_huge_l_allocates_nothing_by_l(tmp_path: Path):
     # 2^y overflows in the strength eps hbar^(alpha-1) / omega^(alpha+1)
     (("ebk", "--alpha", "2000", "--hbar", "0.75", "--epsilon", "1e-3", "--e-max", "3"),
      "hbar omega=0.75 or the strength eps hbar^(alpha-1) / omega^(alpha+1)=inf leaves"),
-    # (E / omega^2)^alpha overflows; numpy warned twice before the error line.
+    # eps / omega^4 overflows; numpy warned twice before the error line.
     (("dos", "--omega", "1e-100", "--alpha", "3", "--epsilon", "1e-3", "--e-range", "1:2:3"),
-     "the action scale sigma leaves the float range at eps=0.001, alpha=3, omega=1e-100"),
+     "hbar omega=1e-100 or the strength eps hbar^(alpha-1) / omega^(alpha+1)=inf leaves"),
     # float() of an exact coefficient past 1.8e308: an OverflowError traceback, exit 1.
     (("dos", "--alpha", "814", "--epsilon", "1e-3", "--e-range", "0.5:0.9:3", "--method", "spa"),
      "order-814 coefficients a_j leave the float range"),
     (("dos", "--alpha", "1100", "--epsilon", "1e-3", "--e-range", "0.5:0.9:3", "--method", "quad"),
      "order-1100 coefficients b_m leave the float range"),
+    # e^alpha overflows quietly, and `modulation` rejects the column.
+    (("dos", "--alpha", "3", "--epsilon", "1", "--e-range", "1:1e150:3", "--method", "closed"),
+     "sigma / hbar must be finite"),
 ])
 def test_invalid_values_are_domain_errors(args, message):
     cp = run_cli(*args)
@@ -707,6 +717,36 @@ def test_invalid_values_are_domain_errors(args, message):
 def _columns(cp: subprocess.CompletedProcess) -> np.ndarray:
     assert cp.returncode == 0 and cp.stderr == "", cp.stderr
     return np.loadtxt(io.StringIO(cp.stdout), delimiter=",", skiprows=1, ndmin=2)
+
+
+def _scaled_dos_matches(got, want, unit):
+    # The smooth column scales exactly; the oscillating one to 1e-12 of it,
+    # since E / (hbar omega) can differ from the unit run's E in the last bit.
+    np.testing.assert_array_equal(got[:, 0], want[:, 0])
+    np.testing.assert_allclose(got[:, 1] * unit, want[:, 1], rtol=1e-12, atol=0.0)
+    assert np.all(np.abs(got[:, 2] * unit - want[:, 2]) <= 1e-12 * want[:, 1])
+
+
+@pytest.mark.parametrize("args,unit", [(("--omega", "1e200"), 1e200), (("--hbar", "1e-300"), 1e-300)])
+def test_perturbative_dos_scales_with_hbar_omega(args, unit):
+    # (D-1)! (hbar omega)^D overflowed or underflowed, and each exited 2.
+    got, want = _columns(run_cli("dos", *args)), _columns(run_cli("dos"))
+    _scaled_dos_matches(got, want, unit)
+
+
+def test_tiny_strength_at_huge_hbar_is_the_unit_system():
+    # eps hbar / omega^3 = 1e-153 * 1e150 is the unit run's 1e-3: dos scales
+    # by 1 / (hbar omega), and compare finds the same beat nodes.
+    big, unit = ("--hbar", "1e150", "--epsilon", "1e-153"), ("--epsilon", "1e-3")
+    _scaled_dos_matches(_columns(run_cli("dos", *big)), _columns(run_cli("dos", *unit)), 1e150)
+    got, want = (json.loads(run_cli("compare", *args).stdout) for args in (big, unit))
+    assert want["pert_envelope_nodes"]
+    np.testing.assert_allclose([got["rms_difference"] * 1e150, got["pearson"]],
+                               [want["rms_difference"], want["pearson"]], rtol=1e-12, atol=0.0)
+    for key in ("pert_envelope_nodes", "ebk_envelope_nodes", "node_offsets",
+                "unmatched_pert_nodes", "unmatched_ebk_nodes"):
+        assert len(got[key]) == len(want[key]), key
+        np.testing.assert_allclose(got[key], want[key], rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("args", [

@@ -96,6 +96,7 @@ class TestPertDos:
     @pytest.mark.parametrize("dim,omega,grid", [
         (170, 1.0, [1.0, 18.25, 35.5, 52.75, 70.0]),   # 70^169 overflows
         (40, 1e-3, [1e-8, 1e-7, 1e-3]),                # 1e-8^39 is subnormal
+        (400, 1.0, [40.0, 55.0, 70.0]),                # 399! overflows
     ])
     def test_smooth_column_past_the_power_range(self, dim, omega, grid):
         # E^(D-1) leaves the normal float range, E^(D-1) / ((D-1)! (hbar omega)^D)
@@ -112,6 +113,9 @@ class TestPertDos:
     def test_smooth_column_out_of_range_is_domain_error(self):
         with pytest.raises(DomainError, match=r"leaves the float range at E=1e\+10"):
             pert_dos(SystemParams.single(171, 0.0, 2), np.array([1.0, 1e10]), k_max=1)
+        # Past D = 1021 a mantissa power of the quotient can be subnormal.
+        with pytest.raises(DomainError, match="must be <= 1021 for the smooth term, got 1022"):
+            pert_dos(SystemParams.single(1022, 0.0, 2), np.array([400.0]), k_max=1)
 
     def test_methods_agree(self):
         params = SystemParams.single(3, 1.25e-3, 2)
@@ -364,6 +368,11 @@ class TestSupershell:
         p3 = SystemParams.single(3, 1.1e-5, 3)
         want = (2.0 / (3.0 * 1.1e-5)) ** (1.0 / 3.0)
         assert supershell_nodes(p3, 1)[0] == pytest.approx(want, rel=1e-12)
+
+    def test_terms_of_one_order_merge(self):
+        merged = SystemParams(dim=3, terms=((1e-3, 2), (2.5e-4, 2), (0.0, 3)))
+        assert supershell_nodes(merged, 3) == supershell_nodes(
+            SystemParams.single(3, 1e-3 + 2.5e-4, 2), 3)
 
     def test_rejects_zero_strength_and_wrong_shape(self):
         with pytest.raises(DomainError):

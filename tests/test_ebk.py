@@ -619,6 +619,21 @@ class TestArrayKernel:
         with pytest.raises(DomainError):
             ebk_energy(SystemParams(dim=3, terms=((1e-3, 2), (1e-4, 3))), 0, 0)
 
+    @pytest.mark.parametrize("terms,single", [
+        (((1e-3, 2), (5e-4, 2)), (1e-3 + 5e-4, 2)), (((1e-3, 2), (0.0, 3)), (1e-3, 2))])
+    def test_terms_of_one_order_merge(self, terms, single):
+        # The strengths of an order add before they are resolved, and an order
+        # whose strength is 0 drops out, as in pert_dos.
+        merged, want = SystemParams(dim=3, terms=terms), SystemParams(dim=3, terms=(single,))
+        assert enumerate_levels(merged, 12.0) == enumerate_levels(want, 12.0)
+        grid = np.linspace(2.0, 10.0, 33)
+        got, ref = ebk_dos(merged, grid, 0.3), ebk_dos(want, grid, 0.3)
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
+        assert got[2] == ref[2]
+        with pytest.raises(DomainError, match="reference pipeline handles a single monomial term"):
+            enumerate_levels(SystemParams(dim=3, terms=(*terms, (1e-4, 4))), 12.0)
+
     def test_array_tf_smooth_matches_points(self):
         params = SystemParams.single(3, -1.2e-3, 2)
         grid = np.linspace(0.05, 40.0, 517)   # not a multiple of the row block
