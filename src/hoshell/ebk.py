@@ -217,7 +217,9 @@ def _turning_points(trap: _Trap, e, l2, win: _Window, start=None):
     top, in one pass.  For eps >= 0, Q is concave and below its harmonic part,
     so Newton from the harmonic roots moves monotonically onto the true ones.
     `start`, the roots (u_in, u_out) at a nearby energy, replaces the
-    harmonic roots as the starting point; the brackets stay the same."""
+    harmonic roots as the starting point; the brackets stay the same.  Rows
+    above `_E_FINITE` are a DomainError."""
+    _check_finite_terms(e)
     e, l2, u_well, u_top = np.broadcast_arrays(e, l2, win.u_well, win.u_top)
     u_plus, hi_out = _outer_bracket(trap, e, l2, u_top)
     u_minus = l2 / u_plus
@@ -834,9 +836,12 @@ def tf_smooth(params: SystemParams, energy):
     trap, _, unit = _resolve(params)
     energies = np.asarray(energy, dtype=float)
     e = energies.ravel() / unit
-    out = _checked(partial(_tf_sums, trap), (e, _outer_radius(trap, e)), 1e-11, 1e-300,
-                   "smooth DOS", _tf_pairs(trap.dim, trap.alpha),
-                   entries=_TF_BLOCK_ENTRIES)[0]
+    r_max = _outer_radius(trap, e)
+    # r_max^D or the sums times it can pass the float range: inf there (and
+    # inf - inf in the check), which `_physical` refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _checked(partial(_tf_sums, trap), (e, r_max), 1e-11, 1e-300, "smooth DOS",
+                       _tf_pairs(trap.dim, trap.alpha), entries=_TF_BLOCK_ENTRIES)[0]
     out = _physical(out, (2.0 * math.pi) ** (-0.5 * trap.dim) * 2.0 * math.pi ** (0.5 * trap.dim)
                     / math.gamma(0.5 * trap.dim) ** 2 / unit, "smooth DOS")
     return float(out[0]) if energies.ndim == 0 else out.reshape(energies.shape)

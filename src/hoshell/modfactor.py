@@ -6,9 +6,10 @@ Three mutually checking evaluations of
 
 where sigma P(l) = sum_t sigma_t P_t(l) sums the scaled action polynomials
 P_t(l) = sum_j a_tj l^(2j) of the perturbation's terms: direct
-Gauss-Legendre quadrature on equal panels sized by the fastest local phase
-k sum_t |sigma_t max P_t'(l)| / hbar, a hypergeometric closed form for
-two-coefficient polynomials, and the end-point stationary-phase asymptotics.
+Gauss-Kronrod quadrature on equal panels sized by the fastest local phase
+k sum_t |sigma_t max P_t'(l)| / hbar, checked against the Gauss rule on the
+same nodes, a hypergeometric closed form for two-coefficient polynomials,
+and the end-point stationary-phase asymptotics.
 All formulas are written in terms of the dimensionless x_t = k sigma_t / hbar.
 
 `modulation` is the array entry point: M_1 ... M_kmax for every row of
@@ -30,7 +31,7 @@ import numpy as np
 
 from .actionpoly import ActionPolynomial
 from .errors import AccuracyError, DomainError, PropertyViolationError, UnsupportedMethodError
-from .specfun import QuadratureRule, expi, gauss_legendre, kummer_1f1_axis
+from .specfun import QuadratureRule, expi, gauss_kronrod, gauss_legendre, kummer_1f1_axis
 
 # The closed form reaches 1F1 through `kummer_1f1_axis`; the scalar view stays
 # importable from this module because the benchmark's tracer
@@ -57,8 +58,8 @@ DEFAULT_ORDER = 32
 _NODES_PER_RADIAN = 0.5
 _QUAD_TOL = 1e-8
 _CHUNK_ENTRIES = 1 << 13  # (row, node) entries per quadrature chunk
-# Coarse nodes per row at most, 1024 panels of 200 nodes: the fine grid then
-# holds twice as many, and a one-row chunk's temporaries 16 MB.
+# Gauss nodes per row at most, 1024 panels of 200 nodes: the Kronrod rule then
+# adds n + 1 per panel of n, and a one-row chunk's temporaries take 16 MB.
 _BUDGET_ORDER = 200
 _MAX_NODES = (1 << 10) * _BUDGET_ORDER
 # (row, k) entries per closed-form / SPA block: each complex temporary stays
@@ -77,32 +78,53 @@ def _check_k(k: int) -> None:
         raise DomainError("repetition index k must be nonzero")
 
 
-def _weighted_nodes(polys: tuple, ends: np.ndarray, dim: int, rule: QuadratureRule,
-                    panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """P_t(l) - P_t(1) at the panel nodes, one row per term, with P_t(1) in
-    `ends`, and the weights (D-1) w l^(D-2), as complex so the harmonic sums
-    are one BLAS product each."""
-    nodes, weights = rule.on_panels(0.0, 1.0, panels)
+def _nested_grid(polys: tuple, ends: np.ndarray, dim: int, rule: QuadratureRule,
+                 panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gauss nodes of all panels, then the Kronrod nodes of each: P_t(l) -
+    P_t(1) at them, one row per term, with P_t(1) in `ends`; the weights
+    (D-1) w l^(D-2) of the Kronrod rule on all of them, and those of the
+    Gauss rule on the first panels * n.  Weights are complex, so the harmonic
+    sums are BLAS products."""
+    n = rule.order
+    kronrod = gauss_kronrod(n)
+    if not np.array_equal(kronrod.nodes[:n], rule.nodes):
+        raise DomainError(f"modulation quadrature needs a Gauss-Legendre rule, got another "
+                          f"rule of order {n}")
+    def regroup(a):  # each Kronrod panel holds the Gauss nodes, then its own
+        a = a.reshape(panels, -1)
+        return np.concatenate((a[:, :n], a[:, n:]), axis=None)
+
+    # The first nodes are those of `rule.on_panels`, bit for bit.
+    nodes, weights = map(regroup, kronrod.on_panels(0.0, 1.0, panels))
+    gauss_weights = rule.on_panels(0.0, 1.0, panels)[1]
     values = np.array([poly.scaled_value(nodes) - end for poly, end in zip(polys, ends)])
-    return values, ((dim - 1) * weights * nodes ** (dim - 2)).astype(complex)
+    power = nodes ** (dim - 2)
+    return (values, ((dim - 1) * weights * power).astype(complex),
+            ((dim - 1) * gauss_weights * power[:gauss_weights.size]).astype(complex))
 
 
-def _harmonic_sums(phase: np.ndarray, weights: np.ndarray, k_max: int) -> np.ndarray:
-    """sum_n weights[n] exp(i k phase[i, n]) for k = 1..k_max.
+def _harmonic_sums(phase: np.ndarray, weights: np.ndarray, gauss_weights: np.ndarray,
+                   k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_n weights[n] exp(i k phase[i, n]) for k = 1..k_max, on all nodes
+    (the Kronrod rule) and on the first gauss_weights.size (the Gauss rule).
 
     The exponential is evaluated once per (row, node), by the table-driven
-    `expi`; harmonic k is its k-th power by repeated multiplication.  The
-    phase is taken relative to the circular orbit (l = 1), so it stays within
-    `expi`'s bound; `_quadrature` multiplies that orbit's phase into the sums.
+    `expi`; harmonic k is its k-th power by repeated multiplication, and both
+    rules sum that one power.  The phase is taken relative to the circular
+    orbit (l = 1), so it stays within `expi`'s bound; `_quadrature`
+    multiplies that orbit's phase into the sums.
     """
     base = expi(phase)
     power = base.copy()
-    sums = np.empty((len(phase), k_max), dtype=complex)
-    sums[:, 0] = power @ weights
-    for k in range(1, k_max):
-        power *= base
-        sums[:, k] = power @ weights
-    return sums
+    gauss = power[:, :gauss_weights.size]
+    fine = np.empty((len(phase), k_max), dtype=complex)
+    coarse = np.empty_like(fine)
+    for k in range(k_max):
+        if k:
+            power *= base
+        fine[:, k] = power @ weights
+        coarse[:, k] = gauss @ gauss_weights
+    return fine, coarse
 
 
 def _quadrature(polys: tuple, s: np.ndarray, dim: int, k_max: int,
@@ -126,18 +148,17 @@ def _quadrature(polys: tuple, s: np.ndarray, dim: int, k_max: int,
     # |phase| <= sum_t |sigma_t / hbar| (max P_t - min P_t), about rate / k_max:
     # within the node budget that is 4.1e5 rad, inside `expi`'s 2^21.  The
     # circular-orbit factor exp(-i k sum_t sigma_t P_t(1) / hbar) multiplies
-    # each row's sums afterwards; the coarse/fine check reads the same before it.
+    # each row's sums afterwards; the Gauss/Kronrod check reads the same before it.
     ends = np.array([poly.scaled_value(1.0) for poly in polys])
     ks = np.arange(1, k_max + 1)
     for count in sorted(set(panels[active].tolist())):
         rows = np.flatnonzero(active & (panels == count))
-        grids = [_weighted_nodes(polys, ends, dim, rule, n) for n in (count, 2 * count)]
-        chunk = max(1, _CHUNK_ENTRIES // len(grids[1][1]))  # nodes per row, not terms
+        values, weights, gauss_weights = _nested_grid(polys, ends, dim, rule, count)
+        chunk = max(1, _CHUNK_ENTRIES // len(weights))  # nodes per row, not terms
         for start in range(0, len(rows), chunk):
             sel = rows[start:start + chunk]
             # np.dot, not @: with one term, @ takes a loop without BLAS.
-            coarse, fine = (_harmonic_sums(np.dot(-s[sel], values), weights, k_max)
-                            for values, weights in grids)
+            fine, coarse = _harmonic_sums(np.dot(-s[sel], values), weights, gauss_weights, k_max)
             err = np.abs(fine - coarse)
             limit = _QUAD_TOL * np.maximum(1.0, np.abs(fine))
             if np.any(err > limit):
@@ -155,13 +176,14 @@ def _quadrature(polys: tuple, s: np.ndarray, dim: int, k_max: int,
 def modulation_quadrature(poly: ActionPolynomial, sigma_over_hbar: float,
                           dim: int, k: int,
                           rule: QuadratureRule | None = None) -> ModulationFactor:
-    """M_k by Gauss-Legendre quadrature of the one-dimensional integral: the
+    """M_k by Gauss-Kronrod quadrature of the one-dimensional integral: the
     one-point view of `modulation` at x = k sigma / hbar.
 
     The interval is split into equal panels, 0.5 nodes per radian of the
     fastest local phase x max |P'(l)| plus half a panel; the returned value
-    uses doubled panels and the difference between the two resolutions
-    serves as the error estimate.
+    is the (2n+1)-point Kronrod extension of the n-point Gauss rule on them,
+    and its difference from the Gauss rule on the shared nodes serves as the
+    error estimate.
     """
     _check_k(k)
     value = modulation(poly, k * sigma_over_hbar, dim, 1, "quadrature", rule)[0, 0]
@@ -241,9 +263,13 @@ def modulation(poly, sigma_over_hbar, dim: int, k_max: int, method: Method,
     (P_t(l) - P_t(1)) / hbar) once per (row, node) with `specfun.expi`,
     reaches harmonic k by repeated multiplication, and multiplies in the
     circular-orbit phase exp(-i k sum_t sigma_t P_t(1) / hbar) once per
-    (row, k); the coarse/fine error estimate is checked for every (row, k),
-    and a row that needs more coarse nodes than 1024 panels of 200 is an
-    AccuracyError.
+    (row, k).  `rule` is the n-point Gauss-Legendre rule on each panel (any
+    other rule is a DomainError), and its (2n+1)-point Kronrod extension
+    (`specfun.gauss_kronrod`) reuses its nodes: every exponential serves both
+    sums, the Kronrod sum is returned,
+    and |Kronrod - Gauss| <= 1e-8 max(1, |Kronrod|) is checked for every
+    (row, k).  A row that needs more Gauss nodes than 1024 panels of 200 is
+    an AccuracyError.
     "closed_form" and "spa" evaluate their formulas as array expressions
     over the (row, k) grid, in blocks of rows.  `rule` applies to the
     quadrature only.

@@ -1,8 +1,8 @@
 """Numerical kernels: factorial families, Legendre polynomials, the confluent
 hypergeometric function 1F1(1; b; i y) on the imaginary axis for b = (D+1)/2
 (its Taylor series summed in real arithmetic), a table-driven exp(i phi),
-Gauss-Legendre quadrature rules, and the roots of a rising Chebyshev-Lobatto
-interpolant.
+Gauss-Legendre quadrature rules and their Kronrod extensions, and the roots
+of a rising Chebyshev-Lobatto interpolant.
 
 Everything here is pure and reentrant; quadrature rules are immutable.
 """
@@ -23,6 +23,7 @@ __all__ = [
     "chebyshev_lobatto",
     "double_factorial",
     "expi",
+    "gauss_kronrod",
     "gauss_legendre",
     "kummer_1f1",
     "kummer_1f1_axis",
@@ -239,6 +240,10 @@ def expi(phase) -> np.ndarray:
         raise DomainError(f"expi needs finite |phase| <= 2^21, got range [{low:g}, {high:g}]")
     flat = phase.ravel()
     out = np.empty(flat.shape, dtype=complex)
+    # The series run in contiguous scratch and fill exp(i r) - 1 at the end:
+    # on its strided real and imaginary views they ran 20-30% slower.
+    size = min(flat.size, _EXPI_BLOCK)
+    cos_buf, sin_buf, step_buf = np.empty(size), np.empty(size), np.empty(size, dtype=complex)
     for start in range(0, flat.size, _EXPI_BLOCK):
         x = flat[start:start + _EXPI_BLOCK]
         m = x * (512.0 / math.pi)
@@ -249,8 +254,7 @@ def expi(phase) -> np.ndarray:
         m *= _EXPI_LO
         r -= m
         r2 = r * r
-        step = np.empty(x.shape, dtype=complex)  # exp(i r) - 1
-        cos_m1, sin_r = step.real, step.imag
+        cos_m1, sin_r, step = cos_buf[:x.size], sin_buf[:x.size], step_buf[:x.size]
         np.multiply(r2, 1.0 / 24.0, out=cos_m1)
         cos_m1 -= 0.5
         cos_m1 *= r2
@@ -259,6 +263,8 @@ def expi(phase) -> np.ndarray:
         sin_r *= r2
         sin_r *= r
         sin_r += r
+        step.real = cos_m1  # exp(i r) - 1
+        step.imag = sin_r
         head = _EXPI_TABLE.take(index)
         block = out[start:start + _EXPI_BLOCK]
         np.multiply(head, step, out=block)
@@ -273,8 +279,8 @@ def expi(phase) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights of a rule on [-1, 1], Gauss-Legendre or (in hoshell.ebk)
-    midpoints; arrays are read-only."""
+    """Nodes/weights of a rule on [-1, 1], Gauss-Legendre, Gauss-Kronrod or
+    (in hoshell.ebk) midpoints; arrays are read-only."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -301,6 +307,65 @@ def gauss_legendre(order: int) -> QuadratureRule:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
+
+
+def _kronrod_recurrence(n: int) -> list[float]:
+    """b_0 ... b_2n of the Jacobi-Kronrod matrix of the Legendre weight, by
+    Laurie's algorithm (Math. Comp. 66, 1133 (1997)).  The first ceil(3n/2)+1
+    are Legendre's own, b_k = k^2 / (4k^2 - 1) with b_0 = 2, the mass; the
+    rest come from the mixed moments s and t.  The weight is even, so every
+    diagonal entry a_k is 0 and only Laurie's b updates remain."""
+    known = (3 * n + 1) // 2 + 1
+    b = [2.0] + [k * k / (4.0 * k * k - 1.0) for k in range(1, known)]
+    b += [0.0] * (2 * n + 1 - known)
+    s, t = [0.0] * (n // 2 + 2), [0.0] * (n // 2 + 2)  # index i holds Laurie's i - 1
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            u += b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - (m - k)
+            u += b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1]
+            s[j + 1] = u
+        if m % 2:  # j is the inner loop's last
+            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    return b
+
+
+@lru_cache(maxsize=None)
+def gauss_kronrod(n: int) -> QuadratureRule:
+    """The (2n+1)-point Kronrod extension of the n-point Gauss-Legendre rule:
+    exact for polynomials of degree 3n+1 (Kronrod 1965), all weights positive.
+
+    Its first n nodes are those of `gauss_legendre(n)`, bit for bit, and the
+    n+1 Kronrod nodes follow in ascending order; `order` is the node count
+    2n+1.  The Kronrod nodes are the eigenvalues (by `eigvalsh`) of Laurie's
+    Jacobi-Kronrod matrix that interlace the Gauss nodes.  Every weight is the
+    Christoffel sum 1 / sum_k p_k(x)^2 over that matrix's orthonormal
+    recurrence, taken at the node it weighs."""
+    if n < 1:
+        raise DomainError(f"quadrature order must be >= 1, got {n}")
+    b = np.array(_kronrod_recurrence(n))
+    root = np.sqrt(b)
+    x = np.linalg.eigvalsh(np.diag(root[1:], 1), UPLO="U")
+    x = 0.5 * (x[::2] - x[::-2])  # the Kronrod nodes, exactly symmetric
+    nodes = np.concatenate([gauss_legendre(n).nodes, x])
+    p_prev, p = np.zeros_like(nodes), np.full_like(nodes, 1.0 / root[0])
+    total = p * p
+    for k in range(1, b.size):
+        p_prev, p = p, (nodes * p - root[k - 1] * p_prev) / root[k]
+        total += p * p
+    weights = 1.0 / total
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureRule(nodes=nodes, weights=weights, order=2 * n + 1)
 
 
 # ---------------------------------------------------------------------------

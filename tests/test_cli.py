@@ -343,6 +343,14 @@ def test_cli_import_skips_scipy_optimize():
     assert cp.stdout.strip() == "False"
 
 
+def test_cli_import_builds_no_kronrod_rule():
+    code = ("import hoshell.cli, hoshell.specfun as s; "
+            "print(s.gauss_kronrod.cache_info().currsize)")
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "0"
+
+
 COLD_START = """
 import json, sys
 import hoshell, hoshell.cli
@@ -596,6 +604,34 @@ def test_cache_past_the_barrier_must_reach_it(tmp_path: Path):
     cp = run_cli("ebk-dos", *system, *grid, "--levels-in", str(cut))
     assert (cp.returncode, cp.stdout) == (2, "")
     assert cp.stderr.endswith(": level (n_r=26, l=0) lies below E=50.5 but is missing\n")
+
+
+def test_smooth_density_past_the_float_range(tmp_path: Path):
+    # r_max^5 overflows in the smooth density's sums at E = 1e150: exit 2
+    # without a numpy warning, which run_cli would turn into a traceback.  The
+    # caps cut the enumeration short, and its warning line comes first; read
+    # from a cache of the one level they leave, the error line is all.
+    argv = ["ebk-dos", "--D", "5", "--e-range", "1:1e150:3", "--nr-max", "0", "--l-max", "0"]
+    error = "hoshell: domain error: smooth DOS leaves the float range"
+    cp = run_cli(*argv)
+    assert (cp.returncode, cp.stdout) == (2, ""), cp.stderr
+    assert cp.stderr.splitlines() == [
+        "hoshell: warning: level enumeration truncated: n_r cap 0 reached at l=0; l cap 0 reached",
+        error]
+    cache = _cache(tmp_path / "levels.csv", "--D", "5", "--e-max", "3",
+                   "--nr-max", "0", "--l-max", "0")
+    cp = run_cli(*argv, "--levels-in", str(cache))
+    assert (cp.returncode, cp.stdout, cp.stderr) == (2, "", error + "\n")
+
+
+def test_cached_level_past_the_float_range(tmp_path: Path):
+    # Its turning-point terms 4 E^2 would overflow in the action check.
+    path = tmp_path / "levels.csv"
+    path.write_text("n_r,l,E_over_hbar_omega,degeneracy\n0,0,1e160,1\n")
+    cp = run_cli("ebk-dos", "--epsilon", "1e-3", "--e-range", "2:8:13", "--levels-in", str(path))
+    assert (cp.returncode, cp.stdout) == (2, ""), cp.stderr
+    assert cp.stderr == ("hoshell: domain error: energy 1e+160 hbar omega lies above 6.7e+153, "
+                         "where the turning-point terms leave the float range\n")
 
 
 def test_cache_cut_by_its_caps_is_read_with_them(tmp_path: Path):

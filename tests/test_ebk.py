@@ -77,6 +77,15 @@ class TestRadialAction:
         with pytest.raises(NoBoundStateError):
             radial_action(params, 1.0, 1.5)  # E < omega * L_eff
 
+    def test_energy_past_the_float_range_rejected(self):
+        # The turning-point terms 4 E^2 overflow above 6.7e153 hbar omega.
+        params = SystemParams.single(3, 1e-3, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"1e\+160 hbar omega lies above 6\.7e\+153"):
+                radial_action(params, 1e160, 0.5)
+            assert math.isfinite(radial_action(params, 6e153, 0.5))
+
     @pytest.mark.parametrize("eps", [-1e-3, 2e-3])
     @pytest.mark.parametrize("rel", [1e-10, 1e-8])
     def test_just_above_the_well_bottom(self, eps, rel):

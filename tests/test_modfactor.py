@@ -15,13 +15,16 @@ from hoshell.errors import AccuracyError, DomainError, UnsupportedMethodError
 from hoshell.modfactor import (
     _CHUNK_ENTRIES,
     _GRID_CHUNK,
+    _NODES_PER_RADIAN,
     DEFAULT_ORDER,
+    _harmonic_sums,
+    _nested_grid,
     modulation,
     modulation_closed_form,
     modulation_quadrature,
     spa_stationary_point_audit,
 )
-from hoshell.specfun import expi, gauss_legendre, kummer_1f1
+from hoshell.specfun import QuadratureRule, expi, gauss_legendre, kummer_1f1
 
 
 def spa_value(poly, sigma_over_hbar, dim, k):
@@ -99,8 +102,9 @@ class TestArrayKernel:
                 assert abs(got[i, k - 1] - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_rows_beyond_one_chunk(self):
-        # Small sigma gives one panel, so 2 * DEFAULT_ORDER fine nodes per row.
-        per_chunk = _CHUNK_ENTRIES // (2 * DEFAULT_ORDER)
+        # Small sigma gives one panel: its DEFAULT_ORDER Gauss nodes and the
+        # DEFAULT_ORDER + 1 Kronrod nodes, 2 * DEFAULT_ORDER + 1 per row.
+        per_chunk = _CHUNK_ENTRIES // (2 * DEFAULT_ORDER + 1)
         sigmas = np.linspace(0.1, 0.9, 2 * per_chunk + 7)
         poly = action_coefficients(3)
         got = modulation(poly, sigmas, 4, 3, "quadrature")
@@ -298,9 +302,9 @@ class TestPanelSizing:
         assert np.all(np.abs(got - np.exp(-1j * x)) <= 1e-15)
 
     def test_one_row_at_the_node_budget_stays_in_memory(self):
-        # 409,600 fine nodes in one row.  expi works in blocks of 8,192
-        # entries; whole-row temporaries raised this traced peak from 29.4 to
-        # 32.5 MiB.
+        # 6,331 panels of 32 Gauss and 33 Kronrod nodes, 411,515 in one row.
+        # expi works in blocks of 8,192 entries; whole-row temporaries raised
+        # this traced peak from 29.4 to 32.5 MiB with the doubled-panel pair.
         poly = action_coefficients(2)  # max |P'| = 1
         modulation(poly, [1.0], 3, 1, "quadrature")  # the rule is cached
         tracemalloc.start()
@@ -314,7 +318,9 @@ class TestPanelSizing:
     def test_readme_job_work(self, monkeypatch):
         # The README dos job (D = 3, alpha = 2, eps = 1.25e-3, 3451 energies
         # on [1, 70], k_max = 10) put 2,473,800 (row, node) entries through
-        # the harmonic sums with 200-node panels sized by the average swing.
+        # the harmonic sums with 200-node panels sized by the average swing,
+        # and 997,344 with 32-node panels checked against doubled panels.
+        # The Gauss nodes also serve the Kronrod sum: 675,285.
         import hoshell.modfactor as modfactor
 
         entries = []
@@ -327,7 +333,57 @@ class TestPanelSizing:
         monkeypatch.setattr(modfactor, "_harmonic_sums", counting)
         pert_dos(SystemParams.single(3, 1.25e-3, 2), np.linspace(1.0, 70.0, 3451),
                  k_max=10, width=0.1, method="quadrature")
-        assert sum(entries) <= 1.0e6
+        assert sum(entries) <= 675_285
+
+
+class TestGaussKronrodEstimate:
+    """|Kronrod - Gauss| against |Gauss on doubled panels - Gauss|, the
+    estimate it replaced: both measure the Gauss rule's own error."""
+
+    @pytest.mark.parametrize("order", [6, DEFAULT_ORDER])
+    def test_matches_the_doubled_panel_estimate(self, order):
+        rule = gauss_legendre(order)
+        ratios, roundoff = [], []
+        for alpha in range(2, 11):
+            poly = action_coefficients(alpha)
+            probe = poly.scaled_value(np.linspace(0.0, 1.0, 513))
+            slope = 512.0 * float(np.max(np.abs(np.diff(probe))))
+            end = np.array([poly.scaled_value(1.0)])
+            for dim in range(2, 7):
+                for x in np.geomspace(0.1, 0.99 * _BUDGET_PHASE / slope, 6):
+                    # The panel count `modulation` gives this x at k_max = 1.
+                    count = max(1, math.ceil(x * slope * _NODES_PER_RADIAN / order + 0.5))
+                    values, weights, gauss_weights = _nested_grid((poly,), end, dim, rule, count)
+                    fine, coarse = (v[0, 0] for v in _harmonic_sums(-x * values, weights,
+                                                                    gauss_weights, 1))
+                    nodes, w = rule.on_panels(0.0, 1.0, 2 * count)
+                    doubled = (expi(-x * (poly.scaled_value(nodes) - end[0]))
+                               @ ((dim - 1) * w * nodes ** (dim - 2)))
+                    if abs(doubled - coarse) > 1e-11:
+                        ratios.append(abs(fine - coarse) / abs(doubled - coarse))
+                    else:
+                        roundoff.append(abs(fine - coarse))
+        assert np.all(np.abs(np.array(ratios) - 1.0) <= 1e-2)
+        assert np.all(np.array(roundoff) <= 1e-11)
+        if order < DEFAULT_ORDER:  # the default rule leaves every row to roundoff
+            assert len(ratios) > 250, len(ratios)
+
+    @pytest.mark.parametrize("dim,panels", [(2, 1), (3, 7), (6, 40)])
+    def test_gauss_side_is_the_rule_on_panels(self, dim, panels):
+        # The Gauss nodes come first, with the weights the doubled-panel pair
+        # gave its coarse grid, bit for bit.
+        rule, poly = gauss_legendre(DEFAULT_ORDER), action_coefficients(3)
+        end = np.array([poly.scaled_value(1.0)])
+        values, weights, gauss_weights = _nested_grid((poly,), end, dim, rule, panels)
+        nodes, w = rule.on_panels(0.0, 1.0, panels)
+        assert values.shape == (1, weights.size) == (1, panels * (2 * DEFAULT_ORDER + 1))
+        assert np.array_equal(values[0, :nodes.size], poly.scaled_value(nodes) - end[0])
+        assert np.array_equal(gauss_weights, ((dim - 1) * w * nodes ** (dim - 2)).astype(complex))
+
+    def test_rule_must_be_gauss_legendre(self):
+        midpoints = QuadratureRule(np.linspace(-0.9, 0.9, 10), np.full(10, 0.2), 10)
+        with pytest.raises(DomainError, match="Gauss-Legendre rule"):
+            modulation(action_coefficients(2), [1.0], 3, 1, "quadrature", midpoints)
 
 
 class TestClosedForm:

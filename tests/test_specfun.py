@@ -14,6 +14,7 @@ from hoshell.specfun import (
     chebyshev_lobatto,
     double_factorial,
     expi,
+    gauss_kronrod,
     gauss_legendre,
     kummer_1f1,
     kummer_1f1_axis,
@@ -360,6 +361,66 @@ class TestQuadrature:
         rule = gauss_legendre(12)
         with pytest.raises(ValueError):
             rule.nodes[0] = 0.0
+
+
+# QUADPACK's qk15 and qk21 (Piessens et al., QUADPACK, Springer 1983): the
+# non-negative abscissae of the 15- and 21-point Kronrod rules, from 1 down,
+# and their weights.
+_GK15 = ([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+          0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+          0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+          0.207784955007898467600689403773245, 0.0],
+         [0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+          0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+          0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+          0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_GK21 = ([0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+          0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+          0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+          0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+          0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0],
+         [0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+          0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+          0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+          0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+          0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+          0.149445554002916905664936468389821])
+
+
+class TestGaussKronrod:
+    @pytest.mark.parametrize("n", [1, 2, 7, 10, 32, 320])
+    def test_moments_exact_through_degree_3n_plus_1(self, n):
+        rule = gauss_kronrod(n)
+        assert rule.order == rule.nodes.size == rule.weights.size == 2 * n + 1
+        powers = rule.nodes[:, None] ** np.arange(3 * n + 2)
+        exact = np.where(np.arange(3 * n + 2) % 2, 0.0, 2.0 / (np.arange(3 * n + 2) + 1.0))
+        assert np.max(np.abs(rule.weights @ powers - exact)) <= 2e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 10, 32, 320])
+    def test_gauss_nodes_embedded_and_weights_positive(self, n):
+        rule = gauss_kronrod(n)
+        assert np.array_equal(rule.nodes[:n], gauss_legendre(n).nodes)
+        kronrod = rule.nodes[n:]
+        assert np.array_equal(kronrod, -kronrod[::-1])
+        # The n + 1 Kronrod nodes interlace the Gauss nodes, strictly.
+        merged = np.sort(rule.nodes)
+        assert np.all(np.diff(merged) > 0)
+        assert np.array_equal(merged[::2], kronrod)
+        assert np.all(rule.weights > 0)
+
+    @pytest.mark.parametrize("n,table", [(7, _GK15), (10, _GK21)])
+    def test_quadpack_abscissae_and_weights(self, n, table):
+        rule = gauss_kronrod(n)
+        order = np.argsort(-rule.nodes)[:n + 1]  # non-negative nodes, from 1 down
+        assert np.max(np.abs(rule.nodes[order] - table[0])) <= 1e-15
+        assert np.max(np.abs(rule.weights[order] - table[1])) <= 1e-15
+
+    def test_rule_is_frozen_and_checked(self):
+        rule = gauss_kronrod(4)
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+        with pytest.raises(DomainError):
+            gauss_kronrod(0)
 
 
 class TestChebyshevLobatto:
