@@ -16,18 +16,14 @@ from .actionpoly import (
     action_coefficients,
     delta_s,
     effective_frequency,
-    i_coefficient,
-    k_coefficient,
     polynomial_delta_s,
     sigma_alpha,
     verify_legendre_form,
 )
 from .dos import (
     DosCurve,
-    HoLevel,
     envelope_nodes,
     ho_dos,
-    ho_spectrum,
     pert_dos,
     supershell_factorized,
     supershell_nodes,
@@ -64,13 +60,10 @@ from .oracle import (
     PhaseState,
     angular_momentum,
     delta_s_oracle,
-    diameter_action_expansion,
     integrate_orbit,
 )
 from .specfun import (
     QuadratureRule,
-    double_factorial,
     gauss_legendre,
     kummer_1f1,
-    legendre_p,
 )

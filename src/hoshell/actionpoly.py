@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .specfun import double_factorial, legendre_coefficients
+from .specfun import legendre_coefficients
 
 __all__ = [
     "ActionPolynomial",
@@ -29,8 +29,6 @@ __all__ = [
     "action_coefficients",
     "delta_s",
     "effective_frequency",
-    "i_coefficient",
-    "k_coefficient",
     "oscillator_strengths",
     "polynomial_delta_s",
     "sigma_alpha",
@@ -140,28 +138,6 @@ class ActionPolynomial:
         for b in self.v_coeffs[::-1]:
             out = out * v + b
         return out if out.ndim else float(out)
-
-
-def i_coefficient(alpha: int, k: int) -> Fraction:
-    """Trigonometric-integral weight alpha! (2k-1)!! (2a-2k-1)!! / (k! (a-k)! (2a)!!)."""
-    if alpha < 1:
-        raise DomainError(f"order must be >= 1, got {alpha}")
-    if not 0 <= k <= alpha:
-        raise DomainError(f"index k must lie in [0, {alpha}], got {k}")
-    num = (math.factorial(alpha) * double_factorial(2 * k - 1)
-           * double_factorial(2 * (alpha - k) - 1))
-    den = (math.factorial(k) * math.factorial(alpha - k)
-           * double_factorial(2 * alpha))
-    return Fraction(num, den)
-
-
-def k_coefficient(alpha: int, k: int, l: int, p: int) -> int:
-    """binom(k,l) binom(alpha-k,p) [(-1)^l + (-1)^p]; zero for mixed parity."""
-    if not 0 <= l <= k:
-        raise DomainError(f"need 0 <= l <= k, got l={l}, k={k}")
-    if not 0 <= p <= alpha - k:
-        raise DomainError(f"need 0 <= p <= alpha-k, got p={p}, alpha-k={alpha - k}")
-    return math.comb(k, l) * math.comb(alpha - k, p) * ((-1) ** l + (-1) ** p)
 
 
 @lru_cache(maxsize=None)

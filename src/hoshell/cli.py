@@ -77,7 +77,10 @@ def _parse_range(text: str) -> np.ndarray:
         raise DomainError(f"range must look like a:b:n, got {text!r}") from None
     if n < 1 or hi <= lo:
         raise DomainError(f"range needs b > a and n >= 1, got {text!r}")
-    return np.linspace(lo, hi, n)
+    try:  # numpy raises ValueError for a size past np.intp, MemoryError past memory
+        return np.linspace(lo, hi, n)
+    except (ValueError, MemoryError):
+        raise DomainError(f"range {text!r} has more points than fit in memory") from None
 
 
 def _scale(args, edge: float) -> float:

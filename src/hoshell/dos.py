@@ -21,21 +21,12 @@ from .modfactor import modulation_closed_form, modulation_quadrature  # noqa: F4
 
 __all__ = [
     "DosCurve",
-    "HoLevel",
     "envelope_nodes",
     "ho_dos",
-    "ho_spectrum",
     "pert_dos",
     "supershell_factorized",
     "supershell_nodes",
 ]
-
-
-@dataclass(frozen=True)
-class HoLevel:
-    n: int
-    energy: float
-    degeneracy: int
 
 
 @dataclass(frozen=True)
@@ -53,18 +44,6 @@ class DosCurve:
     @property
     def total(self) -> np.ndarray:
         return self.smooth + self.oscillating
-
-
-def ho_spectrum(dim: int, omega: float, hbar: float, n_max: int) -> list[HoLevel]:
-    """Unperturbed levels hbar omega (n + D/2) with binomial degeneracies."""
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    SystemParams(dim=dim, omega=omega, hbar=hbar)  # checks D >= 2, finite omega, hbar > 0
-    return [
-        HoLevel(n=n, energy=hbar * omega * (n + dim / 2.0),
-                degeneracy=math.comb(n + dim - 1, dim - 1))
-        for n in range(n_max + 1)
-    ]
 
 
 _ROWS_PER_CHUNK = 256  # energies per slice of the k-sum assembly

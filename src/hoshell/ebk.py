@@ -614,7 +614,11 @@ def _level_table(params: SystemParams, e_max: float, n_r_max: int, l_max: int) -
         raise DomainError(f"level caps must be >= 0, got n_r_max={n_r_max}, l_max={l_max}")
     trap, _, unit = _resolve(params)
     e_max = e_max / unit
-    l2 = trap.l_eff(np.arange(l_max + 1)) ** 2
+    try:  # numpy raises ValueError for a size past np.intp, MemoryError past memory
+        l2 = trap.l_eff(np.arange(l_max + 1)) ** 2
+    except (ValueError, MemoryError):
+        raise DomainError(f"l_max={l_max} asks for more angular momenta than fit "
+                          "in memory") from None
     win, s_top = _separatrix_action(trap, l2)
     l, n_r, start = _level_set(trap, l2, win, s_top, e_max, n_r_max)
     energy = _quantize(trap, l2[l], win.take(l), trap.target(n_r), start)

