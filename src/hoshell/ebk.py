@@ -30,7 +30,7 @@ from .errors import (
     NoBoundStateError,
     TruncationWarning,
 )
-from .specfun import QuadratureRule, chebyshev_lobatto, gauss_legendre, rising_roots
+from .specfun import QuadratureRule, chebyshev_lobatto, gauss_kronrod, gauss_legendre, rising_roots
 
 __all__ = [
     "EbkLevel",
@@ -45,14 +45,15 @@ __all__ = [
 
 _ACTION_ORDER = 120
 # Rows per block of the action kernel: bounds every (rows x nodes) temporary,
-# to 368 KB on the 360 nodes of the 120/240 fallback.  Blocks of 256 rows at
-# 240 nodes, two such temporaries freed per block, let glibc trim the heap top
-# on every block, which then faulted its pages back in (about 7,000 minor
-# faults per 8,001-energy tf_smooth call, against 500).  Wider action blocks
-# raise the peak memory of an enumeration and do not run faster.
+# to 247 KB on the 241 nodes of the Gauss-Kronrod fallback.  Blocks of 256
+# rows on a 240-node rule, two such temporaries freed per block, let glibc trim
+# the heap top on every block, which then faulted its pages back in (about
+# 7,000 minor faults per 8,001-energy tf_smooth call, against 500).  Wider
+# action blocks raise the peak memory of an enumeration and do not run faster.
 _ROW_CHUNK = 128
-# tf_smooth's blocks hold the same (rows x nodes) entries at any node count:
-# 960 rows on the 48 midpoints, 128 on the fallback.
+# tf_smooth's blocks hold _ROW_CHUNK x 360 entries at any node count, 360 being
+# the most nodes an exact even-D rung takes: 960 rows on the 48 midpoints, 191
+# on the fallback.
 _TF_BLOCK_ENTRIES = _ROW_CHUNK * 3 * _ACTION_ORDER
 _MAX_STEPS = 200
 _ULP = float(np.finfo(float).eps)
@@ -246,8 +247,8 @@ def _frozen(*tables):
 
 class _Pair(NamedTuple):
     """Two quadrature rules on one node table, each node evaluated once: the
-    fine rule takes the first w.size nodes with weights w, the coarse rule the
-    nodes `coarse` with weights w_coarse."""
+    fine rule takes every node with weights w, the coarse rule the nodes
+    `coarse` among them with weights w_coarse."""
 
     nodes: tuple
     w: np.ndarray
@@ -260,18 +261,18 @@ def _nested(w, *nodes) -> _Pair:
     return _Pair(nodes, w, slice(1, None, 3), _frozen(3.0 * w[1::3])[0])
 
 
-def _stacked(fine, coarse) -> _Pair:
-    """Two rules (w, *nodes) with nodes of their own, the fine one first."""
-    nodes = _frozen(*(np.concatenate(p) for p in zip(fine[1:], coarse[1:])))
-    return _Pair(nodes, fine[0], slice(fine[0].size, None), coarse[0])
+def _kronrod(n: int, table, *args) -> _Pair:
+    """The (2n+1)-node Gauss-Kronrod pair on the node table (w, *nodes) of a
+    rule: the Kronrod rule, and the n-point Gauss-Legendre rule on its first n."""
+    w, *nodes = table(n, *args, gauss_kronrod)
+    return _Pair(tuple(nodes), w, slice(n), table(n, *args)[0])
 
 
 def _pair_sums(f, pair: _Pair):
     """The fine and the coarse sums of integrand values f (rows, nodes).  Sums
     run pairwise along each row (not a BLAS product), so a row's value ignores
     the rows beside it."""
-    return ((f[:, :pair.w.size] * pair.w).sum(axis=1),
-            (f[:, pair.coarse] * pair.w_coarse).sum(axis=1))
+    return (f * pair.w).sum(axis=1), (f[:, pair.coarse] * pair.w_coarse).sum(axis=1)
 
 
 def _checked(sums, columns, tol: float, floor: float, what: str, rules: tuple[_Pair, ...],
@@ -327,11 +328,10 @@ def _angle_nodes(order: int, rule=gauss_legendre):
 @lru_cache(maxsize=None)
 def _angle_pairs() -> tuple[_Pair, ...]:
     """The action kernel's ladder: 16 midpoints nested in 48, then the
-    Gauss-Legendre 120/240 pair.  With both turning points simple roots,
+    241-node Gauss-Kronrod pair.  With both turning points simple roots,
     S_r's integrand is cos^2(theta) g(sin theta) and T_r's G(sin theta), for g
     and G smooth on [-1, 1]: smooth and periodic in theta."""
-    return (_nested(*_angle_nodes(48, _midpoints)),
-            _stacked(_angle_nodes(2 * _ACTION_ORDER), _angle_nodes(_ACTION_ORDER)))
+    return _nested(*_angle_nodes(48, _midpoints)), _kronrod(_ACTION_ORDER, _angle_nodes)
 
 
 def _action_sums(trap: _Trap, e, l2, u_in, u_out, pair: _Pair):
@@ -359,11 +359,9 @@ def _action_sums(trap: _Trap, e, l2, u_in, u_out, pair: _Pair):
     q = 2.0 * e[rest, None] * u - u * u - 2.0 * eps * u ** a * u - l2[rest, None]
     f = v_half * cos * np.sqrt(np.maximum(q, 0.0))
     parts.append((rest, f, f * u, q))
-    # T_r's integrand is S_r's times u / Q, on the fine nodes only.
-    fine = slice(pair.w.size)
+    # T_r's integrand is S_r's times u / Q, on the fine rule only.
     for rows, f, fu, q in parts:
         s[rows], s_coarse[rows] = _pair_sums(f, pair)
-        fu, q = fu[:, fine], q[:, fine]
         with np.errstate(divide="ignore", invalid="ignore"):
             t[rows] = (np.where(q > 0, fu / q, 0.0) * pair.w).sum(axis=1)
     return s, t, s_coarse
@@ -451,7 +449,7 @@ def radial_action(params: SystemParams, energy, l_eff):
 
     Equal to integral of sqrt(Q(u))/u du over [u_in, u_out], summed on 48
     midpoints in the mapped angle; the 16 among them must agree to
-    1e-10 max(S_r, pi hbar), or else the Gauss-Legendre 120/240 pair must.
+    1e-10 max(S_r, pi hbar), or else the 241-node Gauss-Kronrod pair must.
     Arrays of E and L_eff go through the kernel in one pass."""
     e, l_eff = np.broadcast_arrays(energy, l_eff)
     trap, hbar, unit = _resolve(params)
@@ -460,16 +458,16 @@ def radial_action(params: SystemParams, energy, l_eff):
     return float(s[0]) if l_eff.ndim == 0 else s.reshape(l_eff.shape)
 
 
-def _quantize(trap: _Trap, l2, win: _Window, target, guess):
-    """E with S_r(E, L) = target, one target per row, for rows whose
-    level exists, by Newton in E inside [E_well, E_top) that bisects when a
-    step leaves the bracket.  Accepts |S_r - target| <= 1e-12 target, or the
-    1e-11 contract once the bracket has collapsed.  Each step solves its
-    turning points from the previous step's roots."""
-    lo, hi = win.e_well.copy(), win.e_top.copy()
-    # Out of the window, start mid-window or (eps >= 0) a harmonic step up.
-    e = np.where((guess > lo) & (guess < hi), guess,
-                 np.where(np.isfinite(hi), 0.5 * (lo + hi), lo + target / math.pi))
+def _quantize(trap: _Trap, l2, win: _Window, n_r, guess):
+    """E with S_r(E, L) = 2 pi (n_r + 1/2), one level per row, for rows whose
+    level exists, by Newton in E inside [E_well, min(E_top, `_level_bound`)]
+    that bisects when a step leaves the bracket; a guess outside it starts
+    mid-bracket.  Accepts |S_r - target| <= 1e-12 target, or the 1e-11
+    contract once the bracket has collapsed.  Each step solves its turning
+    points from the previous step's roots."""
+    target = trap.target(n_r)
+    lo, hi = win.e_well.copy(), np.minimum(win.e_top, _level_bound(trap, n_r, l2))
+    e = np.where((guess > lo) & (guess <= hi), guess, 0.5 * (lo + hi))
     energy = np.empty(l2.size)
     rows, start = np.arange(l2.size), None
     # Not _safe_newton's loop: its cheap solves ran slower with this loop's per-row gathers.
@@ -500,10 +498,9 @@ def ebk_energy(params: SystemParams, n_r: int, l: int) -> EbkLevel:
     trap, _, unit = _resolve(params)
     l2 = np.array([trap.l_eff(l) ** 2])
     win, s_top = _separatrix_action(trap, l2)
-    target = trap.target(np.array([n_r]))
-    if not s_top[0] > target[0]:
+    if not s_top[0] > trap.target(n_r):
         raise NoBoundStateError(f"level (n_r={n_r}, l={l}) has no bound solution")
-    energy = _quantize(trap, l2, win, target, np.array([2 * n_r + l + trap.dim / 2.0]))
+    energy = _quantize(trap, l2, win, np.array([n_r]), np.array([2 * n_r + l + trap.dim / 2.0]))
     return EbkLevel(n_r=n_r, l=l, energy=float(_physical(energy, unit, "energy")[0]),
                     degeneracy=angular_degeneracy(trap.dim, l))
 
@@ -511,7 +508,7 @@ def ebk_energy(params: SystemParams, n_r: int, l: int) -> EbkLevel:
 _TABLE_NODES = 12  # Chebyshev-Lobatto nodes in E per l of the action table
 
 
-def _level_bound(trap: _Trap, n_r: int, l2) -> np.ndarray:
+def _level_bound(trap: _Trap, n_r, l2) -> np.ndarray:
     """An energy at or above level n_r's, per row.  Inside u = r^2 <= u*, an
     eps > 0 trap lies below the oscillator of frequency w, w^2 = 1 +
     2 eps u*^(alpha-1); so at E = V(u*), S_r >= pi (E / w - L), and u* puts
@@ -621,7 +618,7 @@ def _level_table(params: SystemParams, e_max: float, n_r_max: int, l_max: int) -
                           "in memory") from None
     win, s_top = _separatrix_action(trap, l2)
     l, n_r, start = _level_set(trap, l2, win, s_top, e_max, n_r_max)
-    energy = _quantize(trap, l2[l], win.take(l), trap.target(n_r), start)
+    energy = _quantize(trap, l2[l], win.take(l), n_r, start)
     kept = energy <= e_max
     l, n_r, energy = l[kept], n_r[kept], _physical(energy[kept], unit, "energy")
     top = np.full(l2.size, -1)
@@ -714,9 +711,9 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
     """Gaussian-smoothed torus-quantized DOS and its smooth reference.
 
     Returns (g_ebk, g_smooth, levels); the oscillating part is their
-    difference.  The grid must be 1-D, non-empty and strictly increasing, and
-    end below `_E_FINITE` hbar omega, which is checked before any level is
-    enumerated.
+    difference.  The grid must be 1-D, non-empty and strictly increasing.  The
+    smooth density comes first, so a grid on which it leaves the float range
+    is refused before any level is enumerated.
     Levels are enumerated out to 6 widths past the grid end, unless a
     precomputed list is supplied.  Such a list must hold levels of this
     system, each (n_r, l) once, and every level that lies 5 widths past the
@@ -741,7 +738,7 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
         raise DomainError(f"smoothing width must be finite and > 0, got {width}")
     if np.any(np.diff(energies) <= 0):
         raise DomainError("energy grid must be strictly increasing")
-    _check_finite_terms(energies[-1] / _resolve(params)[2])  # before the levels are enumerated
+    smooth = tf_smooth(params, energies)
     e_cut = energies[-1] + 6.0 * width
     if levels is None:
         table = _level_table(params, e_cut, n_r_max, l_max)
@@ -765,7 +762,7 @@ def ebk_dos(params: SystemParams, energies: np.ndarray, width: float,
         g /= width * math.sqrt(math.pi)
     if not np.all(np.isfinite(g)):
         raise DomainError(f"torus-quantized DOS leaves the float range at width={width:g}")
-    return g, tf_smooth(params, energies), levels
+    return g, smooth, levels
 
 
 @lru_cache(maxsize=None)
@@ -778,29 +775,28 @@ def _tf_nodes(order: int, dim: int, alpha: int, rule=gauss_legendre):
 
 
 @lru_cache(maxsize=None)
-def _tf_poly_nodes(order: int, dim: int, alpha: int):
-    """The measure t^(D/2-1) w / 2, t and t^alpha at the Gauss-Legendre nodes
-    of r = r_max sqrt(t) on [0, 1]."""
-    t, w = gauss_legendre(order).on_interval(0.0, 1.0)
+def _tf_poly_nodes(order: int, dim: int, alpha: int, rule=gauss_legendre):
+    """The measure t^(D/2-1) w / 2, t and t^alpha at the nodes of
+    r = r_max sqrt(t) on [0, 1]."""
+    t, w = rule(order).on_interval(0.0, 1.0)
     return _frozen(t ** (dim // 2 - 1) * 0.5 * w, t, t ** alpha)
 
 
 @lru_cache(maxsize=None)
 def _tf_pairs(dim: int, alpha: int) -> tuple[_Pair, ...]:
-    """tf_smooth's ladder: its own rule pair, then the Gauss-Legendre 120/240
+    """tf_smooth's ladder: its own rule pair, then the 241-node Gauss-Kronrod
     pair in psi.  At odd D the integrand s^(D-1) cos(psi)^(D-1) h(s^2)^(D/2-1)
     is smooth and periodic in psi: 16 midpoints nested in 48.  At even D it is
     a polynomial in t = s^2 of degree (D/2-1)(alpha+1), which Gauss-Legendre in
-    t integrates exactly on n = degree // 2 + 1 nodes, and again on n + 1; past
-    360 nodes the 120/240 pair is the only rung."""
-    fallback = _stacked(_tf_nodes(2 * _ACTION_ORDER, dim, alpha),
-                        _tf_nodes(_ACTION_ORDER, dim, alpha))
+    t integrates exactly on n = degree // 2 + 1 nodes, and so does the pair's
+    Kronrod rule; past 360 nodes the fallback is the only rung."""
+    fallback = _kronrod(_ACTION_ORDER, _tf_nodes, dim, alpha)
     if dim % 2:
         return _nested(*_tf_nodes(48, dim, alpha, _midpoints)), fallback
     n = (dim // 2 - 1) * (alpha + 1) // 2 + 1
     if 2 * n + 1 > 3 * _ACTION_ORDER:
         return (fallback,)
-    return _stacked(_tf_poly_nodes(n + 1, dim, alpha), _tf_poly_nodes(n, dim, alpha)), fallback
+    return _kronrod(n, _tf_poly_nodes, dim, alpha), fallback
 
 
 def _tf_sums(trap: _Trap, e, r_max, pair: _Pair):
@@ -833,10 +829,10 @@ def tf_smooth(params: SystemParams, energy):
 
     summed at odd D on 48 midpoints in r = rmax sin(psi), which flattens the
     end point, and at even D, where the integrand is a polynomial in
-    t = (r/rmax)^2, on a Gauss-Legendre rule in t that is exact.  Takes a float
+    t = (r/rmax)^2, on a Gauss-Kronrod rule in t that is exact.  Takes a float
     or an array; each element has its own 1e-12 E turning-point residual and
-    1e-11 check against a coarse rule (16 of the midpoints, or another exact
-    rule), or else against the Gauss-Legendre 120/240 pair in psi."""
+    1e-11 check against a coarse rule (16 of the midpoints, or the pair's
+    exact Gauss rule), or else on the 241-node Gauss-Kronrod pair in psi."""
     trap, _, unit = _resolve(params)
     energies = np.asarray(energy, dtype=float)
     e = energies.ravel() / unit

@@ -15,13 +15,20 @@ JOBS = PERFBENCH / "jobs.py"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hoshell"
 
 
+def _perfbench(monkeypatch, path: Path):
+    """A perfbench module, executed from its source without writing bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_targets_resolve(monkeypatch):
     # The traced benchmark run replaces each (owner, attr) in TARGETS; a
     # refactor that drops one of these names would break it silently.
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _perfbench(monkeypatch, TRACER)
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in tracer.TARGETS if attr not in vars(owner)]
     assert missing == []
@@ -71,10 +78,7 @@ def test_independent_check_agrees_with_pert_dos(monkeypatch):
     # which reaches the package through the scalar views (polynomial_delta_s,
     # modulation_quadrature, modulation_closed_form) that pert_dos no longer
     # calls.  A break in them would otherwise first show as `correct: false`.
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS)
-    checks = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(checks)
+    checks = _perfbench(monkeypatch, CHECKS)
     from hoshell import SystemParams, pert_dos
 
     jobs = [dict(D=3, alpha=4, epsilon=1.0 / (3.375 * 30.0 ** 4), width=0.1, k_max=10,
@@ -96,11 +100,7 @@ def test_cached_dos_jobs_pass_the_level_check(monkeypatch, tmp_path, seed):
     # Each benchmark cache ends at the grid end plus five widths of its widest
     # job, the least the level check of `ebk-dos --levels-in` accepts.  A cache
     # the check wrongly refused would otherwise first show as a failed run.
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_jobs", JOBS)
-    jobs = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, jobs)  # dataclasses look it up
-    spec.loader.exec_module(jobs)
+    jobs = _perfbench(monkeypatch, JOBS)
     from hoshell.cli import main
 
     prep, timed = jobs.make_jobs("ebk_dos_cached", seed)
@@ -109,6 +109,29 @@ def test_cached_dos_jobs_pass_the_level_check(monkeypatch, tmp_path, seed):
         with contextlib.redirect_stderr(err):
             code = main(job.argv(str(tmp_path)))
         assert (code, err.getvalue()) == (0, ""), job.name
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("workload", ["pert_quad", "pert_closed", "ebk_enumerate",
+                                      "ebk_dos_cached"])
+def test_benchmark_output_checks_pass(monkeypatch, tmp_path, workload, seed):
+    # One run of every job, then the benchmark's own untimed output checks:
+    # the goldens within the contract tolerances and the independent spot
+    # checks.  An output moved past them would otherwise first show as
+    # `correct: false` in a benchmark run.
+    jobs, checks = _perfbench(monkeypatch, JOBS), _perfbench(monkeypatch, CHECKS)
+    from hoshell.cli import main
+
+    prep, timed = jobs.make_jobs(workload, seed)
+    goldens = checks.load_goldens(seed, workload)
+    assert goldens is not None
+    for job in prep + timed:
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(job.argv(str(tmp_path))) == 0, job.name
+    failures = [error for job in prep for error in checks.spot_levels(job, tmp_path / job.levels)]
+    for job in timed:
+        failures += checks.spot_check(job, tmp_path) + checks.check_golden(job, tmp_path, goldens)
+    assert failures == []
 
 
 def test_pipelines_reach_the_traced_absorb_names(monkeypatch):

@@ -20,6 +20,7 @@ from hoshell.ebk import (
     tf_smooth,
 )
 from hoshell.errors import AccuracyError, DomainError, NoBoundStateError, TruncationWarning
+from hoshell.specfun import gauss_kronrod, gauss_legendre
 
 
 class TestTurningPoint:
@@ -183,6 +184,15 @@ class TestEbkEnergy:
         with pytest.raises(NoBoundStateError):
             ebk_energy(params, 80, 0)
 
+    def test_large_angular_momentum_meets_the_residual(self):
+        # The harmonic guess lies below this level's well and Newton steps
+        # overshoot it: the level bound caps the bracket above, so a
+        # bisection stays finite instead of running to E = inf.
+        params = SystemParams.single(3, 1e-3, 2)
+        level = ebk_energy(params, 0, 10 ** 5)
+        s = radial_action(params, level.energy, 10 ** 5 + 0.5)
+        assert abs(s - math.pi) <= 1e-11 * math.pi
+
     def test_rejects_negative_quantum_numbers(self):
         with pytest.raises(DomainError):
             ebk_energy(SystemParams.single(3, 0.0, 2), -1, 0)
@@ -323,9 +333,10 @@ class TestSmoothDos:
         # into one would corrupt all later results.
         import hoshell.ebk as ebk
 
-        for tables in (ebk._angle_nodes(120), ebk._tf_nodes(240, 3, 2),
+        for tables in (ebk._angle_nodes(120), ebk._angle_nodes(120, gauss_kronrod),
+                       ebk._tf_nodes(120, 3, 2), ebk._tf_nodes(120, 3, 2, gauss_kronrod),
                        ebk._angle_nodes(48, ebk._midpoints), ebk._tf_nodes(48, 3, 2, ebk._midpoints),
-                       ebk._tf_poly_nodes(3, 4, 2),
+                       ebk._tf_poly_nodes(2, 4, 2), ebk._tf_poly_nodes(2, 4, 2, gauss_kronrod),
                        (ebk._midpoints(48).nodes, ebk._midpoints(48).weights)):
             for table in tables:
                 with pytest.raises(ValueError, match="read-only"):
@@ -861,23 +872,47 @@ def _rows_by_order(monkeypatch, name, call):
 
 class TestNestedRules:
     def test_coarse_nodes_are_a_slice_of_the_fine_ones(self):
-        # Each nested pair evaluates 48 midpoints once; its coarse rule is the
-        # 16-point midpoint rule, bit for bit, on the nodes [1::3].
+        # Every rung evaluates its fine rule's nodes once, and its coarse rule
+        # takes nodes among them: a nested pair's is the 16-point midpoint
+        # rule on the 48 midpoints [1::3]; a Gauss-Kronrod pair's is the
+        # n-point Gauss-Legendre rule on the first n of its 2n+1 nodes, with
+        # nodes and weights bit for bit those of gauss_legendre(n) mapped.
         import hoshell.ebk as ebk
 
-        for pair, fine, coarse in (
-                (ebk._angle_pairs()[0], ebk._angle_nodes(48, ebk._midpoints),
-                 ebk._angle_nodes(16, ebk._midpoints)),
-                (ebk._tf_pairs(3, 2)[0], ebk._tf_nodes(48, 3, 2, ebk._midpoints),
-                 ebk._tf_nodes(16, 3, 2, ebk._midpoints)),
-                (ebk._tf_pairs(5, 3)[0], ebk._tf_nodes(48, 5, 3, ebk._midpoints),
-                 ebk._tf_nodes(16, 5, 3, ebk._midpoints))):
-            assert pair.w is fine[0] and pair.coarse == slice(1, None, 3)
-            for node, own, want in zip(pair.nodes, fine[1:], coarse[1:]):
-                assert node is own
-                np.testing.assert_array_equal(node[pair.coarse], want)
-            np.testing.assert_array_equal(pair.w_coarse, 3.0 * fine[0][1::3])
-            np.testing.assert_allclose(pair.w_coarse, coarse[0], rtol=1e-15, atol=0.0)
+        mid, gk = ebk._midpoints, gauss_kronrod
+
+        def tf(table, dim, alpha):  # positional, as the ladders call it
+            return lambda n, rule=gauss_legendre: table(n, dim, alpha, rule)
+
+        ladders = [(ebk._angle_pairs(), [(ebk._angle_nodes, 48, mid), (ebk._angle_nodes, 120, gk)])]
+        for dim, alpha in ((3, 2), (5, 3)):
+            odd = tf(ebk._tf_nodes, dim, alpha)
+            ladders.append((ebk._tf_pairs(dim, alpha), [(odd, 48, mid), (odd, 120, gk)]))
+        for dim, alpha, n in ((2, 2, 1), (4, 2, 2), (6, 4, 6), (4, 356, 179)):
+            exact = tf(ebk._tf_poly_nodes, dim, alpha)
+            ladders.append((ebk._tf_pairs(dim, alpha),
+                            [(exact, n, gk), (tf(ebk._tf_nodes, dim, alpha), 120, gk)]))
+        ladders.append((ebk._tf_pairs(4, 357), [(tf(ebk._tf_nodes, 4, 357), 120, gk)]))
+        for pairs, rungs in ladders:
+            assert len(pairs) == len(rungs)
+            for pair, (table, n, rule) in zip(pairs, rungs):
+                fine = table(n, rule)
+                coarse = table(16, mid) if rule is mid else table(n)
+                assert pair.w is fine[0]
+                for node, own, want in zip(pair.nodes, fine[1:], coarse[1:]):
+                    assert node is own
+                    np.testing.assert_array_equal(node[pair.coarse], want)
+                if rule is mid:
+                    assert pair.coarse == slice(1, None, 3)
+                    np.testing.assert_array_equal(pair.w_coarse, 3.0 * fine[0][1::3])
+                    np.testing.assert_allclose(pair.w_coarse, coarse[0], rtol=1e-15, atol=0.0)
+                else:
+                    assert pair.coarse == slice(n) and fine[0].size == 2 * n + 1
+                    np.testing.assert_array_equal(pair.w_coarse, coarse[0])
+        # The table maps gauss_legendre(120) itself: its weights, bit for bit.
+        theta, w = gauss_legendre(120).on_interval(-0.5 * math.pi, 0.5 * math.pi)
+        np.testing.assert_array_equal(ebk._angle_pairs()[1].w_coarse, w)
+        np.testing.assert_array_equal(ebk._angle_pairs()[1].nodes[0][:120], np.cos(theta))
 
     @pytest.mark.parametrize("dim,alpha", [(2, 2), (4, 2), (4, 3), (6, 4)])
     def test_even_dimension_rules_are_exact(self, dim, alpha):
@@ -901,8 +936,8 @@ class TestNestedRules:
     def test_fallback_rows(self, monkeypatch, dim, eps, share):
         rows = _rows_by_order(monkeypatch, "_action_sums", lambda: enumerate_levels(
             SystemParams.single(dim, eps, 2), 60.0))
-        assert set(rows) <= {48, 240}
-        assert rows.get(240, 0) <= share * sum(rows.values())
+        assert set(rows) <= {48, 241}
+        assert rows.get(241, 0) <= share * sum(rows.values())
 
     def test_barrier_tops_go_straight_to_the_fallback(self, monkeypatch):
         import hoshell.ebk as ebk
@@ -910,7 +945,7 @@ class TestNestedRules:
         trap = ebk._resolve(SystemParams.single(3, -1.25e-3, 2))[0]
         l2 = trap.l_eff(np.arange(30)) ** 2
         rows = _rows_by_order(monkeypatch, "_action_sums", lambda: ebk._separatrix_action(trap, l2))
-        assert rows == {48: 0, 240: 30}
+        assert rows == {48: 0, 241: 30}
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     @pytest.mark.parametrize("eps", [1.2e-3, -1.2e-3])
@@ -919,7 +954,7 @@ class TestNestedRules:
         grid = np.linspace(0.5, 49.5, 2001)
         rows = _rows_by_order(monkeypatch, "_tf_sums", lambda: tf_smooth(
             SystemParams.single(dim, eps, 2), grid))
-        assert rows == {3 if dim == 4 else 2 if dim == 2 else 48: grid.size}
+        assert rows == {5 if dim == 4 else 3 if dim == 2 else 48: grid.size}
 
     def test_missed_rows_are_summed_again_on_the_fallback(self):
         # A fake kernel whose coarse sum misses on rows 1 and 3 of the first
@@ -943,7 +978,7 @@ class TestNestedRules:
             ebk._checked(sums, (x + 10.0, miss), 1e-10, 1.0, "test", rules)
 
     def test_one_rung_ladder_sums_a_missed_row_once(self, monkeypatch):
-        # Past 360 exact nodes at even D, the Gauss-Legendre 120/240 pair is
+        # Past 360 exact nodes at even D, the 241-node Gauss-Kronrod pair is
         # tf_smooth's only rung: a miss on it raises without a second sum.
         import hoshell.ebk as ebk
 
@@ -958,4 +993,4 @@ class TestNestedRules:
         monkeypatch.setattr(ebk, "_tf_sums", missing)
         with pytest.raises(AccuracyError, match="smooth DOS quadrature error"):
             tf_smooth(SystemParams.single(4, 1e-3, 400), np.linspace(0.5, 40.0, 300))
-        assert calls == [(240, 128), (240, 128), (240, 44)]
+        assert calls == [(241, 191), (241, 109)]
