@@ -129,14 +129,12 @@ def kummer_1f1(b: float, z: complex) -> complex:
     """1F1(1; b; z), the confluent hypergeometric series sum_n z^n / (b)_n, at
     one point of the imaginary axis: the scalar view of `kummer_1f1_axis`.
 
-    Raises DomainError for z off the imaginary axis, and elsewhere for b < 1
-    or 2b not an integer; z = 0 gives exactly 1 for every b > 0.
+    Raises DomainError for z off the imaginary axis, and for b < 1 or 2b not
+    an integer, z = 0 included.
     """
     z = complex(z)
     if z.real != 0.0:
         raise DomainError(f"1F1(1;b;z) is evaluated on the imaginary axis only, got z={z}")
-    if z == 0 and b > 0:
-        return complex(1.0)
     return complex(kummer_1f1_axis(b, z.imag))
 
 

