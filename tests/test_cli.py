@@ -401,50 +401,54 @@ COLD_START = """
 import json, sys
 import hoshell, hoshell.cli
 
-# Importing the CLI builds no Gauss-Kronrod rule.
-assert hoshell.specfun.gauss_kronrod.cache_info().currsize == 0
-
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+kronrod_rules = hoshell.specfun.gauss_kronrod.cache_info().currsize
 loaded = [scipy_modules()]
 for argv in json.loads(sys.argv[1]):
     assert hoshell.cli.main(argv) == 0, argv
     loaded.append(scipy_modules())
-print(json.dumps(loaded))
+print(json.dumps({"kronrod_rules": kronrod_rules, "loaded": loaded}))
 """
 
 
-def _cold_start(*argvs: list[str]) -> list[list[str]]:
-    """scipy modules loaded in a fresh interpreter after `import hoshell.cli`
-    and after each CLI command in turn.  The script first asserts that the
-    import built no Gauss-Kronrod rule."""
+@pytest.fixture(scope="module")
+def cold_start(tmp_path_factory) -> dict:
+    """One fresh interpreter runs `import hoshell.cli` and then one CLI job
+    of each kind: the Gauss-Kronrod rules built by the import, and the scipy
+    modules loaded after the import and after each command in turn."""
+    out = tmp_path_factory.mktemp("cold_start")
+    system = ["--alpha", "2", "--epsilon", "1.25e-3"]
+    argvs = [
+        ["dos", "--D", "3", *system, "--method", "quad", "--e-range", "1:30:301",
+         "--out", str(out / "quad.csv")],
+        ["dos", "--D", "3", *system, "--method", "closed", "--e-range", "1:70:301",
+         "--out", str(out / "closed3.csv")],
+        ["dos", "--D", "5", *system, "--method", "closed", "--e-range", "1:70:301",
+         "--out", str(out / "closed5.csv")],
+        ["dos", "--D", "2", *system, "--method", "closed", "--e-range", "1:70:301",
+         "--out", str(out / "closed2.csv")],
+        ["dos", "--D", "4", *system, "--method", "closed", "--e-range", "1:70:301",
+         "--out", str(out / "closed4.csv")],
+        ["ebk", "--D", "2", *system, "--e-max", "10", "--out", str(out / "levels.csv")],
+        ["coeffs", "--alpha-max", "6", "--out", str(out / "coeffs.csv")],
+    ]
     cp = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(argvs)],
                         capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
     return json.loads(cp.stdout.splitlines()[-1])
 
 
-def test_cold_start_loads_no_scipy(tmp_path: Path):
+def test_cli_import_builds_no_kronrod_rule(cold_start):
+    assert cold_start["kronrod_rules"] == 0
+
+
+def test_cold_start_loads_no_scipy(cold_start):
     # The package does not use scipy: importing the CLI and running any
     # command, the even-D closed form (erf along the sqrt(i) ray) included,
     # must not load it.
-    system = ["--alpha", "2", "--epsilon", "1.25e-3"]
-    loaded = _cold_start(
-        ["dos", "--D", "3", *system, "--method", "quad", "--e-range", "1:30:301",
-         "--out", str(tmp_path / "quad.csv")],
-        ["dos", "--D", "3", *system, "--method", "closed", "--e-range", "1:70:301",
-         "--out", str(tmp_path / "closed3.csv")],
-        ["dos", "--D", "5", *system, "--method", "closed", "--e-range", "1:70:301",
-         "--out", str(tmp_path / "closed5.csv")],
-        ["dos", "--D", "2", *system, "--method", "closed", "--e-range", "1:70:301",
-         "--out", str(tmp_path / "closed2.csv")],
-        ["dos", "--D", "4", *system, "--method", "closed", "--e-range", "1:70:301",
-         "--out", str(tmp_path / "closed4.csv")],
-        ["ebk", "--D", "2", *system, "--e-max", "10", "--out", str(tmp_path / "levels.csv")],
-        ["coeffs", "--alpha-max", "6", "--out", str(tmp_path / "coeffs.csv")],
-    )
-    assert loaded == [[]] * 8
+    assert cold_start["loaded"] == [[]] * 8
 
 
 def _closed_form_job(tmp_path, monkeypatch, dim):
