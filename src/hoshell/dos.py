@@ -46,7 +46,6 @@ class DosCurve:
         return self.smooth + self.oscillating
 
 
-_ROWS_PER_CHUNK = 256  # energies per slice of the k-sum assembly
 # Largest (energy, k) grid of one pert_dos call: its modulation factors alone
 # take 16 bytes per entry, 256 MiB here.
 _MAX_GRID = 1 << 24
@@ -93,9 +92,12 @@ def pert_dos(params: SystemParams, energies: np.ndarray, k_max: int = 10,
 
     Harmonic terms are folded into an effective frequency, and each other
     order into its oscillator-unit strength eps', so M_k is one `modulation`
-    call with a column sigma / hbar = 2 pi eps' e^alpha per order.  An energy
-    <= 0, a grid of more than 2**24 (energy, k) entries, a D above 1021, or an
-    eps', hbar omega or smooth term outside the float range is a DomainError.
+    call with a column sigma / hbar = 2 pi eps' e^alpha per order.  The phase
+    of repetition k is z^k with z = exp(2 pi i e), so the k-sum is a
+    polynomial in z, summed by Horner with one exponential per energy.  An
+    energy <= 0, a grid of more than 2**24 (energy, k) entries, a D above
+    1021, or an eps', hbar omega or smooth term outside the float range is a
+    DomainError.
     """
     params = absorb_harmonic_terms(params)
     dim = params.dim
@@ -127,11 +129,13 @@ def pert_dos(params: SystemParams, energies: np.ndarray, k_max: int = 10,
                                       in strengths.items()], (len(strengths), e.size))
     mods = modulation([action_coefficients(alpha) for alpha in strengths], sigma_over_hbar.T,
                       dim, k_max, method)
-    osc = np.empty_like(energies)
-    for start in range(0, energies.size, _ROWS_PER_CHUNK):
-        sel = slice(start, start + _ROWS_PER_CHUNK)
-        phases = np.exp(1j * np.outer(2.0 * math.pi * e[sel], ks))
-        osc[sel] = 2.0 * smooth[sel] * ((mods[sel] * phases).real @ weights)
+    z = np.exp(2j * math.pi * e)
+    acc = weights[-1] * mods[:, -1]
+    for k in range(k_max - 2, -1, -1):
+        acc *= z
+        acc += weights[k] * mods[:, k]
+    acc *= z
+    osc = 2.0 * smooth * acc.real
     return DosCurve(energies=energies, smooth=smooth, oscillating=osc)
 
 

@@ -48,10 +48,11 @@ def legendre_coefficients(alpha: int) -> tuple[Fraction, ...]:
 
 def _series_1f1(b: float, y: np.ndarray) -> np.ndarray:
     """Taylor series 1F1(1; b; iy) = sum_j (iy)^j / (b)_j for real y, in real
-    arithmetic: the even j give the real part sum_m (-1)^m y^(2m) / (b)_(2m),
-    the odd j the imaginary part y sum_m (-1)^m y^(2m) / (b)_(2m+1)
-    (Abramowitz & Stegun 13.1.2, split by parity).  Each is an alternating
-    series in y^2, summed in place by nested Horner, with one term count for
+    arithmetic: the even j give the real part sum_m (-y^2)^m / (b)_(2m), the
+    odd j the imaginary part (y / b) sum_m (-y^2)^m b / (b)_(2m+1)
+    (Abramowitz & Stegun 13.1.2, split by parity).  Each is a polynomial in
+    -y^2, summed in place by Horner in the power basis (two array operations
+    per term) from coefficients formed once per call, with one term count for
     all of y, fixed before the loop."""
     # The sum keeps the terms j < n, for the first n with |y| / (b+n) < 1/2 and
     # |y|^n / (b)_n < 1e-17 at the largest |y|: from n on each term is under
@@ -62,16 +63,25 @@ def _series_1f1(b: float, y: np.ndarray) -> np.ndarray:
     while not (r < 0.5 * (b + n) and bound < 1e-17):
         bound *= r / (b + n)
         n += 1
-    y2 = y * y
-    re, im = np.ones_like(y), np.ones_like(y)
-    for m in range((n - 1) // 2, 0, -1):  # even j = 2m < n
-        re *= y2
-        re *= -1.0 / ((b + 2 * m - 2) * (b + 2 * m - 1))
-        re += 1.0
-    for m in range((n - 2) // 2, 0, -1):  # odd j = 2m + 1 < n
-        im *= y2
-        im *= -1.0 / ((b + 2 * m - 1) * (b + 2 * m))
-        im += 1.0
+    # Horner runs in t = -y^2 / s with s = max(r^2, 1), so the coefficients
+    # s^m / (b)_(2m) are the terms at |y| = r: 1/(b)_(2m) alone leaves the
+    # float range while its term still counts (b = 511: 1/(b)_112 does, and
+    # the term at |y| = b is 1.2e-5).
+    s = max(r * r, 1.0)
+    even, odd = [1.0], [1.0]  # s^m / (b)_(2m) and s^m b / (b)_(2m+1)
+    for m in range(1, (n + 1) // 2):  # even j = 2m < n
+        even.append(even[-1] * s / ((b + 2 * m - 2) * (b + 2 * m - 1)))
+    for m in range(1, n // 2):  # odd j = 2m + 1 < n
+        odd.append(odd[-1] * s / ((b + 2 * m - 1) * (b + 2 * m)))
+    t = y * y
+    t *= -1.0 / s
+    re, im = np.full_like(y, even.pop()), np.full_like(y, odd.pop())
+    for c in reversed(even):
+        re *= t
+        re += c
+    for c in reversed(odd):
+        im *= t
+        im += c
     im *= y
     im /= b
     out = np.empty(y.shape, dtype=complex)
@@ -107,8 +117,8 @@ def kummer_1f1_axis(b: float, y) -> np.ndarray:
     imaginary axis.  The Taylor series serves |y| <= max(10, b), where it
     is roundoff-safe (for b > 10 no term exceeds the first) and one term
     count, set by the largest |y| and b, bounds the tail at every point; it
-    is summed in real arithmetic, as one series in y^2 for the real part and
-    one for the imaginary part.
+    is summed in real arithmetic, by Horner in -y^2 for the real part and
+    for the imaginary part.
     Beyond it, the contiguous relation in b runs upward from e^z (integer
     b, odd D) or from 1F1(1; 3/2; iy), through the continued fraction for
     erfc (half-integer b, even D); it is stable for |y| > b and loses

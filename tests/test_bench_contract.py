@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import io
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -118,16 +119,28 @@ def test_benchmark_output_checks_pass(monkeypatch, tmp_path, workload, seed):
     # One run of every job, then the benchmark's own untimed output checks:
     # the goldens within the contract tolerances and the independent spot
     # checks.  An output moved past them would otherwise first show as
-    # `correct: false` in a benchmark run.
+    # `correct: false` in a benchmark run.  Only an `ebk` job that runs past
+    # the barrier of an eps < 0 well warns, once, that it truncated there.
     jobs, checks = _perfbench(monkeypatch, JOBS), _perfbench(monkeypatch, CHECKS)
     from hoshell.cli import main
+    from hoshell.errors import TruncationWarning
 
     prep, timed = jobs.make_jobs(workload, seed)
     goldens = checks.load_goldens(seed, workload)
     assert goldens is not None
     for job in prep + timed:
-        with contextlib.redirect_stderr(io.StringIO()):
+        p = job.p
+        past_barrier = job.kind == "ebk" and p["epsilon"] < 0 \
+            and p["e_max"] > 1.0 / (16.0 * abs(p["epsilon"]))
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("always")
             assert main(job.argv(str(tmp_path))) == 0, job.name
+        if past_barrier:
+            assert [w.category for w in caught] == [TruncationWarning], job.name
+            assert "above barrier" in str(caught[0].message), job.name
+        else:
+            assert caught == [], job.name
     failures = [error for job in prep for error in checks.spot_levels(job, tmp_path / job.levels)]
     for job in timed:
         failures += checks.spot_check(job, tmp_path) + checks.check_golden(job, tmp_path, goldens)

@@ -309,6 +309,7 @@ def test_ebk_rows_are_the_level_list_sorted_by_energy_then_l(tmp_path: Path, eps
                  "--e-max", "30", "--out", str(out))
     assert cp.returncode == 0, cp.stderr
     with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         levels = enumerate_levels(SystemParams.single(4, eps, 2, omega=omega), 30.0 * omega)
     # Past the barrier (eps < 0) the library's truncation warning is the CLI's stderr.
     assert cp.stderr == "".join(f"hoshell: warning: {w.message}\n" for w in caught)

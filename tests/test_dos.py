@@ -208,6 +208,32 @@ class TestPertDos:
         pref = energy ** 3 / 6.0
         assert curve.oscillating[0] == pytest.approx(pref * total.real, rel=1e-10)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("method", ["quadrature", "closed_form", "spa"])
+    @pytest.mark.parametrize("k_max", [1, 60])
+    def test_horner_sum_matches_the_termwise_sum(self, monkeypatch, dim, method, k_max):
+        # pert_dos sums the repetitions by Horner in z = exp(2 pi i e); here
+        # each term takes its own exponential, with the same M_k.  k_max = 1
+        # runs no Horner step; at width 0.01 all 60 terms count (the last at
+        # 0.029 of the first), and sigma / hbar runs up to 20.
+        seen = []
+
+        def recorded(*args, **kwargs):
+            seen.append(modulation(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(hoshell.dos, "modulation", recorded)
+        e = np.linspace(2.0, 12.0, 101)
+        params = SystemParams.single(dim, 20.0 / (2.0 * math.pi * 12.0 ** 2), 2)
+        curve = pert_dos(params, e, k_max=k_max, width=0.01, method=method)
+        (mods,) = seen
+        total = np.zeros_like(e)
+        for k in range(1, k_max + 1):
+            weight = (-1.0) ** (dim * k) * math.exp(-((0.01 * k * math.pi) ** 2))
+            total += weight * (mods[:, k - 1] * np.exp(2j * math.pi * k * e)).real
+        assert np.all(np.abs(curve.oscillating - 2.0 * curve.smooth * total)
+                      <= 1e-12 * curve.smooth)
+
     @pytest.mark.parametrize("method", ["quadrature", "closed_form"])
     def test_mixed_orders_match_scalar_reference(self, method):
         # pert_dos keeps one sigma_t column per order; compare with the

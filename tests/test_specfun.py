@@ -165,14 +165,16 @@ class TestKummer:
             assert abs(got - ref) <= 5e-12 * abs(ref), (b, z)
 
 
-    @pytest.mark.parametrize("dim", [*range(2, 13), 20, 40, 41, 60, 100, 170, 171])
+    @pytest.mark.parametrize("dim", [*range(2, 13), 20, 40, 41, 60, 100, 170, 171, 600, 1021])
     def test_axis_oracle_every_dimension(self, dim):
         # b = (D+1)/2 on the imaginary axis is the whole domain the package
         # reaches: the array kernel and its scalar view both meet the oracle.
         # From D = 20 on, b > 10 and the series' reach is |y| <= b rather
         # than 10.  That edge is probed from both sides, and so is b/2, the
         # reach before: just past it the far branches lost digits at large b
-        # (6.2e-7 at D = 170, y = 42.75).
+        # (6.2e-7 at D = 170, y = 42.75).  At D = 600 and 1021 the series'
+        # coefficient 1/(b)_(2m) leaves the float range while its term at
+        # y = b is still 4.8e-10 and 1.2e-5; unscaled, both miss the oracle.
         mp = pytest.importorskip("mpmath")
         b = (dim + 1) / 2.0
         edges = [max(10.0, b), max(10.0, b / 2.0)]
