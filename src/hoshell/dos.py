@@ -220,18 +220,13 @@ def envelope_nodes(energies: np.ndarray, oscillating: np.ndarray,
     Positions are refined by parabolic interpolation.
     """
     centers, env = envelope_profile(energies, oscillating, shell_spacing)
-    n = len(env)
-    nodes = []
-    for i in range(1, n - 1):
-        if not (env[i] < env[i - 1] and env[i] <= env[i + 1]):
-            continue
-        left = env[:i][env[:i] > env[i]]
-        right = env[i + 1:][env[i + 1:] > env[i]]
-        peak_left = np.max(left) if left.size else env[i - 1]
-        peak_right = np.max(right) if right.size else env[i + 1]
-        if env[i] > 0.3 * min(peak_left, peak_right):
-            continue
-        denom = env[i - 1] - 2.0 * env[i] + env[i + 1]
-        shift = 0.5 * (env[i - 1] - env[i + 1]) / denom if denom > 0 else 0.0
-        nodes.append(centers[i] + shift * (centers[1] - centers[0]))
-    return np.asarray(nodes)
+    # Running maxima from either end, empty (nan) windows skipped: a minimum
+    # lies below its neighbours, so these are its flanking maxima.
+    peak_left = np.fmax.accumulate(env)[:-2]
+    peak_right = np.fmax.accumulate(env[::-1])[::-1][2:]
+    lo, mid, hi = env[:-2], env[1:-1], env[2:]
+    node = (mid < lo) & (mid <= hi) & ~(mid > 0.3 * np.minimum(peak_left, peak_right))
+    lo, mid, hi = lo[node], mid[node], hi[node]
+    denom = lo - 2.0 * mid + hi
+    shift = np.divide(0.5 * (lo - hi), denom, out=np.zeros_like(denom), where=denom > 0)
+    return centers[1:-1][node] + shift * (centers[1] - centers[0])

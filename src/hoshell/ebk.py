@@ -30,7 +30,7 @@ from .errors import (
     NoBoundStateError,
     TruncationWarning,
 )
-from .specfun import QuadratureRule, chebyshev_lobatto, gauss_kronrod, gauss_legendre, rising_roots
+from .specfun import chebyshev_lobatto, gauss_kronrod, gauss_legendre, rising_roots
 
 __all__ = [
     "EbkLevel",
@@ -43,6 +43,7 @@ __all__ = [
     "tf_smooth",
 ]
 
+_FIRST_ORDER = 24
 _ACTION_ORDER = 120
 # Rows per block of the action kernel: bounds every (rows x nodes) temporary,
 # to 247 KB on the 241 nodes of the Gauss-Kronrod fallback.  Blocks of 256
@@ -52,8 +53,8 @@ _ACTION_ORDER = 120
 # action blocks raise the peak memory of an enumeration and do not run faster.
 _ROW_CHUNK = 128
 # tf_smooth's blocks hold _ROW_CHUNK x 360 entries at any node count, 360 being
-# the most nodes an exact even-D rung takes: 960 rows on the 48 midpoints, 191
-# on the fallback.
+# the most nodes an exact even-D rung takes: 940 rows on the 49-node first
+# rung, 191 on the fallback.
 _TF_BLOCK_ENTRIES = _ROW_CHUNK * 3 * _ACTION_ORDER
 _MAX_STEPS = 200
 _ULP = float(np.finfo(float).eps)
@@ -246,19 +247,15 @@ def _frozen(*tables):
 
 
 class _Pair(NamedTuple):
-    """Two quadrature rules on one node table, each node evaluated once: the
-    fine rule takes every node with weights w, the coarse rule the nodes
-    `coarse` among them with weights w_coarse."""
+    """A (2n+1)-node Gauss-Kronrod pair on one node table, each node evaluated
+    once: the fine Kronrod rule takes every node with weights w, the coarse
+    rule is the n-point Gauss-Legendre rule on the first n, `coarse` =
+    slice(n), with weights w_coarse."""
 
     nodes: tuple
     w: np.ndarray
     coarse: slice
     w_coarse: np.ndarray
-
-
-def _nested(w, *nodes) -> _Pair:
-    """A 3N-point midpoint rule and the N-point rule on its nodes [1::3]."""
-    return _Pair(nodes, w, slice(1, None, 3), _frozen(3.0 * w[1::3])[0])
 
 
 def _kronrod(n: int, table, *args) -> _Pair:
@@ -306,16 +303,6 @@ def _checked(sums, columns, tol: float, floor: float, what: str, rules: tuple[_P
 
 
 @lru_cache(maxsize=None)
-def _midpoints(order: int) -> QuadratureRule:
-    """The midpoint rule on [-1, 1].  For an integrand that extends to a smooth
-    periodic function it converges geometrically, and its nodes [1::3] are the
-    nodes of the rule of a third the order (Trefethen and Weideman, SIAM Rev.
-    56, 385 (2014))."""
-    nodes = (2.0 * np.arange(order) + 1.0) / order - 1.0
-    return QuadratureRule(*_frozen(nodes, np.full(order, 2.0 / order)), order)
-
-
-@lru_cache(maxsize=None)
 def _angle_nodes(order: int, rule=gauss_legendre):
     # Half-angle forms of 1 +- sin(theta) keep full relative precision at the
     # end points, where the plain expressions cancel catastrophically.
@@ -327,11 +314,11 @@ def _angle_nodes(order: int, rule=gauss_legendre):
 
 @lru_cache(maxsize=None)
 def _angle_pairs() -> tuple[_Pair, ...]:
-    """The action kernel's ladder: 16 midpoints nested in 48, then the
-    241-node Gauss-Kronrod pair.  With both turning points simple roots,
-    S_r's integrand is cos^2(theta) g(sin theta) and T_r's G(sin theta), for g
-    and G smooth on [-1, 1]: smooth and periodic in theta."""
-    return _nested(*_angle_nodes(48, _midpoints)), _kronrod(_ACTION_ORDER, _angle_nodes)
+    """The action kernel's ladder: the 49-node Gauss-Kronrod pair, then the
+    241-node one.  With both turning points simple roots, S_r's integrand is
+    cos^2(theta) g(sin theta) and T_r's G(sin theta), for g and G smooth on
+    [-1, 1]: smooth and periodic in theta."""
+    return _kronrod(_FIRST_ORDER, _angle_nodes), _kronrod(_ACTION_ORDER, _angle_nodes)
 
 
 def _action_sums(trap: _Trap, e, l2, u_in, u_out, pair: _Pair):
@@ -372,8 +359,8 @@ def _radial_action_rows(trap: _Trap, e, l2, win: _Window | None = None, start=No
     (E, L^2) inside their window (checked unless given), turning points solved
     from `start` if given.  S_r is checked to 1e-10 max(S_r, pi) per row: it
     vanishes at the well bottom, and pi is the least target.  T_r steers Newton.
-    Rows at their barrier top, where u_out is a double root and the nested
-    rules converge only algebraically, start on the ladder's last rung."""
+    Rows at their barrier top, where u_out is a double root and the first
+    rung converges only algebraically, start on the ladder's last rung."""
     win = _window_holding(trap, e, l2) if win is None else win
     u_in, u_out = _turning_points(trap, e, l2, win, start)
     rules = _angle_pairs()
@@ -447,9 +434,10 @@ def radial_action(params: SystemParams, energy, l_eff):
     """Radial action 2 * integral of sqrt(2E - omega^2 r^2 - 2 eps r^(2a) - L^2/r^2) dr
     between the turning points, with both square-root end points mapped away.
 
-    Equal to integral of sqrt(Q(u))/u du over [u_in, u_out], summed on 48
-    midpoints in the mapped angle; the 16 among them must agree to
-    1e-10 max(S_r, pi hbar), or else the 241-node Gauss-Kronrod pair must.
+    Equal to integral of sqrt(Q(u))/u du over [u_in, u_out], summed on the
+    49-node Gauss-Kronrod rule in the mapped angle; the 24-point Gauss rule on
+    its nodes must agree to 1e-10 max(S_r, pi hbar), or else the 241-node
+    pair must.
     Arrays of E and L_eff go through the kernel in one pass."""
     e, l_eff = np.broadcast_arrays(energy, l_eff)
     trap, hbar, unit = _resolve(params)
@@ -784,15 +772,15 @@ def _tf_poly_nodes(order: int, dim: int, alpha: int, rule=gauss_legendre):
 
 @lru_cache(maxsize=None)
 def _tf_pairs(dim: int, alpha: int) -> tuple[_Pair, ...]:
-    """tf_smooth's ladder: its own rule pair, then the 241-node Gauss-Kronrod
-    pair in psi.  At odd D the integrand s^(D-1) cos(psi)^(D-1) h(s^2)^(D/2-1)
-    is smooth and periodic in psi: 16 midpoints nested in 48.  At even D it is
-    a polynomial in t = s^2 of degree (D/2-1)(alpha+1), which Gauss-Legendre in
-    t integrates exactly on n = degree // 2 + 1 nodes, and so does the pair's
-    Kronrod rule; past 360 nodes the fallback is the only rung."""
+    """tf_smooth's ladder of Gauss-Kronrod pairs: its own first rung, then the
+    241-node pair in psi.  At odd D the integrand s^(D-1) cos(psi)^(D-1)
+    h(s^2)^(D/2-1) is smooth and periodic in psi: the 49-node pair in psi.  At
+    even D it is a polynomial in t = s^2 of degree (D/2-1)(alpha+1), which
+    Gauss-Legendre in t integrates exactly on n = degree // 2 + 1 nodes, and so
+    does the pair's Kronrod rule; past 360 nodes the fallback is the only rung."""
     fallback = _kronrod(_ACTION_ORDER, _tf_nodes, dim, alpha)
     if dim % 2:
-        return _nested(*_tf_nodes(48, dim, alpha, _midpoints)), fallback
+        return _kronrod(_FIRST_ORDER, _tf_nodes, dim, alpha), fallback
     n = (dim // 2 - 1) * (alpha + 1) // 2 + 1
     if 2 * n + 1 > 3 * _ACTION_ORDER:
         return (fallback,)
@@ -812,10 +800,7 @@ def _tf_sums(trap: _Trap, e, r_max, pair: _Pair):
         np.subtract(e[:, None], f, out=f)
         f -= np.multiply.outer(trap.eps * r_max ** (2 * trap.alpha), s2a)
         np.maximum(f, 0.0, out=f)
-        if power == 0.5:
-            np.sqrt(f, out=f)
-        elif power != 1.0:
-            np.power(f, power, out=f)
+        f **= power  # numpy's in-place scalar power takes sqrt at 0.5, bit for bit
     scale = r_max ** trap.dim
     fine, coarse = _pair_sums(f, pair)
     return fine * scale, coarse * scale
@@ -827,12 +812,12 @@ def tf_smooth(params: SystemParams, energy):
         (2 pi hbar^2)^(-D/2) * (2 pi^(D/2) / Gamma(D/2)^2)
             * integral_0^rmax [E - V(r)]^(D/2-1) r^(D-1) dr,
 
-    summed at odd D on 48 midpoints in r = rmax sin(psi), which flattens the
-    end point, and at even D, where the integrand is a polynomial in
-    t = (r/rmax)^2, on a Gauss-Kronrod rule in t that is exact.  Takes a float
-    or an array; each element has its own 1e-12 E turning-point residual and
-    1e-11 check against a coarse rule (16 of the midpoints, or the pair's
-    exact Gauss rule), or else on the 241-node Gauss-Kronrod pair in psi."""
+    summed at odd D on the 49-node Gauss-Kronrod rule in r = rmax sin(psi),
+    which flattens the end point, and at even D, where the integrand is a
+    polynomial in t = (r/rmax)^2, on a Gauss-Kronrod rule in t that is exact.
+    Takes a float or an array; each element has its own 1e-12 E turning-point
+    residual and 1e-11 check against the pair's Gauss rule, or else on the
+    241-node Gauss-Kronrod pair in psi."""
     trap, _, unit = _resolve(params)
     energies = np.asarray(energy, dtype=float)
     e = energies.ravel() / unit

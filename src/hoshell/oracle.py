@@ -29,17 +29,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EllipseOrbit:
-    """Unperturbed orbit with semi-axes a >= b >= 0 at frequency omega."""
+    """Unperturbed orbit with finite semi-axes a >= b >= 0 at a finite
+    frequency omega > 0."""
 
     a: float
     b: float
     omega: float = 1.0
 
     def __post_init__(self):
-        if not (self.a >= self.b >= 0.0) or self.a <= 0.0:
-            raise DomainError(f"need a >= b >= 0 with a > 0, got a={self.a}, b={self.b}")
-        if self.omega <= 0:
-            raise DomainError(f"frequency must be > 0, got {self.omega}")
+        if not (math.inf > self.a >= self.b >= 0.0) or self.a <= 0.0:
+            raise DomainError(f"need finite a >= b >= 0 with a > 0, got a={self.a}, b={self.b}")
+        if not 0 < self.omega < math.inf:
+            raise DomainError(f"frequency must be finite and > 0, got {self.omega}")
 
     @property
     def r0_squared(self) -> float:

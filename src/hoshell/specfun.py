@@ -251,8 +251,8 @@ def expi(phase) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes/weights of a rule on [-1, 1], Gauss-Legendre, Gauss-Kronrod or
-    (in hoshell.ebk) midpoints; arrays are read-only."""
+    """Nodes/weights of a Gauss-Legendre or Gauss-Kronrod rule on [-1, 1];
+    arrays are read-only."""
 
     nodes: np.ndarray
     weights: np.ndarray

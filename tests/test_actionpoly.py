@@ -222,6 +222,11 @@ class TestSigma:
         assert sigma_alpha(0.0, 1.0, 2, 1.0) == 0.0
         assert abs(sigma_alpha(1.0, 1.0, 2, 1.0) - 2.0 * math.pi) < 1e-15
 
+    def test_float_overflow_is_a_domain_error(self):
+        # A float's ** raises OverflowError where an array's gives inf.
+        with pytest.raises(DomainError, match="float range"):
+            sigma_alpha(1e300, 1.0, 3, 1.0)
+
     @settings(max_examples=100, deadline=None)
     @given(
         energy=st.floats(min_value=0.01, max_value=50.0),
@@ -316,6 +321,11 @@ class TestOscillatorStrengths:
 
 
 class TestPolynomialDeltaS:
+    @pytest.mark.parametrize("energy", [0.0, -1.0, math.nan])
+    def test_rejects_energy_not_above_zero(self, energy):
+        with pytest.raises(DomainError, match="energy must be > 0"):
+            polynomial_delta_s(SystemParams.single(3, 1e-3, 2), energy)
+
     def test_single_term_matches_delta_s(self):
         params = SystemParams.single(3, 0.07, 2)
         energy = 4.2

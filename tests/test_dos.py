@@ -401,6 +401,11 @@ class TestSupershell:
         assert supershell_nodes(merged, 3) == supershell_nodes(
             SystemParams.single(3, 1e-3 + 2.5e-4, 2), 3)
 
+    def test_nodes_past_the_float_range(self):
+        # sqrt(2 / eps') at eps' = 1e-320 overflows.
+        with pytest.raises(DomainError, match="float range"):
+            supershell_nodes(SystemParams.single(3, 1e-320, 2), 2)
+
     def test_rejects_zero_strength_and_wrong_shape(self):
         with pytest.raises(DomainError):
             supershell_nodes(SystemParams.single(3, 0.0, 2), 2)
@@ -442,6 +447,28 @@ class TestSupershell:
         nodes = envelope_nodes(grid, curve.oscillating, 1.0)
         assert len(nodes) == 1
         assert abs(nodes[0] - 40.0) < 1.0
+
+    def test_envelope_nodes_follow_their_definition(self):
+        # Window by window: a minimum below its left neighbour and at most its
+        # right one, at most 0.3 times the highest window on either side
+        # (empty, nan windows skipped), moved by the parabola through its
+        # neighbours.  Uneven grids leave windows empty; rounding makes ties.
+        rng = np.random.default_rng(3)
+        count = 0
+        for _ in range(100):
+            grid = np.sort(rng.uniform(0.0, 50.0, 300))
+            osc = np.round(rng.normal(size=300) * np.sin(grid / 7.0), 1)
+            centers, env = envelope_profile(grid, osc, 0.4)
+            want = []
+            for i in range(1, env.size - 1):
+                lo, mid, hi = env[i - 1:i + 2]
+                if (mid < lo and mid <= hi
+                        and mid <= 0.3 * min(np.nanmax(env[:i]), np.nanmax(env[i + 1:]))):
+                    shift = 0.5 * (lo - hi) / (lo - 2.0 * mid + hi)
+                    want.append(centers[i] + shift * (centers[1] - centers[0]))
+            np.testing.assert_array_equal(envelope_nodes(grid, osc, 0.4), want)
+            count += len(want)
+        assert count > 100
 
     @pytest.mark.parametrize("size,spacing", [(0, 1.0), (1500, 0.0), (1500, -1.0),
                                               (1500, math.nan), (1500, math.inf)])

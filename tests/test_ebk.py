@@ -222,6 +222,11 @@ class TestDegeneracy:
             total = sum(angular_degeneracy(dim, l) for l in range(n % 2, n + 1, 2))
             assert total == math.comb(n + dim - 1, dim - 1)
 
+    @pytest.mark.parametrize("dim,l", [(1, 0), (3, -1)])
+    def test_rejects_dimension_below_two_and_negative_l(self, dim, l):
+        with pytest.raises(DomainError):
+            angular_degeneracy(dim, l)
+
 
 class TestSmoothDos:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -318,15 +323,15 @@ class TestSmoothDos:
     @pytest.mark.parametrize("dim,eps", [(2, 1e-3), (3, 1e-3), (3, -1.25e-3), (4, -1.25e-3),
                                          (5, 2e-2)])
     def test_halves_of_a_grid_give_the_same_bits(self, dim, eps):
-        # Blocks of 960 rows at 48 nodes split this grid at rows 960 and 1920,
-        # and its halves at 960 and 40: each row's value is its own.
+        # Blocks of 940 rows at 49 nodes split this grid at rows 940 and 1880,
+        # and its halves at 940 and 60: each row's value is its own.
         params = SystemParams.single(dim, eps, 2)
         grid = np.linspace(0.01, 39.0, 2000)
         whole = tf_smooth(params, grid)
         assert np.array_equal(whole, np.concatenate([tf_smooth(params, grid[:1000]),
                                                      tf_smooth(params, grid[1000:])]))
-        assert np.array_equal(whole[[0, 959, 960, 1999]],
-                              [tf_smooth(params, e) for e in grid[[0, 959, 960, 1999]]])
+        assert np.array_equal(whole[[0, 939, 940, 1999]],
+                              [tf_smooth(params, e) for e in grid[[0, 939, 940, 1999]]])
 
     def test_node_tables_are_read_only(self):
         # lru_cache hands the same arrays to every call; a kernel that wrote
@@ -335,9 +340,9 @@ class TestSmoothDos:
 
         for tables in (ebk._angle_nodes(120), ebk._angle_nodes(120, gauss_kronrod),
                        ebk._tf_nodes(120, 3, 2), ebk._tf_nodes(120, 3, 2, gauss_kronrod),
-                       ebk._angle_nodes(48, ebk._midpoints), ebk._tf_nodes(48, 3, 2, ebk._midpoints),
-                       ebk._tf_poly_nodes(2, 4, 2), ebk._tf_poly_nodes(2, 4, 2, gauss_kronrod),
-                       (ebk._midpoints(48).nodes, ebk._midpoints(48).weights)):
+                       ebk._angle_nodes(24), ebk._angle_nodes(24, gauss_kronrod),
+                       ebk._tf_nodes(24, 3, 2), ebk._tf_nodes(24, 3, 2, gauss_kronrod),
+                       ebk._tf_poly_nodes(2, 4, 2), ebk._tf_poly_nodes(2, 4, 2, gauss_kronrod)):
             for table in tables:
                 with pytest.raises(ValueError, match="read-only"):
                     table[0] = 1.0
@@ -872,47 +877,38 @@ def _rows_by_order(monkeypatch, name, call):
 
 class TestNestedRules:
     def test_coarse_nodes_are_a_slice_of_the_fine_ones(self):
-        # Every rung evaluates its fine rule's nodes once, and its coarse rule
-        # takes nodes among them: a nested pair's is the 16-point midpoint
-        # rule on the 48 midpoints [1::3]; a Gauss-Kronrod pair's is the
-        # n-point Gauss-Legendre rule on the first n of its 2n+1 nodes, with
-        # nodes and weights bit for bit those of gauss_legendre(n) mapped.
+        # Every rung of every ladder is a Gauss-Kronrod pair: it evaluates its
+        # 2n+1 nodes once, and its coarse rule is the n-point Gauss-Legendre
+        # rule on the first n, with nodes and weights bit for bit those of
+        # gauss_legendre(n) mapped.
         import hoshell.ebk as ebk
-
-        mid, gk = ebk._midpoints, gauss_kronrod
 
         def tf(table, dim, alpha):  # positional, as the ladders call it
             return lambda n, rule=gauss_legendre: table(n, dim, alpha, rule)
 
-        ladders = [(ebk._angle_pairs(), [(ebk._angle_nodes, 48, mid), (ebk._angle_nodes, 120, gk)])]
+        ladders = [(ebk._angle_pairs(), [(ebk._angle_nodes, 24), (ebk._angle_nodes, 120)])]
         for dim, alpha in ((3, 2), (5, 3)):
             odd = tf(ebk._tf_nodes, dim, alpha)
-            ladders.append((ebk._tf_pairs(dim, alpha), [(odd, 48, mid), (odd, 120, gk)]))
+            ladders.append((ebk._tf_pairs(dim, alpha), [(odd, 24), (odd, 120)]))
         for dim, alpha, n in ((2, 2, 1), (4, 2, 2), (6, 4, 6), (4, 356, 179)):
-            exact = tf(ebk._tf_poly_nodes, dim, alpha)
-            ladders.append((ebk._tf_pairs(dim, alpha),
-                            [(exact, n, gk), (tf(ebk._tf_nodes, dim, alpha), 120, gk)]))
-        ladders.append((ebk._tf_pairs(4, 357), [(tf(ebk._tf_nodes, 4, 357), 120, gk)]))
+            ladders.append((ebk._tf_pairs(dim, alpha), [(tf(ebk._tf_poly_nodes, dim, alpha), n),
+                                                       (tf(ebk._tf_nodes, dim, alpha), 120)]))
+        ladders.append((ebk._tf_pairs(4, 357), [(tf(ebk._tf_nodes, 4, 357), 120)]))
         for pairs, rungs in ladders:
             assert len(pairs) == len(rungs)
-            for pair, (table, n, rule) in zip(pairs, rungs):
-                fine = table(n, rule)
-                coarse = table(16, mid) if rule is mid else table(n)
+            for pair, (table, n) in zip(pairs, rungs):
+                fine, coarse = table(n, gauss_kronrod), table(n)
                 assert pair.w is fine[0]
+                assert pair.coarse == slice(n) and fine[0].size == 2 * n + 1
+                np.testing.assert_array_equal(pair.w_coarse, coarse[0])
                 for node, own, want in zip(pair.nodes, fine[1:], coarse[1:]):
                     assert node is own
                     np.testing.assert_array_equal(node[pair.coarse], want)
-                if rule is mid:
-                    assert pair.coarse == slice(1, None, 3)
-                    np.testing.assert_array_equal(pair.w_coarse, 3.0 * fine[0][1::3])
-                    np.testing.assert_allclose(pair.w_coarse, coarse[0], rtol=1e-15, atol=0.0)
-                else:
-                    assert pair.coarse == slice(n) and fine[0].size == 2 * n + 1
-                    np.testing.assert_array_equal(pair.w_coarse, coarse[0])
-        # The table maps gauss_legendre(120) itself: its weights, bit for bit.
-        theta, w = gauss_legendre(120).on_interval(-0.5 * math.pi, 0.5 * math.pi)
-        np.testing.assert_array_equal(ebk._angle_pairs()[1].w_coarse, w)
-        np.testing.assert_array_equal(ebk._angle_pairs()[1].nodes[0][:120], np.cos(theta))
+        # The tables map gauss_legendre(n) itself: its weights, bit for bit.
+        for pair, n in zip(ebk._angle_pairs(), (24, 120)):
+            theta, w = gauss_legendre(n).on_interval(-0.5 * math.pi, 0.5 * math.pi)
+            np.testing.assert_array_equal(pair.w_coarse, w)
+            np.testing.assert_array_equal(pair.nodes[0][:n], np.cos(theta))
 
     @pytest.mark.parametrize("dim,alpha", [(2, 2), (4, 2), (4, 3), (6, 4)])
     def test_even_dimension_rules_are_exact(self, dim, alpha):
@@ -930,13 +926,14 @@ class TestNestedRules:
         fine, coarse = ebk._pair_sums(f[None, :], pair)
         assert abs(fine[0] - want) <= 1e-14 * want and abs(coarse[0] - want) <= 1e-14 * want
 
-    @pytest.mark.parametrize("dim,eps,share", [
-        # 10.0% of the rows at D = 3 (barrier tops included) were measured
-        (3, 3e-4, 0.0), (4, 3e-4, 0.0), (3, -1.25e-3, 0.11)])
-    def test_fallback_rows(self, monkeypatch, dim, eps, share):
+    @pytest.mark.parametrize("dim,eps,alpha,e_max,share", [
+        # 2.8% of the rows at D = 3 (barrier tops included) were measured
+        (3, 3e-4, 2, 60.0, 0.0), (4, 3e-4, 2, 60.0, 0.0), (3, -1.25e-3, 2, 60.0, 0.04),
+        (3, 1e-5, 4, 40.0, 0.0)])
+    def test_fallback_rows(self, monkeypatch, dim, eps, alpha, e_max, share):
         rows = _rows_by_order(monkeypatch, "_action_sums", lambda: enumerate_levels(
-            SystemParams.single(dim, eps, 2), 60.0))
-        assert set(rows) <= {48, 241}
+            SystemParams.single(dim, eps, alpha), e_max))
+        assert set(rows) <= {49, 241}
         assert rows.get(241, 0) <= share * sum(rows.values())
 
     def test_barrier_tops_go_straight_to_the_fallback(self, monkeypatch):
@@ -945,7 +942,7 @@ class TestNestedRules:
         trap = ebk._resolve(SystemParams.single(3, -1.25e-3, 2))[0]
         l2 = trap.l_eff(np.arange(30)) ** 2
         rows = _rows_by_order(monkeypatch, "_action_sums", lambda: ebk._separatrix_action(trap, l2))
-        assert rows == {48: 0, 241: 30}
+        assert rows == {49: 0, 241: 30}
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     @pytest.mark.parametrize("eps", [1.2e-3, -1.2e-3])
@@ -954,7 +951,7 @@ class TestNestedRules:
         grid = np.linspace(0.5, 49.5, 2001)
         rows = _rows_by_order(monkeypatch, "_tf_sums", lambda: tf_smooth(
             SystemParams.single(dim, eps, 2), grid))
-        assert rows == {5 if dim == 4 else 3 if dim == 2 else 48: grid.size}
+        assert rows == {5 if dim == 4 else 3 if dim == 2 else 49: grid.size}
 
     def test_missed_rows_are_summed_again_on_the_fallback(self):
         # A fake kernel whose coarse sum misses on rows 1 and 3 of the first

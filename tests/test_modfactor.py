@@ -539,6 +539,10 @@ class TestSpa:
 
 
 class TestStationaryPointAudit:
+    def test_rejects_order_one(self):
+        with pytest.raises(DomainError, match="order >= 2"):
+            spa_stationary_point_audit(action_coefficients(1))
+
     @pytest.mark.parametrize("alpha", [2, 3, 10])
     def test_no_interior_stationary_points(self, alpha):
         report = spa_stationary_point_audit(action_coefficients(alpha))

@@ -33,6 +33,24 @@ class TestEllipseOrbit:
         with pytest.raises(DomainError):
             EllipseOrbit(a=1.0, b=1.2)
 
+    @pytest.mark.parametrize("a,b,omega", [(1.0, 0.5, math.nan), (1.0, 0.5, math.inf),
+                                           (1.0, 0.5, 0.0), (math.inf, 0.5, 1.0),
+                                           (math.inf, math.inf, 1.0), (math.nan, 0.5, 1.0),
+                                           (1.0, math.nan, 1.0)])
+    def test_rejects_non_finite_inputs(self, a, b, omega):
+        # SystemParams refuses the same omega; a nan omega used to reach
+        # delta_s_oracle and return nan, an infinite one -0.0.
+        with pytest.raises(DomainError):
+            EllipseOrbit(a=a, b=b, omega=omega)
+
+
+class TestPhaseState:
+    @pytest.mark.parametrize("q,p", [([1.0, 0.0], [0.0]), ([1.0, math.nan], [0.0, 0.0]),
+                                     ([1.0, 0.0], [math.inf, 0.0])])
+    def test_rejects_mismatched_or_non_finite_components(self, q, p):
+        with pytest.raises(DomainError):
+            PhaseState(q=q, p=p)
+
 
 class TestIntegrator:
     def test_unperturbed_matches_analytic_solution(self):
@@ -145,6 +163,10 @@ class TestAngularMomentum:
 
 
 class TestDeltaSOracle:
+    def test_rejects_order_below_one(self):
+        with pytest.raises(DomainError, match="order must be >= 1"):
+            delta_s_oracle(EllipseOrbit(a=1.0, b=0.5), 0.1, 0)
+
     def test_circular_orbit_closed_form(self):
         # constant integrand: -eps T (R0^2/2)^alpha = -sigma_alpha
         orbit = EllipseOrbit(a=1.0, b=1.0, omega=1.0)

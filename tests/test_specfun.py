@@ -330,6 +330,10 @@ class TestExpi:
 
 
 class TestQuadrature:
+    def test_rejects_order_below_one(self):
+        with pytest.raises(DomainError, match="order must be >= 1"):
+            gauss_legendre(0)
+
     @pytest.mark.parametrize("order", [2, 5, 20, 64, 200])
     def test_rule_invariants(self, order):
         rule = gauss_legendre(order)
